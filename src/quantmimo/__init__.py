@@ -6,7 +6,7 @@ resolution / bandwidth trade-off under a hardware power budget.
 """
 
 from quantmimo.quant import QuantizerSpec, design_lloyd_max, rescale_labels, quantize
-from quantmimo.airlink import PilotMatrix, ChannelRealization, dft_pilots, rayleigh_channel, estimate_channel
+from quantmimo.airlink import PilotMatrix, dft_pilots, estimate_channel
 from quantmimo.bussgang import BussgangStats, SystemConfig, gain_scalar, distortion_trace, ce_distortion_projections, assemble_stats
 from quantmimo.rates import (
     SindrInputsUL,
@@ -17,10 +17,9 @@ from quantmimo.rates import (
     sindr_dl_mrt,
     sindr_from_moments,
     sum_rate,
-    overhead_factor,
 )
 from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, snr_linear
-from quantmimo.mcsim import ValidationReport, run_ul_trial, run_dl_trial, validate_closed_form
+from quantmimo.mcsim import ValidationReport, validate_closed_form
 from quantmimo.sweep import SweepConfig, SweepRecord, load_config, envelope_from_reference, run_sweep, write_csv
 
 __version__ = "0.1.0"

@@ -31,21 +31,6 @@ class PilotMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """M x K i.i.d. CN(0,1) channel matrix."""
-
-    entries: np.ndarray
-
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
-    @property
-    def k_users(self):
-        return self.entries.shape[1]
-
-
 def dft_pilots(tau, k_users):
     """First k_users columns of the tau-point DFT matrix."""
     if k_users < 1:
@@ -64,14 +49,6 @@ def complex_gaussian(rng, shape, complex_variance=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def rayleigh_channel(m, k_users, seed):
-    """i.i.d. CN(0,1) channel, deterministic per seed (or Generator)."""
-    if m < 1 or k_users < 1:
-        raise ValueError("m and k_users must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return ChannelRealization(entries=complex_gaussian(rng, (m, k_users)))
-
-
 def pilot_phase_signal(channel, pilots, rho_bs, noise):
     """ADC input during the pilot phase, as an M x tau matrix.
 
@@ -84,20 +61,17 @@ def pilot_phase_signal(channel, pilots, rho_bs, noise):
 def estimate_channel(rce, pilots, rho_bs):
     """Channel estimate from the quantized pilot-phase output.
 
-    rce is either the stacked length-M*tau vector (tau blocks of length M)
-    or the equivalent M x tau matrix.  Returns an M x K matrix; collapses to
-    the exact channel when quantization and noise are absent, by pilot
-    orthogonality.
+    rce is either the stacked length-M*tau vector (tau blocks of length M),
+    the equivalent M x tau matrix, or a batch of such matrices (..., M, tau).
+    Returns M x K (batched: ..., M, K); collapses to the exact channel when
+    quantization and noise are absent, by pilot orthogonality.
     """
     rce = np.asarray(rce)
-    tau, k = pilots.tau, pilots.k_users
+    tau = pilots.tau
     if rce.ndim == 1:
         if rce.size % tau != 0:
             raise ValueError(f"receive vector length {rce.size} is not a multiple of tau={tau}")
         rce = rce.reshape(tau, -1).T
-    elif rce.ndim == 2:
-        if rce.shape[1] != tau:
-            raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
-    else:
-        raise ValueError("rce must be a vector or an M x tau matrix")
+    elif rce.ndim == 0 or rce.shape[-1] != tau:
+        raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
     return rce @ pilots.entries / (np.sqrt(rho_bs) * tau)

@@ -16,6 +16,7 @@ import numpy as np
 
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.quant import quantize
+from quantmimo.syspower import by_direction
 
 DEFAULT_TRIALS = 100_000
 PAPER_TRIALS = 1_000_000  # matches the converter-distortion Monte Carlo scale
@@ -78,7 +79,7 @@ class SystemConfig:
         return 1.0 / self.m_dl
 
     def m(self, direction):
-        return self.m_ul if direction == "ul" else self.m_dl
+        return by_direction(direction, self.m_ul, self.m_dl)
 
 
 @dataclass(frozen=True)

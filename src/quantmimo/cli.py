@@ -10,10 +10,9 @@ import sys
 
 from quantmimo.sweep import (
     ConfigError,
-    SweepConfig,
     config_from_dict,
-    load_config,
     print_cost_estimate,
+    read_config,
     read_csv,
     run_sweep,
     write_csv,
@@ -44,48 +43,21 @@ def _parse_args(argv):
 
 
 def _build_config(args):
-    config = load_config(args.config) if args.config else SweepConfig()
-    overrides = {}
+    raw = read_config(args.config) if args.config else {}
     if args.direction:
-        overrides["direction"] = args.direction
+        raw["direction"] = args.direction
     if args.bits:
-        overrides["bits"] = [int(b) for b in args.bits.split(",")]
+        raw["bits"] = [int(b) for b in args.bits.split(",")]
     if args.bandwidth:
-        overrides["bandwidth_ghz"] = [float(b) for b in args.bandwidth.split(",")]
+        raw["bandwidth_ghz"] = [float(b) for b in args.bandwidth.split(",")]
     if args.tau:
-        overrides["tau"] = [int(t) for t in args.tau.split(",")]
+        raw["tau"] = [int(t) for t in args.tau.split(",")]
     if args.trials is not None:
-        overrides["trials"] = args.trials
+        raw["trials"] = args.trials
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        raw["seed"] = args.seed
     if args.validate:
-        overrides["validate"] = True
-    if not overrides:
-        return config
-    from dataclasses import asdict
-
-    merged = asdict(config)
-    power = merged.pop("power")
-    power.pop("p_hw", None)  # derived from the envelope rule, not a config key
-    link = merged.pop("link")
-    merged.pop("bandwidth_hz")
-    merged.pop("envelope_bits_ref")
-    merged.pop("envelope_bandwidth_hz_ref")
-    merged.pop("envelope_count_ref")
-    raw = {
-        **merged,
-        "bandwidth_ghz": [b / 1e9 for b in config.bandwidth_hz],
-        "power": power,
-        "link": link,
-        "envelope": {
-            "bits_ref": config.envelope_bits_ref,
-            "bandwidth_ghz_ref": config.envelope_bandwidth_hz_ref / 1e9,
-            "count_ref": config.envelope_count_ref,
-        },
-    }
-    raw.update(overrides)
-    raw["bits"] = list(raw["bits"])
-    raw["tau"] = list(raw["tau"])
+        raw["validate"] = True
     return config_from_dict(raw)
 
 

@@ -9,52 +9,20 @@ the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from quantmimo import rates
-from quantmimo.airlink import complex_gaussian, dft_pilots
+from quantmimo.airlink import complex_gaussian, dft_pilots, estimate_channel, pilot_phase_signal
 from quantmimo.bussgang import (
     DEFAULT_TRIALS,
     PHASE_CE,
-    PHASE_DL,
-    PHASE_UL,
     assemble_stats,
     chunk_rng,
-    gain_scalar,
     _chunks,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
-
-
-@dataclass
-class _Accumulator:
-    """Streaming mean with per-chunk partial sums reduced by math.fsum.
-
-    Chunk partials are kept and combined in a fixed order at the end, so the
-    result is independent of how chunks were scheduled; fsum keeps the
-    10^6-term reductions exactly rounded.
-    """
-
-    shape: tuple
-    _partials: list = field(default_factory=list)
-    _count: int = 0
-
-    def add(self, chunk_sum, count):
-        self._partials.append(np.asarray(chunk_sum))
-        self._count += count
-
-    def mean(self):
-        stacked = np.stack(self._partials)
-        flat = stacked.reshape(len(self._partials), -1)
-        if np.iscomplexobj(stacked):
-            out = np.array(
-                [complex(math.fsum(flat[:, i].real), math.fsum(flat[:, i].imag)) for i in range(flat.shape[1])]
-            )
-        else:
-            out = np.array([math.fsum(flat[:, i]) for i in range(flat.shape[1])])
-        return (out / self._count).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -111,64 +79,186 @@ def default_specs(config):
     return adc, adc, dac  # ce, ul, dl
 
 
-def _estimate_and_combine(config, spec_ce, rng, size, pilots, g_ce):
-    """Draw one chunk of channels and produce quantized channel estimates."""
-    m, k, tau = config.m_ul, config.k_users, config.tau
-    rho = config.rho_bs
-    h = complex_gaussian(rng, (size, m, k))
-    z_ce = complex_gaussian(rng, (size, m, tau))
-    y_ce = np.sqrt(rho) * h @ pilots.entries.conj().T + z_ce
-    r_ce = quantize(spec_ce, y_ce)
-    h_hat = r_ce @ pilots.entries / (np.sqrt(rho) * tau)
-    d_ce = r_ce - g_ce * y_ce
-    return h, y_ce, d_ce, h_hat
+def _residual_sums(d, y):
+    """Sums of d conj(y) and of its squared magnitude over a chunk."""
+    ry = d * y.conj()
+    return {"resid": np.sum(ry), "resid_sq": np.sum(np.abs(ry) ** 2)}
 
 
-def run_ul_trial(config, specs, seed):
-    """One uplink trial's contributions to the moment set (diagnostic path).
+def _pilot_phase(config, spec_ce, g_ce, pilots, rng, size):
+    """Channels and their quantized-pilot estimates for one chunk of trials.
 
-    Returns a dict keyed by moment name; the batch runner accumulates the
-    same quantities chunk-wise.  Bit-identical for identical seeds.
+    Returns (h, h_hat, sums); the pilot-phase signals are dropped here so
+    they do not stay alive through the data phase.
     """
-    spec_ce, spec_ul, _ = specs
-    pilots = dft_pilots(config.tau, config.k_users)
-    g_ce = gain_scalar(spec_ce, config.y_var_ul)
-    g_ul = gain_scalar(spec_ul, config.y_var_ul)
-    rng = chunk_rng(seed, PHASE_UL, 0)
-    h, _, _, h_hat = _estimate_and_combine(config, spec_ce, rng, 1, pilots, g_ce)
-    x = complex_gaussian(rng, (1, config.k_users))
-    z_ul = complex_gaussian(rng, (1, config.m_ul))
+    h = complex_gaussian(rng, (size, config.m_ul, config.k_users))
+    y_ce = pilot_phase_signal(h, pilots, config.rho_bs, complex_gaussian(rng, (size, config.m_ul, config.tau)))
+    d_ce = quantize(spec_ce, y_ce)
+    h_hat = estimate_channel(d_ce, pilots, config.rho_bs)
+    d_ce -= g_ce * y_ce  # the distortion, in place of the quantizer output
+    sums = _residual_sums(d_ce, y_ce)
+    sums["delta"] = np.sum(np.abs(h_hat) ** 2)
+    return h, h_hat, sums
+
+
+def _uplink_chunk(config, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
+    """MRC moment sums of one chunk: E[v^H G h], E|v^H G h_i|^2, E||G v||^2, E[v^H C_d v]."""
+    size, m, k = h.shape
+    x = complex_gaussian(rng, (size, k))
+    z_ul = complex_gaussian(rng, (size, m))
     y_ul = np.sqrt(config.rho_bs) * np.einsum("cmk,ck->cm", h, x) + z_ul
     d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
     v = g_ul * h_hat
     cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
-    return {
-        "desired_mean": np.diagonal(cross[0]).copy(),
-        "signal_powers": np.abs(cross[0]) ** 2,
-        "combiner_power": g_ul**2 * np.sum(np.abs(v[0]) ** 2, axis=0),
-        "distortion_power": np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)[0]) ** 2,
-    }
+    sums = _residual_sums(d_ul, y_ul)
+    sums["desired"] = np.einsum("ckk->k", cross)
+    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["combiner"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
+    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0)
+    if track_offdiag:
+        sums["offdiag"] = np.einsum("cm,cn->mn", d_ul, d_ul.conj())
+        sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
+    return sums
 
 
-def run_dl_trial(config, specs, seed, delta):
-    """One downlink trial's contributions to the moment set (diagnostic path)."""
-    spec_ce, _, spec_dl = specs
-    pilots = dft_pilots(config.tau, config.k_users)
-    g_ce = gain_scalar(spec_ce, config.y_var_ul)
-    g_dl = gain_scalar(spec_dl, config.w_var_dl)
-    rng = chunk_rng(seed, PHASE_DL, 0)
-    h, _, _, h_hat = _estimate_and_combine(config, spec_ce, rng, 1, pilots, g_ce)
+def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
+    """MRT moment sums of one chunk: E[h^H G w], E|h^H G w_i|^2, E[h^H C_d h], precoder powers."""
+    size, _, k = h.shape
     w = h_hat / np.sqrt(delta)
-    x = complex_gaussian(rng, (1, config.k_users))
+    x = complex_gaussian(rng, (size, k))
     u = np.einsum("cmk,ck->cm", w, x)
     d_dl = quantize(spec_dl, u) - g_dl * u
     cross = g_dl * np.einsum("cmk,cmi->cki", h.conj(), w)
-    return {
-        "desired_mean": np.diagonal(cross[0]).copy(),
-        "signal_powers": np.abs(cross[0]) ** 2,
-        "distortion_power": np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dl)[0]) ** 2,
-        "precoder_frobenius": np.sum(np.abs(w[0]) ** 2),
+    # E[h^H C_d h] has the unconditional distortion covariance, so the
+    # channel is paired with another trial's distortion sample
+    d_dec = np.roll(d_dl, 1, axis=0)
+    w_power = np.abs(w) ** 2
+    sums = _residual_sums(d_dl, u)
+    sums["desired"] = np.einsum("ckk->k", cross)
+    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dec)) ** 2, axis=0)
+    sums["precoder"] = np.sum(w_power)
+    sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
+    return sums
+
+
+def _fsum_chunks(chunk_sums):
+    """Element-wise totals of per-chunk sums, exactly rounded by math.fsum.
+
+    Chunks are combined in chunk order, so the totals do not depend on how
+    the chunks were scheduled.
+    """
+    totals = {}
+    for name in chunk_sums[0]:
+        parts = np.stack([s[name] for s in chunk_sums])
+        flat = parts.reshape(len(chunk_sums), -1).T
+        if np.iscomplexobj(flat):
+            out = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat])
+        else:
+            out = np.array([math.fsum(col) for col in flat])
+        totals[name] = out.reshape(parts.shape[1:])
+    return totals
+
+
+def _residual(totals, n_samples):
+    """(|mean d conj(y)|, its Monte Carlo standard error) from residual totals."""
+    mean = totals["resid"] / n_samples
+    var = max(float(totals["resid_sq"] / n_samples - abs(mean) ** 2), 0.0)
+    return abs(complex(mean)), np.sqrt(var / n_samples)
+
+
+def _uplink_terms(config, stats, mean):
+    """Empirical and closed-form UL SINDRs plus {moment: (empirical, closed)} pairs."""
+    m, k, tau, rho = config.m_ul, config.k_users, config.tau, config.rho_bs
+    g_ce, g_ul = stats.g_ce, stats.g_ul
+    ce_noise = 1.0 + 1.0 / (rho * tau)
+    inv_rt2 = 1.0 / (rho * tau**2)
+    a_k = stats.a_k_at(m)
+    closed_cross = ce_noise * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
+    des, sig, comb, dst = mean["desired"], mean["signal"], mean["combiner"], mean["distortion"]
+    emp = [
+        rates.sindr_from_moments(
+            rates.UplinkMoments(
+                rho_bs=rho,
+                desired_mean=des[kk],
+                signal_powers=sig[kk],
+                combiner_power=comb[kk],
+                distortion_power=dst[kk],
+            )
+        )
+        for kk in range(k)
+    ]
+    closed = [rates.sindr_ul_mrc(rates.SindrInputsUL(m, k, tau, rho, stats), ue=kk) for kk in range(k)]
+    pairs = {
+        "desired_mean": (des, g_ce * g_ul**2 * m),
+        "cross_power": (sig[~np.eye(k, dtype=bool)], closed_cross),
+        "self_power": (
+            np.diagonal(sig),
+            (m + 1.0 + 1.0 / (rho * tau)) * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k,
+        ),
+        "combiner_power": (comb, closed_cross),
+        "distortion_power": (
+            dst,
+            ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * stats.b_k * (m / stats.m_ul),
+        ),
     }
+    return emp, closed, pairs
+
+
+def _downlink_terms(config, stats, mean):
+    """Empirical and closed-form DL SINDRs plus {moment: (empirical, closed)} pairs."""
+    m, k, tau, rho = config.m_dl, config.k_users, config.tau, config.rho_bs
+    g_ce, g_dl = stats.g_ce, stats.g_dl
+    ce_noise = 1.0 + 1.0 / (rho * tau)
+    inv_rt2 = 1.0 / (rho * tau**2)
+    des, sig, dst = mean["desired"], mean["signal"], mean["distortion"]
+    emp = [
+        rates.sindr_from_moments(
+            rates.DownlinkMoments(
+                rho_ue=config.rho_ue,
+                desired_mean=des[kk],
+                signal_powers=sig[kk],
+                distortion_power=dst[kk],
+            )
+        )
+        for kk in range(k)
+    ]
+    closed = [
+        rates.sindr_dl_mrt(rates.SindrInputsDL(m, k, tau, rho, config.rho_ue, stats), ue=kk) for kk in range(k)
+    ]
+    pairs = {
+        "desired_mean": (des, g_ce * g_dl * m / np.sqrt(stats.delta)),
+        "cross_power": (
+            sig[~np.eye(k, dtype=bool)],
+            (ce_noise * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * stats.a_k_at(m)) / stats.delta,
+        ),
+        "distortion_power": (dst, stats.trace_cd_dl),
+        "precoder_frobenius": (mean["precoder"], 1.0),
+        "precoder_diag": (mean["precoder_diag"], 1.0 / m),
+    }
+    return emp, closed, pairs
+
+
+def _report(direction, emp, closed, pairs, tolerance, **fields):
+    """ValidationReport for one direction; moment errors are relative to the closed-form mean."""
+    emp = np.array(emp)
+    closed = np.array(closed)
+    rel = np.abs(emp - closed) / emp
+    moment_errors = {}
+    for name, (empirical, closed_form) in pairs.items():
+        reference = np.mean(closed_form)
+        error = abs(np.mean(empirical) - reference) / reference
+        moment_errors[name] = (float(np.mean(np.real(empirical))), float(error))
+    return ValidationReport(
+        direction=direction,
+        tolerance=tolerance,
+        sindr_closed=closed,
+        sindr_empirical=emp,
+        sindr_rel_error=rel,
+        moment_errors=moment_errors,
+        passed=bool(np.all(rel <= tolerance)),
+        **fields,
+    )
 
 
 def validate_closed_form(
@@ -190,225 +280,50 @@ def validate_closed_form(
         raise ValueError("trials must be >= 1")
     if config.m_ul != config.m_dl:
         raise ValueError("validator expects a common antenna count for both directions")
+    if direction not in ("ul", "dl", "both"):
+        raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
     if specs is None:
         specs = default_specs(config)
     spec_ce, spec_ul, spec_dl = specs
     if stats is None:
         stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=max(trials, 10_000), seed=seed)
     pilots = dft_pilots(config.tau, config.k_users)
-    m, k, tau = config.m_ul, config.k_users, config.tau
-    rho = config.rho_bs
-    g_ce, g_ul, g_dl = stats.g_ce, stats.g_ul, stats.g_dl
+    directions = ("ul", "dl") if direction == "both" else (direction,)
 
-    reports = {}
-    directions = ["ul", "dl"] if direction == "both" else [direction]
-
-    do_ul = "ul" in directions
-    do_dl = "dl" in directions
-
-    desired_ul = _Accumulator((k,))
-    signal_ul = _Accumulator((k, k))
-    combiner_ul = _Accumulator((k,))
-    dist_ul = _Accumulator((k,))
-    resid_ce = _Accumulator(())
-    resid_ce_sq = _Accumulator(())
-    resid_ul = _Accumulator(())
-    resid_ul_sq = _Accumulator(())
-    resid_dl = _Accumulator(())
-    resid_dl_sq = _Accumulator(())
-    delta_emp = _Accumulator(())
-    desired_dl = _Accumulator((k,))
-    signal_dl = _Accumulator((k, k))
-    dist_dl = _Accumulator((k,))
-    frob_dl = _Accumulator(())
-    wdiag_dl = _Accumulator((m,))
-    offdiag = _Accumulator((m, m)) if track_offdiag else None
-    offdiag_sq = _Accumulator(()) if track_offdiag else None
-
+    chunk_sums = {phase: [] for phase in ("ce",) + directions}
     for chunk, size in _chunks(trials):
         rng = chunk_rng(seed, PHASE_CE, chunk)
-        h, y_ce, d_ce, h_hat = _estimate_and_combine(config, spec_ce, rng, size, pilots, g_ce)
-        ry = d_ce * y_ce.conj()
-        resid_ce.add(np.sum(ry), size * m * tau)
-        resid_ce_sq.add(np.sum(np.abs(ry) ** 2), size * m * tau)
-        delta_emp.add(np.sum(np.abs(h_hat) ** 2), size)
+        h, h_hat, ce_sums = _pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, size)
+        chunk_sums["ce"].append(ce_sums)
+        if "ul" in chunk_sums:
+            chunk_sums["ul"].append(_uplink_chunk(config, spec_ul, stats.g_ul, h, h_hat, rng, track_offdiag))
+        if "dl" in chunk_sums:
+            chunk_sums["dl"].append(_downlink_chunk(spec_dl, stats.g_dl, stats.delta, h, h_hat, rng))
 
-        if do_ul:
-            x = complex_gaussian(rng, (size, k))
-            z_ul = complex_gaussian(rng, (size, m))
-            y_ul = np.sqrt(rho) * np.einsum("cmk,ck->cm", h, x) + z_ul
-            d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
-            ry = d_ul * y_ul.conj()
-            resid_ul.add(np.sum(ry), size * m)
-            resid_ul_sq.add(np.sum(np.abs(ry) ** 2), size * m)
-            v = g_ul * h_hat
-            cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
-            desired_ul.add(np.einsum("ckk->k", cross), size)
-            signal_ul.add(np.sum(np.abs(cross) ** 2, axis=0), size)
-            combiner_ul.add(g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1)), size)
-            dist_ul.add(np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0), size)
-            if track_offdiag:
-                offdiag.add(np.einsum("cm,cn->mn", d_ul, d_ul.conj()), size)
-                offdiag_sq.add(np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2), size)
-
-        if do_dl:
-            w = h_hat / np.sqrt(stats.delta)
-            x = complex_gaussian(rng, (size, k))
-            u = np.einsum("cmk,ck->cm", w, x)
-            d_dl = quantize(spec_dl, u) - g_dl * u
-            ry = d_dl * u.conj()
-            resid_dl.add(np.sum(ry), size * m)
-            resid_dl_sq.add(np.sum(np.abs(ry) ** 2), size * m)
-            cross = g_dl * np.einsum("cmk,cmi->cki", h.conj(), w)
-            desired_dl.add(np.einsum("ckk->k", cross), size)
-            signal_dl.add(np.sum(np.abs(cross) ** 2, axis=0), size)
-            # E[h^H C_d h] has the unconditional distortion covariance, so the
-            # channel is paired with another trial's distortion sample
-            d_dec = np.roll(d_dl, 1, axis=0)
-            dist_dl.add(np.sum(np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dec)) ** 2, axis=0), size)
-            frob_dl.add(np.sum(np.abs(w) ** 2), size)
-            wdiag_dl.add(np.sum(np.abs(w) ** 2, axis=(0, 2)), size)
-
-    def residual_stats(acc, acc_sq, n_samples):
-        mean = acc.mean()
-        second = acc_sq.mean()
-        var = max(float(second - abs(mean) ** 2), 0.0)
-        return abs(complex(mean)), np.sqrt(var / n_samples)
-
-    residuals = {"ce": residual_stats(resid_ce, resid_ce_sq, trials * m * tau)}
-
-    ce_noise = 1.0 + 1.0 / (rho * tau)
-    inv_rt2 = 1.0 / (rho * tau**2)
-
-    if do_ul:
-        residuals["ul"] = residual_stats(resid_ul, resid_ul_sq, trials * m)
-        a_k = stats.a_k_at(m)
-        closed_desired = g_ce * g_ul**2 * m
-        closed_cross = ce_noise * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
-        closed_self = (m + 1.0 + 1.0 / (rho * tau)) * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
-        closed_combiner = closed_cross
-        closed_dist = ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * stats.b_k * (m / stats.m_ul)
-
-        des = desired_ul.mean()
-        sig = signal_ul.mean()
-        comb = combiner_ul.mean()
-        dst = dist_ul.mean()
-        emp = np.array(
-            [
-                rates.sindr_from_moments(
-                    rates.UplinkMoments(
-                        rho_bs=rho,
-                        desired_mean=des[kk],
-                        signal_powers=sig[kk],
-                        combiner_power=comb[kk],
-                        distortion_power=dst[kk],
-                    )
-                )
-                for kk in range(k)
-            ]
-        )
-        closed = np.array(
-            [rates.sindr_ul_mrc(rates.SindrInputsUL(m, k, tau, rho, stats), ue=kk) for kk in range(k)]
-        )
-        rel = np.abs(emp - closed) / emp
-        moment_errors = {
-            "desired_mean": (float(np.mean(des.real)), float(abs(np.mean(des) - closed_desired) / closed_desired)),
-            "cross_power": (
-                float(np.mean(sig[~np.eye(k, dtype=bool)])),
-                float(abs(np.mean(sig[~np.eye(k, dtype=bool)]) - np.mean(closed_cross)) / np.mean(closed_cross)),
-            ),
-            "self_power": (
-                float(np.mean(np.diagonal(sig))),
-                float(abs(np.mean(np.diagonal(sig)) - np.mean(closed_self)) / np.mean(closed_self)),
-            ),
-            "combiner_power": (float(np.mean(comb)), float(abs(np.mean(comb) - np.mean(closed_combiner)) / np.mean(closed_combiner))),
-            "distortion_power": (float(np.mean(dst)), float(abs(np.mean(dst) - np.mean(closed_dist)) / np.mean(closed_dist))),
-        }
+    m = config.m_ul
+    ce = _fsum_chunks(chunk_sums["ce"])
+    ce_residual = _residual(ce, trials * m * config.tau)
+    reports = {}
+    for d in directions:
+        totals = _fsum_chunks(chunk_sums[d])
+        mean = {name: total / trials for name, total in totals.items()}
+        terms = _uplink_terms if d == "ul" else _downlink_terms
         off_max = off_sigma = None
-        if track_offdiag:
-            cd = offdiag.mean()
-            mask = ~np.eye(m, dtype=bool)
-            off_max = float(np.max(np.abs(cd[mask])))
-            second = float(offdiag_sq.mean())
-            off_sigma = np.sqrt(max(second, 0.0) / trials)
-        reports["ul"] = ValidationReport(
-            direction="ul",
+        if d == "ul" and track_offdiag:
+            off_max = float(np.max(np.abs(mean["offdiag"][~np.eye(m, dtype=bool)])))
+            off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
+        reports[d] = _report(
+            d,
+            *terms(config, stats, mean),
+            tolerance,
             trials=trials,
             seed=seed,
-            tolerance=tolerance,
-            sindr_closed=closed,
-            sindr_empirical=emp,
-            sindr_rel_error=rel,
-            moment_errors=moment_errors,
-            bussgang_residual={p: residuals[p] for p in ("ce", "ul")},
+            bussgang_residual={"ce": ce_residual, d: _residual(totals, trials * m)},
             offdiag_max=off_max,
             offdiag_sigma=off_sigma,
             delta_closed=stats.delta,
-            delta_empirical=float(delta_emp.mean()),
-            passed=bool(np.all(rel <= tolerance)),
+            delta_empirical=float(ce["delta"] / trials),
         )
-
-    if do_dl:
-        residuals["dl"] = residual_stats(resid_dl, resid_dl_sq, trials * m)
-        a_k = stats.a_k_at(m)
-        closed_desired = g_ce * g_dl * m / np.sqrt(stats.delta)
-        closed_cross = (ce_noise * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * a_k) / stats.delta
-        closed_dist = stats.trace_cd_dl
-        des = desired_dl.mean()
-        sig = signal_dl.mean()
-        dst = dist_dl.mean()
-        emp = np.array(
-            [
-                rates.sindr_from_moments(
-                    rates.DownlinkMoments(
-                        rho_ue=config.rho_ue,
-                        desired_mean=des[kk],
-                        signal_powers=sig[kk],
-                        distortion_power=dst[kk],
-                    )
-                )
-                for kk in range(k)
-            ]
-        )
-        closed = np.array(
-            [
-                rates.sindr_dl_mrt(
-                    rates.SindrInputsDL(m, k, tau, rho, config.rho_ue, stats), ue=kk
-                )
-                for kk in range(k)
-            ]
-        )
-        rel = np.abs(emp - closed) / emp
-        moment_errors = {
-            "desired_mean": (float(np.mean(des.real)), float(abs(np.mean(des) - closed_desired) / closed_desired)),
-            "cross_power": (
-                float(np.mean(sig[~np.eye(k, dtype=bool)])),
-                float(abs(np.mean(sig[~np.eye(k, dtype=bool)]) - np.mean(closed_cross)) / np.mean(closed_cross)),
-            ),
-            "distortion_power": (float(np.mean(dst)), float(abs(np.mean(dst) - closed_dist) / closed_dist)),
-            "precoder_frobenius": (float(frob_dl.mean()), float(abs(frob_dl.mean() - 1.0))),
-            "precoder_diag": (
-                float(np.mean(wdiag_dl.mean())),
-                float(abs(np.mean(wdiag_dl.mean()) - 1.0 / m) * m),
-            ),
-        }
-        reports["dl"] = ValidationReport(
-            direction="dl",
-            trials=trials,
-            seed=seed,
-            tolerance=tolerance,
-            sindr_closed=closed,
-            sindr_empirical=emp,
-            sindr_rel_error=rel,
-            moment_errors=moment_errors,
-            bussgang_residual={p: residuals[p] for p in ("ce", "dl")},
-            offdiag_max=None,
-            offdiag_sigma=None,
-            delta_closed=stats.delta,
-            delta_empirical=float(delta_emp.mean()),
-            passed=bool(np.all(rel <= tolerance)),
-        )
-
     if direction == "both":
         return reports
     return reports[direction]

@@ -144,10 +144,3 @@ def sum_rate(bandwidth_hz, sindrs):
     if np.any(sindrs < 0):
         raise ValueError(f"negative SINDR in {sindrs}")
     return float(bandwidth_hz * np.sum(np.log2(1.0 + sindrs)))
-
-
-def overhead_factor(tau, coherence_t):
-    """Optional pilot-overhead post-multiplier 1 - tau/T (default unused)."""
-    if not 0 < tau <= coherence_t:
-        raise ValueError(f"require 0 < tau <= T, got tau={tau}, T={coherence_t}")
-    return 1.0 - tau / coherence_t

@@ -23,6 +23,7 @@ from quantmimo.syspower import (
     LinkBudget,
     PowerModelParams,
     antennas_budget,
+    by_direction,
     p_adc,
     p_dac,
     snr_linear,
@@ -130,21 +131,30 @@ def _reject_unknown(mapping, allowed, context):
             raise ConfigError(f"unknown {context} key {key!r}")
 
 
-def load_config(path):
-    """Parse and validate a JSON sweep configuration file.
+def read_config(path):
+    """Read a JSON sweep configuration file into a dict, unvalidated.
 
-    An empty file (or empty object) yields the full paper-default setup.
-    Unknown keys are rejected by name.
+    An empty file reads as an empty object.
     """
     with open(path) as fh:
         text = fh.read().strip()
     raw = json.loads(text) if text else {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path):
+    """Parse and validate a JSON sweep configuration file.
+
+    An empty file (or empty object) yields the full paper-default setup.
+    Unknown keys are rejected by name.
+    """
+    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw):
+    """Validate a configuration dict and fill in the paper defaults."""
     _reject_unknown(raw, _TOP_KEYS, "configuration")
     kwargs = {}
     for key in ("direction", "k_users", "trials", "seed", "validate", "validate_tolerance"):
@@ -158,10 +168,11 @@ def config_from_dict(raw):
         kwargs["tau"] = tuple(int(t) for t in raw["tau"])
     power_raw = raw.get("power", {})
     _reject_unknown(power_raw, _POWER_KEYS, "power")
-    kwargs["power"] = PowerModelParams(**power_raw)
     link_raw = raw.get("link", {})
     _reject_unknown(link_raw, _LINK_KEYS, "link")
-    kwargs["link"] = LinkBudget(**link_raw)
+    if np.ndim(link_raw.get("distance_m", 0.0)) != 0:
+        # every point uses one SNR for all users (y_var = rho*K + 1)
+        raise ConfigError(f"link distance_m must be a single number, got {link_raw['distance_m']!r}")
     env_raw = raw.get("envelope", {})
     _reject_unknown(env_raw, _ENVELOPE_KEYS, "envelope")
     if "bits_ref" in env_raw:
@@ -171,21 +182,21 @@ def config_from_dict(raw):
     if "count_ref" in env_raw:
         kwargs["envelope_count_ref"] = int(env_raw["count_ref"])
     try:
-        return SweepConfig(**kwargs)
+        return SweepConfig(power=PowerModelParams(**power_raw), link=LinkBudget(**link_raw), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params=PowerModelParams()):
     """Hardware envelope supplying count_ref chains at a reference resolution."""
-    conv = p_adc if direction == "ul" else p_dac
+    conv = by_direction(direction, p_adc, p_dac)
     p_conv = conv(bits_ref, bandwidth_ref_hz, params)
     return count_ref * (params.p_rf(direction) + 2.0 * p_conv)
 
 
 def point_seed(master_seed, direction, b, bandwidth_hz, tau):
     """Stable per-point seed, independent of sweep order."""
-    dir_code = 0 if direction == "ul" else 1
+    dir_code = by_direction(direction, 0, 1)
     ss = np.random.SeedSequence(master_seed, spawn_key=(dir_code, b, int(bandwidth_hz), tau))
     return int(ss.generate_state(1)[0])
 
@@ -194,7 +205,7 @@ def estimated_cost(config):
     """Rough count of per-entry quantization operations for the whole sweep."""
     total = 0
     for direction in config.directions():
-        conv = p_adc if direction == "ul" else p_dac
+        conv = by_direction(direction, p_adc, p_dac)
         for bw in config.bandwidth_hz:
             p_hw = envelope_from_reference(
                 config.envelope_bits_ref, config.envelope_bandwidth_hz_ref, config.envelope_count_ref, direction, config.power
@@ -210,7 +221,7 @@ def estimated_cost(config):
 
 def run_point(config, direction, b, bandwidth_hz, tau):
     """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
-    conv = p_adc if direction == "ul" else p_dac
+    conv = by_direction(direction, p_adc, p_dac)
     p_hw = envelope_from_reference(
         config.envelope_bits_ref,
         config.envelope_bandwidth_hz_ref,

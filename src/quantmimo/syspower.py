@@ -15,6 +15,15 @@ class InfeasibleConfigError(ValueError):
     """Hardware envelope cannot supply a single RF chain."""
 
 
+def by_direction(direction, ul, dl):
+    """The uplink or downlink value for a link direction; any other direction is an error."""
+    if direction == "ul":
+        return ul
+    if direction == "dl":
+        return dl
+    raise ValueError(f"direction must be 'ul' or 'dl', got {direction!r}")
+
+
 @dataclass(frozen=True)
 class PowerModelParams:
     """Converter and RF-chain power constants."""
@@ -26,17 +35,14 @@ class PowerModelParams:
     c_p: float = 1e-12         # F
     p_rf_ul: float = 40e-3     # W
     p_rf_dl: float = 10e-3     # W
-    p_hw: float | None = None  # W, set from the envelope rule
 
     def __post_init__(self):
         for name in ("v_dd", "l_min", "f_cor", "i_0", "c_p", "p_rf_ul", "p_rf_dl"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.p_hw is not None and not self.p_hw > 0:
-            raise ValueError("p_hw must be strictly positive")
 
     def p_rf(self, direction):
-        return self.p_rf_ul if direction == "ul" else self.p_rf_dl
+        return by_direction(direction, self.p_rf_ul, self.p_rf_dl)
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ def snr_linear(direction, budget, bandwidth_hz):
     """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    tx_dbm = budget.p_ue_dbm if direction == "ul" else budget.p_bs_dbm
+    tx_dbm = by_direction(direction, budget.p_ue_dbm, budget.p_bs_dbm)
     distance = np.asarray(budget.distance_m, dtype=float)
     pathloss_db = 10.0 * budget.alpha * np.log10(distance)
     snr_db = tx_dbm - pathloss_db - noise_power_dbm(bandwidth_hz, budget.noise_figure_db)

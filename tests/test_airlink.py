@@ -9,7 +9,6 @@ from quantmimo.airlink import (
     dft_pilots,
     estimate_channel,
     pilot_phase_signal,
-    rayleigh_channel,
 )
 
 
@@ -45,15 +44,6 @@ def test_complex_gaussian_moments():
     assert abs(np.mean(x**2)) < 0.01
 
 
-def test_rayleigh_channel_is_deterministic_per_seed():
-    a = rayleigh_channel(8, 4, seed=42)
-    b = rayleigh_channel(8, 4, seed=42)
-    c = rayleigh_channel(8, 4, seed=43)
-    assert np.array_equal(a.entries, b.entries)
-    assert not np.array_equal(a.entries, c.entries)
-    assert a.m == 8 and a.k_users == 4
-
-
 def test_estimate_channel_recovers_exactly_without_noise_or_quantization():
     rng = np.random.default_rng(0)
     m, tau, k, rho = 16, 8, 4, 2.0
@@ -73,6 +63,12 @@ def test_estimate_channel_accepts_stacked_vector_input():
     # stacked vector: tau blocks of length m (columns of y)
     stacked = y.T.reshape(-1)
     assert np.allclose(estimate_channel(stacked, pilots, rho), estimate_channel(y, pilots, rho))
+    # a batch (n, m, tau) gives the per-item estimates
+    batch = pilot_phase_signal(complex_gaussian(rng, (3, m, k)), pilots, rho, complex_gaussian(rng, (3, m, tau)))
+    batched = estimate_channel(batch, pilots, rho)
+    assert batched.shape == (3, m, k)
+    for item, estimate in zip(batch, batched):
+        assert np.allclose(estimate, estimate_channel(item, pilots, rho))
 
 
 def test_estimate_channel_rejects_bad_shapes():

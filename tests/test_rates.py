@@ -10,7 +10,6 @@ from quantmimo.rates import (
     SindrInputsDL,
     SindrInputsUL,
     UplinkMoments,
-    overhead_factor,
     sindr_dl_mrt,
     sindr_from_moments,
     sindr_ul_mrc,
@@ -198,12 +197,3 @@ def test_sum_rate_reference_values():
         sum_rate(0.0, [1.0])
     with pytest.raises(ValueError):
         sum_rate(1.0, [-0.1])
-
-
-def test_overhead_factor():
-    assert overhead_factor(8, 8) == 0.0
-    assert overhead_factor(8, 80) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        overhead_factor(9, 8)
-    with pytest.raises(ValueError):
-        overhead_factor(0, 8)

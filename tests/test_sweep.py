@@ -19,7 +19,8 @@ from quantmimo.sweep import (
     write_csv,
     write_gnuplot,
 )
-from quantmimo.syspower import PowerModelParams, p_adc
+from quantmimo.bussgang import SystemConfig
+from quantmimo.syspower import LinkBudget, PowerModelParams, p_adc, snr_linear
 
 
 def _tiny_config(**overrides):
@@ -178,3 +179,29 @@ def test_cli_reports_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": True}))
     assert cli_main(["run", "--config", str(bad), "--quiet"]) == 2
+
+
+def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
+    # each sweep point has one SNR for all users; a distance list used to
+    # pass validation and crash run_point with a traceback
+    with pytest.raises(ConfigError, match="distance_m"):
+        config_from_dict({"link": {"distance_m": [100, 200]}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"link": {"distance_m": [100, 200]}}))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+
+
+def test_unknown_direction_is_an_error_not_downlink():
+    params = PowerModelParams()
+    system = SystemConfig(m_ul=8, m_dl=8, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
+    calls = [
+        lambda: system.m("sideways"),
+        lambda: params.p_rf("sideways"),
+        lambda: snr_linear("sideways", LinkBudget(), 1e8),
+        lambda: envelope_from_reference(10, 1e8, 10, "sideways", params),
+        lambda: point_seed(1, "sideways", 2, 1e8, 8),
+        lambda: run_point(_tiny_config(), "sideways", 10, 1e8, 8),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sideways"):
+            call()
