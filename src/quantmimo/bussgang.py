@@ -26,6 +26,7 @@ MIN_TRIALS = 10_000
 PHASE_CE = 0
 PHASE_UL = 1
 PHASE_DL = 2
+PHASE_ORACLE = 3  # the full-chain validator, apart from the estimates it checks
 
 _CHUNK_TRIALS = 1 << 14
 

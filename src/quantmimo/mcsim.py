@@ -4,6 +4,10 @@ Simulates pilots -> ADC quantization -> channel estimation -> MRC/MRT ->
 data-phase quantization -> reception, accumulates the expectation terms of
 the general SINDR ratios, and compares the resulting empirical SINDRs with
 the closed forms.
+
+The chain draws from its own PHASE_ORACLE stream, one generator per chunk
+(pilot phase, then uplink, then downlink), so it shares no random numbers
+with the Monte Carlo moments of assemble_stats that it checks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from quantmimo import rates
 from quantmimo.airlink import complex_gaussian, dft_pilots, estimate_channel, pilot_phase_signal
 from quantmimo.bussgang import (
     DEFAULT_TRIALS,
-    PHASE_CE,
+    PHASE_ORACLE,
     assemble_stats,
     chunk_rng,
     _chunks,
@@ -292,7 +296,7 @@ def validate_closed_form(
 
     chunk_sums = {phase: [] for phase in ("ce",) + directions}
     for chunk, size in _chunks(trials):
-        rng = chunk_rng(seed, PHASE_CE, chunk)
+        rng = chunk_rng(seed, PHASE_ORACLE, chunk)
         h, h_hat, ce_sums = _pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, size)
         chunk_sums["ce"].append(ce_sums)
         if "ul" in chunk_sums:
