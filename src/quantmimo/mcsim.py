@@ -99,18 +99,18 @@ def _pilot_phase(config, spec_ce, g_ce, pilots, rng, size):
     y_ce = pilot_phase_signal(h, pilots, config.rho_bs, complex_gaussian(rng, (size, config.m_ul, config.tau)))
     d_ce = quantize(spec_ce, y_ce)
     h_hat = estimate_channel(d_ce, pilots, config.rho_bs)
-    d_ce -= g_ce * y_ce  # the distortion, in place of the quantizer output
+    d_ce -= g_ce * y_ce  # in place: one chunk-sized array fewer alive at the peak
     sums = _residual_sums(d_ce, y_ce)
     sums["delta"] = np.sum(np.abs(h_hat) ** 2)
     return h, h_hat, sums
 
 
-def _uplink_chunk(config, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
+def _uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
     """MRC moment sums of one chunk: E[v^H G h], E|v^H G h_i|^2, E||G v||^2, E[v^H C_d v]."""
     size, m, k = h.shape
     x = complex_gaussian(rng, (size, k))
     z_ul = complex_gaussian(rng, (size, m))
-    y_ul = np.sqrt(config.rho_bs) * np.einsum("cmk,ck->cm", h, x) + z_ul
+    y_ul = np.sqrt(rho_bs) * np.einsum("cmk,ck->cm", h, x) + z_ul
     d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
     v = g_ul * h_hat
     cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
@@ -300,7 +300,7 @@ def validate_closed_form(
         h, h_hat, ce_sums = _pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, size)
         chunk_sums["ce"].append(ce_sums)
         if "ul" in chunk_sums:
-            chunk_sums["ul"].append(_uplink_chunk(config, spec_ul, stats.g_ul, h, h_hat, rng, track_offdiag))
+            chunk_sums["ul"].append(_uplink_chunk(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, track_offdiag))
         if "dl" in chunk_sums:
             chunk_sums["dl"].append(_downlink_chunk(spec_dl, stats.g_dl, stats.delta, h, h_hat, rng))
 
