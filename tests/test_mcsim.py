@@ -36,8 +36,14 @@ def test_validator_is_deterministic():
     b = validate_closed_form(config, trials=20_000, seed=3, direction="ul")
     assert np.array_equal(a.sindr_empirical, b.sindr_empirical)
     assert np.array_equal(a.sindr_closed, b.sindr_closed)
-    c = validate_closed_form(config, trials=20_000, seed=4, direction="ul")
-    assert not np.array_equal(a.sindr_empirical, c.sindr_empirical)
+
+
+def test_trials_differ_across_seeds():
+    config = _config()
+    a = validate_closed_form(config, trials=2_000, seed=1, direction="ul")
+    b = validate_closed_form(config, trials=2_000, seed=2, direction="ul")
+    assert not np.array_equal(a.sindr_empirical, b.sindr_empirical)
+    assert a.moment_errors["desired_mean"] != b.moment_errors["desired_mean"]
 
 
 def test_validator_agrees_with_closed_forms_at_moderate_resolution():
