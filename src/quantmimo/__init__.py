@@ -13,6 +13,8 @@ from quantmimo.rates import (
     SindrInputsDL,
     UplinkMoments,
     DownlinkMoments,
+    moments_ul_mrc,
+    moments_dl_mrt,
     sindr_ul_mrc,
     sindr_dl_mrt,
     sindr_from_moments,

@@ -3,14 +3,14 @@
 For i.i.d. Rayleigh channels every input covariance seen by a converter is a
 scaled identity, so the Bussgang matrix collapses to a scalar gain and the
 distortion covariances to per-entry powers.  The pilot-phase distortion is
-correlated across pilot symbols, so its pilot projections (A_k, B_k) are
-estimated by simulation.
+correlated across pilot symbols, so its pilot projections A_k are estimated
+by simulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class BussgangStats:
     trace_cd_ul: float
     trace_cd_dl: float
     a_k: np.ndarray
-    b_k: np.ndarray
     delta: float
     y_var_ul: float
     w_var_dl: float
@@ -113,8 +112,8 @@ class BussgangStats:
             raise ValueError("distortion traces must be non-negative")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if not (np.all(np.isfinite(self.a_k)) and np.all(np.isfinite(self.b_k))):
-            raise ValueError("a_k/b_k must be finite")
+        if not np.all(np.isfinite(self.a_k)):
+            raise ValueError("a_k must be finite")
 
     @property
     def cd_ul_per_entry(self):
@@ -163,14 +162,12 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     return dim * math.fsum(chunk_sums) / (trials * dim)
 
 
-def ce_distortion_projections(spec, pilots, m, rho_bs, cd_ul_per_entry, trials, seed):
-    """Pilot projections of the pilot-phase distortion covariance.
+def ce_distortion_projections(spec, pilots, m, rho_bs, trials, seed):
+    """Pilot projections A_k = E[||P_k^T d_ce||^2] of the pilot-phase distortion.
 
-    A_k = E[||P_k^T d_ce||^2] and B_k = cd_ul_per_entry * A_k (the uplink
-    data-phase distortion covariance is a scaled identity under i.i.d.
-    antennas).  Antenna rows of the pilot-phase signal are i.i.d., so the
-    simulation draws single rows and scales A_k by m; the M*tau covariance is
-    never materialized.
+    Antenna rows of the pilot-phase signal are i.i.d., so the simulation draws
+    single rows and scales A_k by m; the M*tau covariance is never
+    materialized.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
@@ -193,16 +190,15 @@ def ce_distortion_projections(spec, pilots, m, rho_bs, cd_ul_per_entry, trials, 
         u = d @ pilots.entries
         chunk_sums.append(np.sum(np.abs(u) ** 2, axis=0))
     totals = np.array([math.fsum(s[i] for s in chunk_sums) for i in range(k)])
-    a_k = m * totals / trials
-    b_k = cd_ul_per_entry * a_k
-    return a_k, b_k
+    return m * totals / trials
 
 
 def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):
     """Direct A_k/B_k estimator with full antenna arrays and no identity shortcut.
 
     Draws independent pilot-phase and data-phase distortion samples and
-    estimates B_k = E[|d_ul^H (P_k^T d_ce)|^2].  The data-phase ADC input is
+    estimates B_k = E[|d_ul^H (P_k^T d_ce)|^2], which the closed forms take as
+    cd_ul_per_entry * A_k (i.i.d. antennas).  The data-phase ADC input is
     drawn from the matched Gaussian model (the same per-entry law the scalar
     distortion powers are defined under).  Validation path only; slower than
     ce_distortion_projections by a factor of m.
@@ -229,10 +225,9 @@ def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials
     return a_k, b_k
 
 
-def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0, pilots=None):
+def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):
     """Bundle all gains and distortion moments needed by the rate formulas."""
-    if pilots is None:
-        pilots = dft_pilots(config.tau, config.k_users)
+    pilots = dft_pilots(config.tau, config.k_users)
     y_var = config.y_var_ul
     w_var = config.w_var_dl
     g_ce = gain_scalar(spec_ce, y_var)
@@ -240,9 +235,7 @@ def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, see
     g_dl = gain_scalar(spec_dl, w_var)
     trace_cd_ul = distortion_trace(spec_ul, y_var, config.m_ul, trials, seed)
     trace_cd_dl = distortion_trace(spec_dl, w_var, config.m_dl, trials, np.random.SeedSequence(seed, spawn_key=(PHASE_DL,)).generate_state(1)[0])
-    a_k, b_k = ce_distortion_projections(
-        spec_ce, pilots, config.m_ul, config.rho_bs, trace_cd_ul / config.m_ul, trials, seed
-    )
+    a_k = ce_distortion_projections(spec_ce, pilots, config.m_ul, config.rho_bs, trials, seed)
     rho_tau = config.rho_bs * config.tau
     a_k_dl = a_k * (config.m_dl / config.m_ul)
     delta = (
@@ -256,7 +249,6 @@ def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, see
         trace_cd_ul=trace_cd_ul,
         trace_cd_dl=trace_cd_dl,
         a_k=a_k,
-        b_k=b_k,
         delta=float(delta),
         y_var_ul=y_var,
         w_var_dl=w_var,

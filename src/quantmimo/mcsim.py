@@ -171,72 +171,57 @@ def _residual(totals, n_samples):
     return abs(complex(mean)), np.sqrt(var / n_samples)
 
 
+def _closed_values(closed, name):
+    """One field of the per-UE closed-form moments, stacked over UEs."""
+    return np.array([getattr(c, name) for c in closed])
+
+
 def _uplink_terms(config, stats, mean):
-    """Empirical and closed-form UL SINDRs plus {moment: (empirical, closed)} pairs."""
-    m, k, tau, rho = config.m_ul, config.k_users, config.tau, config.rho_bs
-    g_ce, g_ul = stats.g_ce, stats.g_ul
-    ce_noise = 1.0 + 1.0 / (rho * tau)
-    inv_rt2 = 1.0 / (rho * tau**2)
-    a_k = stats.a_k_at(m)
-    closed_cross = ce_noise * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
-    des, sig, comb, dst = mean["desired"], mean["signal"], mean["combiner"], mean["distortion"]
+    """Empirical and closed-form UL moments per UE plus {moment: (empirical, closed)} pairs."""
+    k = config.k_users
+    inputs = rates.SindrInputsUL(config.m_ul, k, config.tau, config.rho_bs, stats)
+    closed = [rates.moments_ul_mrc(inputs, ue) for ue in range(k)]
     emp = [
-        rates.sindr_from_moments(
-            rates.UplinkMoments(
-                rho_bs=rho,
-                desired_mean=des[kk],
-                signal_powers=sig[kk],
-                combiner_power=comb[kk],
-                distortion_power=dst[kk],
-            )
+        rates.UplinkMoments(
+            rho_bs=config.rho_bs,
+            desired_mean=mean["desired"][ue],
+            signal_powers=mean["signal"][ue],
+            combiner_power=mean["combiner"][ue],
+            distortion_power=mean["distortion"][ue],
         )
-        for kk in range(k)
+        for ue in range(k)
     ]
-    closed = [rates.sindr_ul_mrc(rates.SindrInputsUL(m, k, tau, rho, stats), ue=kk) for kk in range(k)]
+    signal = _closed_values(closed, "signal_powers")
+    cross = ~np.eye(k, dtype=bool)
     pairs = {
-        "desired_mean": (des, g_ce * g_ul**2 * m),
-        "cross_power": (sig[~np.eye(k, dtype=bool)], closed_cross),
-        "self_power": (
-            np.diagonal(sig),
-            (m + 1.0 + 1.0 / (rho * tau)) * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k,
-        ),
-        "combiner_power": (comb, closed_cross),
-        "distortion_power": (
-            dst,
-            ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * stats.b_k * (m / stats.m_ul),
-        ),
+        "desired_mean": (mean["desired"], _closed_values(closed, "desired_mean")),
+        "cross_power": (mean["signal"][cross], signal[cross]),
+        "self_power": (np.diagonal(mean["signal"]), np.diagonal(signal)),
+        "combiner_power": (mean["combiner"], _closed_values(closed, "combiner_power")),
+        "distortion_power": (mean["distortion"], _closed_values(closed, "distortion_power")),
     }
     return emp, closed, pairs
 
 
 def _downlink_terms(config, stats, mean):
-    """Empirical and closed-form DL SINDRs plus {moment: (empirical, closed)} pairs."""
-    m, k, tau, rho = config.m_dl, config.k_users, config.tau, config.rho_bs
-    g_ce, g_dl = stats.g_ce, stats.g_dl
-    ce_noise = 1.0 + 1.0 / (rho * tau)
-    inv_rt2 = 1.0 / (rho * tau**2)
-    des, sig, dst = mean["desired"], mean["signal"], mean["distortion"]
+    """Empirical and closed-form DL moments per UE plus {moment: (empirical, closed)} pairs."""
+    m, k = config.m_dl, config.k_users
+    inputs = rates.SindrInputsDL(m, k, config.tau, config.rho_bs, config.rho_ue, stats)
+    closed = [rates.moments_dl_mrt(inputs, ue) for ue in range(k)]
     emp = [
-        rates.sindr_from_moments(
-            rates.DownlinkMoments(
-                rho_ue=config.rho_ue,
-                desired_mean=des[kk],
-                signal_powers=sig[kk],
-                distortion_power=dst[kk],
-            )
+        rates.DownlinkMoments(
+            rho_ue=config.rho_ue,
+            desired_mean=mean["desired"][ue],
+            signal_powers=mean["signal"][ue],
+            distortion_power=mean["distortion"][ue],
         )
-        for kk in range(k)
+        for ue in range(k)
     ]
-    closed = [
-        rates.sindr_dl_mrt(rates.SindrInputsDL(m, k, tau, rho, config.rho_ue, stats), ue=kk) for kk in range(k)
-    ]
+    cross = ~np.eye(k, dtype=bool)
     pairs = {
-        "desired_mean": (des, g_ce * g_dl * m / np.sqrt(stats.delta)),
-        "cross_power": (
-            sig[~np.eye(k, dtype=bool)],
-            (ce_noise * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * stats.a_k_at(m)) / stats.delta,
-        ),
-        "distortion_power": (dst, stats.trace_cd_dl),
+        "desired_mean": (mean["desired"], _closed_values(closed, "desired_mean")),
+        "cross_power": (mean["signal"][cross], _closed_values(closed, "signal_powers")[cross]),
+        "distortion_power": (mean["distortion"], _closed_values(closed, "distortion_power")),
         "precoder_frobenius": (mean["precoder"], 1.0),
         "precoder_diag": (mean["precoder_diag"], 1.0 / m),
     }
@@ -244,9 +229,9 @@ def _downlink_terms(config, stats, mean):
 
 
 def _report(direction, emp, closed, pairs, tolerance, **fields):
-    """ValidationReport for one direction; moment errors are relative to the closed-form mean."""
-    emp = np.array(emp)
-    closed = np.array(closed)
+    """ValidationReport from per-UE moments; moment errors are relative to the closed-form mean."""
+    emp = np.array([rates.sindr_from_moments(x) for x in emp])
+    closed = np.array([rates.sindr_from_moments(x) for x in closed])
     rel = np.abs(emp - closed) / emp
     moment_errors = {}
     for name, (empirical, closed_form) in pairs.items():

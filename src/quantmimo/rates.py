@@ -1,8 +1,9 @@
 """Effective SINDRs and ergodic achievable sum rates for MRC/MRT.
 
-The closed forms take the scalar Bussgang gains and distortion moments from
-BussgangStats; the moment-based forms take empirically estimated expectation
-terms and are what the Monte Carlo validator assembles.
+One general SINDR ratio is assembled from expectation terms (UplinkMoments,
+DownlinkMoments).  The closed-form terms are built here from the scalar
+Bussgang gains and distortion moments of BussgangStats; the Monte Carlo
+validator pairs its empirical terms with the same dataclasses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SindrInputsDL:
 
 @dataclass(frozen=True)
 class UplinkMoments:
-    """Empirical expectation terms of the general uplink SINDR for one UE."""
+    """Expectation terms of the general uplink SINDR for one UE."""
 
     rho_bs: float
     desired_mean: complex              # E[v_k^H G h_k]
@@ -54,7 +55,7 @@ class UplinkMoments:
 
 @dataclass(frozen=True)
 class DownlinkMoments:
-    """Empirical expectation terms of the general downlink SINDR for one UE."""
+    """Expectation terms of the general downlink SINDR for one UE."""
 
     rho_ue: float
     desired_mean: complex              # E[h_k^H G w_k]
@@ -68,44 +69,54 @@ def _check_finite(name, terms):
             raise ValueError(f"{name}: non-finite term {key}={val!r}; all terms: {terms}")
 
 
+def _estimate_powers(inputs):
+    """E[||h_hat_i||^2] for every UE i: estimation noise plus the pilot projection A_i."""
+    s, m, tau, rho = inputs.stats, inputs.m, inputs.tau, inputs.rho_bs
+    return (1.0 + 1.0 / (rho * tau)) * s.g_ce**2 * m + s.a_k_at(m) / (rho * tau**2)
+
+
+def moments_ul_mrc(inputs, ue=0):
+    """Closed-form uplink expectation terms of UE ue with imperfect CSI and MRC."""
+    s, m = inputs.stats, inputs.m
+    estimate_power = _estimate_powers(inputs)[ue]
+    desired = s.g_ce * s.g_ul**2 * m
+    combiner = s.g_ul**4 * estimate_power
+    powers = np.full(inputs.k_users, combiner)
+    powers[ue] += desired**2
+    return UplinkMoments(
+        rho_bs=inputs.rho_bs,
+        desired_mean=desired,
+        signal_powers=powers,
+        combiner_power=combiner,
+        distortion_power=s.g_ul**2 * s.cd_ul_per_entry * estimate_power,
+    )
+
+
+def moments_dl_mrt(inputs, ue=0):
+    """Closed-form downlink expectation terms of UE ue with imperfect CSI and MRT.
+
+    The precoder of UE i carries A_i, so every signal power has its own.
+    """
+    s, m = inputs.stats, inputs.m
+    desired = s.g_ce * s.g_dl * m / np.sqrt(s.delta)
+    powers = s.g_dl**2 * _estimate_powers(inputs) / s.delta
+    powers[ue] += desired**2
+    return DownlinkMoments(
+        rho_ue=inputs.rho_ue,
+        desired_mean=desired,
+        signal_powers=powers,
+        distortion_power=s.cd_dl_per_entry * m,
+    )
+
+
 def sindr_ul_mrc(inputs, ue=0):
     """Closed-form uplink SINDR with imperfect CSI and MRC."""
-    s = inputs.stats
-    m, k, tau, rho = inputs.m, inputs.k_users, inputs.tau, inputs.rho_bs
-    a_k = s.a_k_at(m)[ue]
-    b_k = s.cd_ul_per_entry * a_k
-    trace_cd = s.cd_ul_per_entry * m
-    ce_noise = 1.0 + 1.0 / (rho * tau)
-    inv_rt2 = 1.0 / (rho * tau**2)
-    num = rho * s.g_ce**2 * s.g_ul**2 * m**2
-    den = (
-        (rho * k + 1.0) * ce_noise * s.g_ce**2 * s.g_ul**2 * m
-        + (rho * k + 1.0) * inv_rt2 * s.g_ul**2 * a_k
-        + ce_noise * s.g_ce**2 * trace_cd
-        + inv_rt2 * b_k
-    )
-    _check_finite("sindr_ul_mrc", {"num": num, "den": den})
-    return num / den
+    return sindr_from_moments(moments_ul_mrc(inputs, ue))
 
 
 def sindr_dl_mrt(inputs, ue=0):
     """Closed-form downlink SINDR with imperfect CSI and MRT."""
-    s = inputs.stats
-    m, k, tau = inputs.m, inputs.k_users, inputs.tau
-    rho_bs, rho_ue = inputs.rho_bs, inputs.rho_ue
-    a_sum = float(np.sum(s.a_k_at(m)))
-    trace_cd = s.cd_dl_per_entry * m
-    ce_noise = 1.0 + 1.0 / (rho_bs * tau)
-    inv_rt2 = 1.0 / (rho_bs * tau**2)
-    num = rho_ue * s.g_ce**2 * s.g_dl**2 * m**2
-    den = (
-        rho_ue * k * ce_noise * s.g_ce**2 * s.g_dl**2 * m
-        + rho_ue * inv_rt2 * s.g_dl**2 * a_sum
-        + s.delta * rho_ue * trace_cd
-        + s.delta
-    )
-    _check_finite("sindr_dl_mrt", {"num": num, "den": den})
-    return num / den
+    return sindr_from_moments(moments_dl_mrt(inputs, ue))
 
 
 def sindr_from_moments(moments, tol=1e-9):

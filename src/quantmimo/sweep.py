@@ -16,8 +16,7 @@ import numpy as np
 
 from quantmimo import rates
 from quantmimo.bussgang import SystemConfig, assemble_stats
-from quantmimo.mcsim import validate_closed_form
-from quantmimo.quant import design_lloyd_max, rescale_labels
+from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import (
     InfeasibleConfigError,
     LinkBudget,
@@ -131,6 +130,26 @@ def _reject_unknown(mapping, allowed, context):
             raise ConfigError(f"unknown {context} key {key!r}")
 
 
+def _section(raw, key, allowed):
+    """The raw[key] object (empty if absent), with its keys checked."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object, got {section!r}")
+    _reject_unknown(section, allowed, key)
+    return section
+
+
+def _values(raw, key, convert):
+    """The raw[key] list, each entry converted; a ConfigError naming key otherwise."""
+    values = raw[key]
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    try:
+        return tuple(convert(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def read_config(path):
     """Read a JSON sweep configuration file into a dict, unvalidated.
 
@@ -161,27 +180,24 @@ def config_from_dict(raw):
         if key in raw:
             kwargs[key] = raw[key]
     if "bits" in raw:
-        kwargs["bits"] = tuple(int(b) for b in raw["bits"])
+        kwargs["bits"] = _values(raw, "bits", int)
     if "bandwidth_ghz" in raw:
-        kwargs["bandwidth_hz"] = tuple(float(b) * 1e9 for b in raw["bandwidth_ghz"])
+        kwargs["bandwidth_hz"] = tuple(b * 1e9 for b in _values(raw, "bandwidth_ghz", float))
     if "tau" in raw:
-        kwargs["tau"] = tuple(int(t) for t in raw["tau"])
-    power_raw = raw.get("power", {})
-    _reject_unknown(power_raw, _POWER_KEYS, "power")
-    link_raw = raw.get("link", {})
-    _reject_unknown(link_raw, _LINK_KEYS, "link")
+        kwargs["tau"] = _values(raw, "tau", int)
+    power_raw = _section(raw, "power", _POWER_KEYS)
+    link_raw = _section(raw, "link", _LINK_KEYS)
     if np.ndim(link_raw.get("distance_m", 0.0)) != 0:
         # every point uses one SNR for all users (y_var = rho*K + 1)
         raise ConfigError(f"link distance_m must be a single number, got {link_raw['distance_m']!r}")
-    env_raw = raw.get("envelope", {})
-    _reject_unknown(env_raw, _ENVELOPE_KEYS, "envelope")
-    if "bits_ref" in env_raw:
-        kwargs["envelope_bits_ref"] = int(env_raw["bits_ref"])
-    if "bandwidth_ghz_ref" in env_raw:
-        kwargs["envelope_bandwidth_hz_ref"] = float(env_raw["bandwidth_ghz_ref"]) * 1e9
-    if "count_ref" in env_raw:
-        kwargs["envelope_count_ref"] = int(env_raw["count_ref"])
+    env_raw = _section(raw, "envelope", _ENVELOPE_KEYS)
     try:
+        if "bits_ref" in env_raw:
+            kwargs["envelope_bits_ref"] = int(env_raw["bits_ref"])
+        if "bandwidth_ghz_ref" in env_raw:
+            kwargs["envelope_bandwidth_hz_ref"] = float(env_raw["bandwidth_ghz_ref"]) * 1e9
+        if "count_ref" in env_raw:
+            kwargs["envelope_count_ref"] = int(env_raw["count_ref"])
         return SweepConfig(power=PowerModelParams(**power_raw), link=LinkBudget(**link_raw), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -201,18 +217,23 @@ def point_seed(master_seed, direction, b, bandwidth_hz, tau):
     return int(ss.generate_state(1)[0])
 
 
+def _antennas(config, direction, b, bandwidth_hz):
+    """Antenna count the envelope affords at b bits; InfeasibleConfigError if none."""
+    p_hw = envelope_from_reference(
+        config.envelope_bits_ref, config.envelope_bandwidth_hz_ref, config.envelope_count_ref, direction, config.power
+    )
+    conv = by_direction(direction, p_adc, p_dac)
+    return antennas_budget(p_hw, config.power.p_rf(direction), conv(b, bandwidth_hz, config.power))
+
+
 def estimated_cost(config):
     """Rough count of per-entry quantization operations for the whole sweep."""
     total = 0
     for direction in config.directions():
-        conv = by_direction(direction, p_adc, p_dac)
         for bw in config.bandwidth_hz:
-            p_hw = envelope_from_reference(
-                config.envelope_bits_ref, config.envelope_bandwidth_hz_ref, config.envelope_count_ref, direction, config.power
-            )
             for b in config.bits:
                 try:
-                    m = antennas_budget(p_hw, config.power.p_rf(direction), conv(b, bw, config.power))
+                    m = _antennas(config, direction, b, bw)
                 except InfeasibleConfigError:
                     continue
                 total += config.trials * (m + max(config.tau)) * len(config.tau)
@@ -221,17 +242,9 @@ def estimated_cost(config):
 
 def run_point(config, direction, b, bandwidth_hz, tau):
     """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
-    conv = by_direction(direction, p_adc, p_dac)
-    p_hw = envelope_from_reference(
-        config.envelope_bits_ref,
-        config.envelope_bandwidth_hz_ref,
-        config.envelope_count_ref,
-        direction,
-        config.power,
-    )
     seed = point_seed(config.seed, direction, b, bandwidth_hz, tau)
     try:
-        m = antennas_budget(p_hw, config.power.p_rf(direction), conv(b, bandwidth_hz, config.power))
+        m = _antennas(config, direction, b, bandwidth_hz)
     except InfeasibleConfigError:
         return SweepRecord(
             direction=direction,
@@ -261,11 +274,8 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         rho_ue=rho_ue,
         bandwidth_hz=bandwidth_hz,
     )
-    y_var = sys_config.y_var_ul
-    w_var = sys_config.w_var_dl
-    adc = rescale_labels(design_lloyd_max(b, np.sqrt(y_var / 2.0)), y_var)
-    dac = rescale_labels(design_lloyd_max(b, np.sqrt(w_var / 2.0)), w_var)
-    stats = assemble_stats(sys_config, adc, adc, dac, trials=config.trials, seed=seed)
+    specs = default_specs(sys_config)
+    stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
     if direction == "ul":
         inputs = rates.SindrInputsUL(m, config.k_users, tau, rho_bs, stats)
         sindr = tuple(rates.sindr_ul_mrc(inputs, ue=kk) for kk in range(config.k_users))
@@ -282,7 +292,7 @@ def run_point(config, direction, b, bandwidth_hz, tau):
             seed=seed,
             tolerance=config.validate_tolerance,
             direction=direction,
-            specs=(adc, adc, dac),
+            specs=specs,
             stats=stats,
         )
         validation_passed = report.passed
@@ -362,8 +372,6 @@ def write_csv(records, path, config=None):
         fh.write("\n".join(lines) + "\n")
     if config is not None:
         meta = asdict(config)
-        meta["power"] = asdict(config.power)
-        meta["link"] = asdict(config.link)
         with open(str(path) + ".meta", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -1,5 +1,7 @@
 """Tests for the closed-form SINDRs and sum rates."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from quantmimo.rates import (
     SindrInputsDL,
     SindrInputsUL,
     UplinkMoments,
+    moments_dl_mrt,
+    moments_ul_mrc,
     sindr_dl_mrt,
     sindr_from_moments,
     sindr_ul_mrc,
@@ -27,7 +31,6 @@ def _ideal_stats(m, k, tau, rho_bs):
         trace_cd_ul=0.0,
         trace_cd_dl=0.0,
         a_k=np.zeros(k),
-        b_k=np.zeros(k),
         delta=delta,
         y_var_ul=rho_bs * k + 1.0,
         w_var_dl=1.0 / m,
@@ -86,9 +89,8 @@ def _closed_form_ul_moments(m, k, tau, rho, stats, ue=0):
     self_power = (m + 1.0 + 1.0 / (rho * tau)) * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
     powers = np.full(k, cross)
     powers[ue] = self_power
-    dist = ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * stats.b_k[ue] * (
-        m / stats.m_ul
-    )
+    b_k = stats.cd_ul_per_entry * a_k
+    dist = ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * b_k
     return UplinkMoments(
         rho_bs=rho,
         desired_mean=g_ce * g_ul**2 * m,
@@ -115,30 +117,39 @@ def _closed_form_dl_moments(m, k, tau, rho_bs, rho_ue, stats, ue=0):
     )
 
 
-def test_moment_substitution_reproduces_uplink_closed_form():
-    config = SystemConfig(m_ul=32, m_dl=32, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
+def _stats_at(tau, rho_ue):
+    config = SystemConfig(m_ul=32, m_dl=32, k_users=4, tau=tau, bits=2, rho_bs=1.0, rho_ue=rho_ue)
     y_var = config.y_var_ul
     spec = rescale_labels(design_lloyd_max(2, np.sqrt(y_var / 2.0)), y_var)
     dac = rescale_labels(design_lloyd_max(2, np.sqrt(config.w_var_dl / 2.0)), config.w_var_dl)
-    stats = assemble_stats(config, spec, spec, dac, trials=20_000, seed=1)
-    m, k, tau, rho = 32, 4, 8, 1.0
-    moments = _closed_form_ul_moments(m, k, tau, rho, stats)
-    assert sindr_from_moments(moments) == pytest.approx(
-        sindr_ul_mrc(SindrInputsUL(m, k, tau, rho, stats)), rel=1e-12
-    )
+    return assemble_stats(config, spec, spec, dac, trials=20_000, seed=1)
+
+
+def _assert_same_moments(got, expected):
+    for f in fields(expected):
+        assert np.allclose(getattr(got, f.name), getattr(expected, f.name), rtol=1e-12, atol=0), f.name
+
+
+def test_moment_substitution_reproduces_uplink_closed_form():
+    m, k, rho = 32, 4, 1.0
+    for tau in (8, 16):
+        stats = _stats_at(tau, 1.0)
+        inputs = SindrInputsUL(m, k, tau, rho, stats)
+        for ue in range(k):
+            moments = _closed_form_ul_moments(m, k, tau, rho, stats, ue)
+            _assert_same_moments(moments_ul_mrc(inputs, ue), moments)
+            assert sindr_from_moments(moments) == pytest.approx(sindr_ul_mrc(inputs, ue), rel=1e-12)
 
 
 def test_moment_substitution_reproduces_downlink_closed_form():
-    config = SystemConfig(m_ul=32, m_dl=32, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=2.0)
-    y_var = config.y_var_ul
-    spec = rescale_labels(design_lloyd_max(2, np.sqrt(y_var / 2.0)), y_var)
-    dac = rescale_labels(design_lloyd_max(2, np.sqrt(config.w_var_dl / 2.0)), config.w_var_dl)
-    stats = assemble_stats(config, spec, spec, dac, trials=20_000, seed=1)
-    m, k, tau = 32, 4, 8
-    moments = _closed_form_dl_moments(m, k, tau, 1.0, 2.0, stats)
-    assert sindr_from_moments(moments) == pytest.approx(
-        sindr_dl_mrt(SindrInputsDL(m, k, tau, 1.0, 2.0, stats)), rel=1e-12
-    )
+    m, k = 32, 4
+    for tau in (8, 16):
+        stats = _stats_at(tau, 2.0)
+        inputs = SindrInputsDL(m, k, tau, 1.0, 2.0, stats)
+        for ue in range(k):
+            moments = _closed_form_dl_moments(m, k, tau, 1.0, 2.0, stats, ue)
+            _assert_same_moments(moments_dl_mrt(inputs, ue), moments)
+            assert sindr_from_moments(moments) == pytest.approx(sindr_dl_mrt(inputs, ue), rel=1e-12)
 
 
 def test_sindr_invariant_to_uplink_label_rescaling():

@@ -59,6 +59,19 @@ def test_config_validation_rules():
         config_from_dict({"tau": [4]})  # below k_users = 8
     with pytest.raises(ConfigError):
         config_from_dict({"trials": 10})
+    # a non-object section or a non-list grid is named, not iterated
+    for key in ("power", "link", "envelope"):
+        for value in (5, "abc", [1]):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({key: value})
+    for key in ("bits", "bandwidth_ghz", "tau"):
+        for value in (3, "12", {"a": 1}, None):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({key: value})
+    with pytest.raises(ConfigError, match="bits"):
+        config_from_dict({"bits": [None]})
+    with pytest.raises(ConfigError):
+        config_from_dict({"envelope": {"bits_ref": None}})
 
 
 def test_load_config_round_trip(tmp_path):
@@ -179,6 +192,9 @@ def test_cli_reports_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": True}))
     assert cli_main(["run", "--config", str(bad), "--quiet"]) == 2
+    for raw in ({"power": 5}, {"bits": 3}):
+        bad.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
 
 
 def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
