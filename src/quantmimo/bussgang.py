@@ -19,7 +19,6 @@ from quantmimo.quant import quantize
 from quantmimo.syspower import by_direction
 
 DEFAULT_TRIALS = 100_000
-PAPER_TRIALS = 1_000_000  # matches the converter-distortion Monte Carlo scale
 MIN_TRIALS = 10_000
 
 # phase tags for seed derivation; one independent stream per (phase, chunk)
@@ -157,7 +156,8 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     for chunk, size in _chunks(trials):
         rng = chunk_rng(seed, PHASE_UL, chunk)
         y = complex_gaussian(rng, (size, dim), complex_variance)
-        d = quantize(spec, y) - gain * y
+        d = quantize(spec, y)
+        d -= gain * y
         chunk_sums.append(float(np.sum(np.abs(d) ** 2)))
     return dim * math.fsum(chunk_sums) / (trials * dim)
 
@@ -186,43 +186,12 @@ def ce_distortion_projections(spec, pilots, m, rho_bs, trials, seed):
         h = complex_gaussian(rng, (size, k))
         z = complex_gaussian(rng, (size, pilots.tau))
         y = np.sqrt(rho_bs) * h @ p_conj.T + z
-        d = quantize(spec, y) - gain * y
+        d = quantize(spec, y)
+        d -= gain * y
         u = d @ pilots.entries
         chunk_sums.append(np.sum(np.abs(u) ** 2, axis=0))
     totals = np.array([math.fsum(s[i] for s in chunk_sums) for i in range(k)])
     return m * totals / trials
-
-
-def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):
-    """Direct A_k/B_k estimator with full antenna arrays and no identity shortcut.
-
-    Draws independent pilot-phase and data-phase distortion samples and
-    estimates B_k = E[|d_ul^H (P_k^T d_ce)|^2], which the closed forms take as
-    cd_ul_per_entry * A_k (i.i.d. antennas).  The data-phase ADC input is
-    drawn from the matched Gaussian model (the same per-entry law the scalar
-    distortion powers are defined under).  Validation path only; slower than
-    ce_distortion_projections by a factor of m.
-    """
-    k = pilots.k_users
-    y_var = rho_bs * k + 1.0
-    g_ce = gain_scalar(spec_ce, y_var)
-    g_ul = gain_scalar(spec_ul, y_var)
-    p_conj = pilots.entries.conj()
-    a_sums, b_sums = [], []
-    for chunk, size in _chunks(trials):
-        rng = chunk_rng(seed, PHASE_CE, chunk)
-        h = complex_gaussian(rng, (size, m, k))
-        z_ce = complex_gaussian(rng, (size, m, pilots.tau))
-        y_ce = np.sqrt(rho_bs) * h @ p_conj.T + z_ce
-        d_ce = quantize(spec_ce, y_ce) - g_ce * y_ce
-        u = np.einsum("cmt,tk->cmk", d_ce, pilots.entries)
-        y_ul = complex_gaussian(rng, (size, m), y_var)
-        d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
-        a_sums.append(np.sum(np.abs(u) ** 2, axis=(0, 1)))
-        b_sums.append(np.sum(np.abs(np.einsum("cm,cmk->ck", d_ul.conj(), u)) ** 2, axis=0))
-    a_k = np.array([math.fsum(s[i] for s in a_sums) for i in range(k)]) / trials
-    b_k = np.array([math.fsum(s[i] for s in b_sums) for i in range(k)]) / trials
-    return a_k, b_k
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):

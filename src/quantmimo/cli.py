@@ -65,19 +65,7 @@ def main(argv=None):
     args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     if args.command == "curves":
-        rows = read_csv(args.csv)
-
-        class _Row:
-            def __init__(self, d):
-                self.direction = d["direction"]
-                self.b = int(d["b"])
-                self.bandwidth_hz = float(d["bandwidth_hz"])
-                self.tau = int(d["tau"])
-                self.sum_rate_bps = float(d["sum_rate_bps"])
-                self.skipped = False
-
-        paths = write_gnuplot([_Row(r) for r in rows], args.out_dir)
-        for p in paths:
+        for p in write_gnuplot(read_csv(args.csv), args.out_dir):
             print(p)
         return 0
 

@@ -85,8 +85,9 @@ def default_specs(config):
 
 def _residual_sums(d, y):
     """Sums of d conj(y) and of its squared magnitude over a chunk."""
-    ry = d * y.conj()
-    return {"resid": np.sum(ry), "resid_sq": np.sum(np.abs(ry) ** 2)}
+    ry = np.conj(y)
+    ry *= d
+    return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
 
 
 def _pilot_phase(config, spec_ce, g_ce, pilots, rng, size):
@@ -101,8 +102,13 @@ def _pilot_phase(config, spec_ce, g_ce, pilots, rng, size):
     h_hat = estimate_channel(d_ce, pilots, config.rho_bs)
     d_ce -= g_ce * y_ce  # in place: one chunk-sized array fewer alive at the peak
     sums = _residual_sums(d_ce, y_ce)
-    sums["delta"] = np.sum(np.abs(h_hat) ** 2)
+    sums["delta"] = np.vdot(h_hat, h_hat).real
     return h, h_hat, sums
+
+
+def _matvec(a, x):
+    """Per-trial matrix-vector products a[c] @ x[c] of a (C, M, K) and a (C, K) batch."""
+    return np.matmul(a, x[:, :, None])[:, :, 0]
 
 
 def _uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
@@ -110,17 +116,22 @@ def _uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
     size, m, k = h.shape
     x = complex_gaussian(rng, (size, k))
     z_ul = complex_gaussian(rng, (size, m))
-    y_ul = np.sqrt(rho_bs) * np.einsum("cmk,ck->cm", h, x) + z_ul
-    d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
+    y_ul = _matvec(h, x)
+    y_ul *= np.sqrt(rho_bs)
+    y_ul += z_ul
+    d_ul = quantize(spec_ul, y_ul)
+    d_ul -= g_ul * y_ul
     v = g_ul * h_hat
-    cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
+    v_h = np.conj(v).transpose(0, 2, 1)
+    cross = np.matmul(v_h, h)
+    cross *= g_ul
     sums = _residual_sums(d_ul, y_ul)
     sums["desired"] = np.einsum("ckk->k", cross)
     sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
     sums["combiner"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
-    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0)
+    sums["distortion"] = np.sum(np.abs(_matvec(v_h, d_ul)) ** 2, axis=0)
     if track_offdiag:
-        sums["offdiag"] = np.einsum("cm,cn->mn", d_ul, d_ul.conj())
+        sums["offdiag"] = d_ul.T @ d_ul.conj()
         sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
     return sums
 
@@ -130,9 +141,12 @@ def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     size, _, k = h.shape
     w = h_hat / np.sqrt(delta)
     x = complex_gaussian(rng, (size, k))
-    u = np.einsum("cmk,ck->cm", w, x)
-    d_dl = quantize(spec_dl, u) - g_dl * u
-    cross = g_dl * np.einsum("cmk,cmi->cki", h.conj(), w)
+    u = _matvec(w, x)
+    d_dl = quantize(spec_dl, u)
+    d_dl -= g_dl * u
+    h_h = np.conj(h).transpose(0, 2, 1)
+    cross = np.matmul(h_h, w)
+    cross *= g_dl
     # E[h^H C_d h] has the unconditional distortion covariance, so the
     # channel is paired with another trial's distortion sample
     d_dec = np.roll(d_dl, 1, axis=0)
@@ -140,7 +154,7 @@ def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     sums = _residual_sums(d_dl, u)
     sums["desired"] = np.einsum("ckk->k", cross)
     sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dec)) ** 2, axis=0)
+    sums["distortion"] = np.sum(np.abs(_matvec(h_h, d_dec)) ** 2, axis=0)
     sums["precoder"] = np.sum(w_power)
     sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
     return sums

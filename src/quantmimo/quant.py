@@ -219,12 +219,17 @@ def rescale_labels(spec, target_complex_variance):
 
 
 def quantize(spec, value):
-    """Apply the quantizer entrywise to Re and Im of a complex scalar/array."""
+    """Apply the quantizer entrywise to Re and Im of a complex scalar/array.
+
+    Returns a new complex128 array of the input's shape (a complex for a
+    scalar input).  Re and Im are looked up together: one searchsorted over
+    the interleaved float64 view of the input, one take of the labels, read
+    back as complex.
+    """
     value = np.asarray(value)
-    interior = spec.interior_thresholds
-    re_idx = np.searchsorted(interior, value.real, side="left")
-    im_idx = np.searchsorted(interior, value.imag, side="left")
-    out = spec.labels[re_idx] + 1j * spec.labels[im_idx]
+    parts = np.ascontiguousarray(value, dtype=complex).reshape(-1).view(float)
+    idx = np.searchsorted(spec.interior_thresholds, parts, side="left")
+    out = spec.labels.take(idx).view(complex).reshape(value.shape)
     if value.ndim == 0:
         return complex(out)
     return out

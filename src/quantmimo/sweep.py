@@ -9,6 +9,8 @@ block with the fully resolved configuration.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -98,6 +100,8 @@ class SweepConfig:
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
         if self.trials < 10_000:
             raise ConfigError("trials must be >= 10000")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def directions(self):
         return ("ul", "dl") if self.direction == "both" else (self.direction,)
@@ -139,15 +143,29 @@ def _section(raw, key, allowed):
     return section
 
 
+def _integral(value):
+    """value as an int if it is an integral number; bools and 2.7 are not."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _converted(key, convert, value):
+    """convert(value); a ConfigError naming key if it does not convert."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _values(raw, key, convert):
     """The raw[key] list, each entry converted; a ConfigError naming key otherwise."""
     values = raw[key]
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {values!r}")
-    try:
-        return tuple(convert(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    return tuple(_converted(key, convert, v) for v in values)
 
 
 def read_config(path):
@@ -176,28 +194,35 @@ def config_from_dict(raw):
     """Validate a configuration dict and fill in the paper defaults."""
     _reject_unknown(raw, _TOP_KEYS, "configuration")
     kwargs = {}
-    for key in ("direction", "k_users", "trials", "seed", "validate", "validate_tolerance"):
+    for key in ("direction", "validate_tolerance"):
         if key in raw:
             kwargs[key] = raw[key]
+    for key in ("k_users", "trials", "seed"):
+        if key in raw:
+            kwargs[key] = _converted(key, _integral, raw[key])
+    if "validate" in raw:
+        if not isinstance(raw["validate"], bool):
+            raise ConfigError(f"validate must be true or false, got {raw['validate']!r}")
+        kwargs["validate"] = raw["validate"]
     if "bits" in raw:
-        kwargs["bits"] = _values(raw, "bits", int)
+        kwargs["bits"] = _values(raw, "bits", _integral)
     if "bandwidth_ghz" in raw:
         kwargs["bandwidth_hz"] = tuple(b * 1e9 for b in _values(raw, "bandwidth_ghz", float))
     if "tau" in raw:
-        kwargs["tau"] = _values(raw, "tau", int)
+        kwargs["tau"] = _values(raw, "tau", _integral)
     power_raw = _section(raw, "power", _POWER_KEYS)
     link_raw = _section(raw, "link", _LINK_KEYS)
     if np.ndim(link_raw.get("distance_m", 0.0)) != 0:
         # every point uses one SNR for all users (y_var = rho*K + 1)
         raise ConfigError(f"link distance_m must be a single number, got {link_raw['distance_m']!r}")
     env_raw = _section(raw, "envelope", _ENVELOPE_KEYS)
+    if "bits_ref" in env_raw:
+        kwargs["envelope_bits_ref"] = _converted("envelope bits_ref", _integral, env_raw["bits_ref"])
+    if "count_ref" in env_raw:
+        kwargs["envelope_count_ref"] = _converted("envelope count_ref", _integral, env_raw["count_ref"])
     try:
-        if "bits_ref" in env_raw:
-            kwargs["envelope_bits_ref"] = int(env_raw["bits_ref"])
         if "bandwidth_ghz_ref" in env_raw:
             kwargs["envelope_bandwidth_hz_ref"] = float(env_raw["bandwidth_ghz_ref"]) * 1e9
-        if "count_ref" in env_raw:
-            kwargs["envelope_count_ref"] = int(env_raw["count_ref"])
         return SweepConfig(power=PowerModelParams(**power_raw), link=LinkBudget(**link_raw), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -394,24 +419,25 @@ def read_csv(path):
     return rows
 
 
-def write_gnuplot(records, out_dir):
-    """Emit one two-column (bits, sum rate) data file per sweep curve."""
-    import os
+def write_gnuplot(rows, out_dir):
+    """Emit one two-column (bits, sum rate) data file per sweep curve.
 
+    rows are the row dicts of read_csv; each sum rate is copied as the CSV
+    wrote it.
+    """
     os.makedirs(out_dir, exist_ok=True)
     curves = {}
-    for r in records:
-        if r.skipped:
-            continue
-        curves.setdefault((r.direction, r.bandwidth_hz, r.tau), []).append(r)
+    for row in rows:
+        key = (row["direction"], float(row["bandwidth_hz"]), int(row["tau"]))
+        curves.setdefault(key, []).append((int(row["b"]), row["sum_rate_bps"]))
     paths = []
-    for (direction, bw, tau), rs in sorted(curves.items()):
+    for (direction, bw, tau), points in sorted(curves.items()):
         name = f"{direction}_B{bw / 1e9:g}GHz_tau{tau}.dat"
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
             fh.write(f"# {direction} sum rate vs bits, B = {bw:g} Hz, tau = {tau}\n")
-            for r in sorted(rs, key=lambda r: r.b):
-                fh.write(f"{r.b} {_fmt(r.sum_rate_bps)}\n")
+            for b, rate in sorted(points):
+                fh.write(f"{b} {rate}\n")
         paths.append(path)
     return paths
 

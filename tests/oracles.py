@@ -3,9 +3,18 @@
 These deliberately avoid the package's own algorithms: the quantizer oracle
 runs plain Lloyd iteration on a dense probability grid, with no Newton
 acceleration, no closed-form Gaussian moments, and no shared code paths.
+The kernel references keep the plain forms (two-pass quantize, einsum
+chunk kernels, full-array pilot projections) that the package's faster
+forms must reproduce.
 """
 
+import math
+
 import numpy as np
+
+from quantmimo.airlink import complex_gaussian
+from quantmimo.bussgang import PHASE_CE, _chunks, chunk_rng, gain_scalar
+from quantmimo.quant import quantize
 
 
 def dense_grid_lloyd(bits, component_std, step=1e-5, span=8.0, max_iter=100_000, tol=1e-10):
@@ -52,3 +61,95 @@ def mc_gain_regression(quantize_fn, samples):
     resid = cross - g_hat * power
     se = np.std(resid) / (np.sqrt(y.size) * np.mean(power))
     return float(g_hat), float(se)
+
+
+def two_pass_quantize(spec, value):
+    """Quantizer applied with one searchsorted per real component.
+
+    The straightforward form of quant.quantize, kept as its bit-exact
+    reference.
+    """
+    value = np.asarray(value)
+    interior = spec.interior_thresholds
+    re_idx = np.searchsorted(interior, value.real, side="left")
+    im_idx = np.searchsorted(interior, value.imag, side="left")
+    out = spec.labels[re_idx] + 1j * spec.labels[im_idx]
+    if value.ndim == 0:
+        return complex(out)
+    return out
+
+
+def _einsum_residual_sums(d, y):
+    ry = d * y.conj()
+    return {"resid": np.sum(ry), "resid_sq": np.sum(np.abs(ry) ** 2)}
+
+
+def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
+    """Index-notation reference for mcsim._uplink_chunk; draws the same random numbers."""
+    size, m, k = h.shape
+    x = complex_gaussian(rng, (size, k))
+    z_ul = complex_gaussian(rng, (size, m))
+    y_ul = np.sqrt(rho_bs) * np.einsum("cmk,ck->cm", h, x) + z_ul
+    d_ul = two_pass_quantize(spec_ul, y_ul) - g_ul * y_ul
+    v = g_ul * h_hat
+    cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
+    sums = _einsum_residual_sums(d_ul, y_ul)
+    sums["desired"] = np.einsum("ckk->k", cross)
+    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["combiner"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
+    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0)
+    if track_offdiag:
+        sums["offdiag"] = np.einsum("cm,cn->mn", d_ul, d_ul.conj())
+        sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
+    return sums
+
+
+def einsum_downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
+    """Index-notation reference for mcsim._downlink_chunk; draws the same random numbers."""
+    size, _, k = h.shape
+    w = h_hat / np.sqrt(delta)
+    x = complex_gaussian(rng, (size, k))
+    u = np.einsum("cmk,ck->cm", w, x)
+    d_dl = two_pass_quantize(spec_dl, u) - g_dl * u
+    cross = g_dl * np.einsum("cmk,cmi->cki", h.conj(), w)
+    d_dec = np.roll(d_dl, 1, axis=0)
+    w_power = np.abs(w) ** 2
+    sums = _einsum_residual_sums(d_dl, u)
+    sums["desired"] = np.einsum("ckk->k", cross)
+    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dec)) ** 2, axis=0)
+    sums["precoder"] = np.sum(w_power)
+    sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
+    return sums
+
+
+def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):
+    """Direct A_k/B_k estimator with full antenna arrays and no identity shortcut.
+
+    Draws independent pilot-phase and data-phase distortion samples and
+    estimates B_k = E[|d_ul^H (P_k^T d_ce)|^2], which the closed forms take as
+    cd_ul_per_entry * A_k (i.i.d. antennas).  The data-phase ADC input is
+    drawn from the matched Gaussian model (the same per-entry law the scalar
+    distortion powers are defined under).  Slower than
+    bussgang.ce_distortion_projections by a factor of m.
+    """
+    k = pilots.k_users
+    y_var = rho_bs * k + 1.0
+    g_ce = gain_scalar(spec_ce, y_var)
+    g_ul = gain_scalar(spec_ul, y_var)
+    p_conj = pilots.entries.conj()
+    a_sums, b_sums = [], []
+    for chunk, size in _chunks(trials):
+        rng = chunk_rng(seed, PHASE_CE, chunk)
+        h = complex_gaussian(rng, (size, m, k))
+        z_ce = complex_gaussian(rng, (size, m, pilots.tau))
+        y_ce = np.sqrt(rho_bs) * h @ p_conj.T + z_ce
+        d_ce = quantize(spec_ce, y_ce) - g_ce * y_ce
+        u = np.einsum("cmt,tk->cmk", d_ce, pilots.entries)
+        y_ul = complex_gaussian(rng, (size, m), y_var)
+        d_ul = quantize(spec_ul, y_ul) - g_ul * y_ul
+        a_sums.append(np.sum(np.abs(u) ** 2, axis=(0, 1)))
+        b_sums.append(np.sum(np.abs(np.einsum("cm,cmk->ck", d_ul.conj(), u)) ** 2, axis=0))
+    a_k = np.array([math.fsum(s[i] for s in a_sums) for i in range(k)]) / trials
+    b_k = np.array([math.fsum(s[i] for s in b_sums) for i in range(k)]) / trials
+    return a_k, b_k

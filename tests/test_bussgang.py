@@ -9,14 +9,13 @@ from quantmimo.bussgang import (
     SystemConfig,
     assemble_stats,
     ce_distortion_projections,
-    ce_distortion_projections_direct,
     chunk_rng,
     distortion_trace,
     gain_scalar,
 )
 from quantmimo.quant import QuantizerSpec, design_lloyd_max, quantize, rescale_labels
 
-from oracles import mc_gain_regression
+from oracles import ce_distortion_projections_direct, mc_gain_regression
 
 
 def _sign_quantizer():

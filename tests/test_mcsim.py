@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from quantmimo.bussgang import SystemConfig
+from quantmimo import mcsim
+from quantmimo.airlink import dft_pilots
+from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, chunk_rng
 from quantmimo.mcsim import default_specs, validate_closed_form
+
+from oracles import einsum_downlink_chunk, einsum_uplink_chunk
 
 
 def _config(**overrides):
@@ -120,3 +124,24 @@ def test_validator_input_checks():
     mismatched = SystemConfig(m_ul=8, m_dl=16, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
     with pytest.raises(ValueError):
         validate_closed_form(mismatched, trials=10_000)
+
+
+def test_chunk_kernels_match_einsum_reference():
+    config = _config(m_ul=10, m_dl=10, k_users=3, tau=5, bits=2)
+    spec_ce, spec_ul, spec_dl = default_specs(config)
+    stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=10_000, seed=1)
+    pilots = dft_pilots(config.tau, config.k_users)
+
+    def run(uplink, downlink):
+        rng = chunk_rng(5, PHASE_ORACLE, 0)
+        h, h_hat, _ = mcsim._pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, 2_000)
+        ul = uplink(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, True)
+        return ul, downlink(spec_dl, stats.g_dl, stats.delta, h, h_hat, rng)
+
+    fast = run(mcsim._uplink_chunk, mcsim._downlink_chunk)
+    ref = run(einsum_uplink_chunk, einsum_downlink_chunk)
+    for got, want in zip(fast, ref):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.shape(got[name]) == np.shape(want[name]), name
+            assert np.allclose(got[name], want[name], rtol=1e-12, atol=0), name

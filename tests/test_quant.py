@@ -13,6 +13,8 @@ from quantmimo.quant import (
     rescale_labels,
 )
 
+from oracles import two_pass_quantize
+
 
 def test_one_bit_labels_are_gaussian_conditional_means():
     spec = design_lloyd_max(1, 1.0)
@@ -101,6 +103,29 @@ def test_quantize_applies_to_real_and_imaginary_parts_independently():
     out = quantize(spec, np.array([0.3 - 0.7j, -0.2 + 0.1j]))
     assert np.allclose(out, [lab - 1j * lab, -lab + 1j * lab])
     assert isinstance(quantize(spec, 1.0 + 1.0j), complex)
+
+
+@pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+def test_quantize_is_bit_identical_to_two_pass_reference(bits):
+    spec = rescale_labels(design_lloyd_max(bits, 1.0), 3.0)
+    t = spec.interior_thresholds
+    x = np.random.default_rng(bits).normal(size=(6, 8, 5, 2)) @ [1.0, 1j]
+    inputs = [
+        x,
+        x[:, ::2],                  # strided
+        x.real,                     # real
+        np.complex64(0.4 - 0.2j),   # 0-d
+        t + 1j * t[::-1],           # exactly at thresholds
+        np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]),
+        -0.0,
+    ]
+    for value in inputs:
+        new, ref = quantize(spec, value), two_pass_quantize(spec, value)
+        assert type(new) is type(ref) and np.shape(new) == np.shape(ref)
+        new_view = np.ascontiguousarray(new).reshape(-1).view(np.float64)
+        ref_view = np.ascontiguousarray(ref).reshape(-1).view(np.float64)
+        assert np.array_equal(new_view, ref_view)
+        assert np.array_equal(new_view.view(np.uint64), ref_view.view(np.uint64))  # signs of zeros too
 
 
 def test_rescale_one_bit_to_variance_two_gives_unit_labels():

@@ -72,6 +72,31 @@ def test_config_validation_rules():
         config_from_dict({"bits": [None]})
     with pytest.raises(ConfigError):
         config_from_dict({"envelope": {"bits_ref": None}})
+    # integer keys take integral numbers only: no truncation, no bools
+    bad_integers = [
+        ("bits", {"bits": [2.7]}),
+        ("bits", {"bits": [True]}),
+        ("tau", {"tau": [8.5]}),
+        ("k_users", {"k_users": 4.5}),
+        ("k_users", {"k_users": True}),
+        ("trials", {"trials": 100_000.5}),
+        ("trials", {"trials": "100000"}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": True}),
+        ("seed", {"seed": -1}),
+        ("bits_ref", {"envelope": {"bits_ref": 9.5}}),
+        ("bits_ref", {"envelope": {"bits_ref": False}}),
+        ("count_ref", {"envelope": {"count_ref": 10.2}}),
+        ("validate", {"validate": "no"}),
+        ("validate", {"validate": 1}),
+    ]
+    for key, raw in bad_integers:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+    integral = config_from_dict({"bits": [2.0], "trials": 1e5, "envelope": {"count_ref": 10.0}})
+    assert integral.bits == (2,) and type(integral.bits[0]) is int
+    assert integral.trials == 100_000 and type(integral.trials) is int
+    assert type(integral.envelope_count_ref) is int
 
 
 def test_load_config_round_trip(tmp_path):
@@ -150,12 +175,15 @@ def test_infeasible_points_become_comment_lines(tmp_path):
 def test_gnuplot_curve_files(tmp_path):
     config = _tiny_config(bits=[8, 10], tau=[8, 16])
     records = run_sweep(config)
-    paths = write_gnuplot(records, tmp_path / "curves")
-    names = sorted(p.split("/")[-1] for p in paths)
-    assert names == ["ul_B0.1GHz_tau16.dat", "ul_B0.1GHz_tau8.dat"]
-    lines = open(paths[0]).read().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 3
+    out = tmp_path / "sweep.csv"
+    write_csv(records, out)
+    paths = write_gnuplot(read_csv(out), tmp_path / "curves")
+    names = [p.split("/")[-1] for p in paths]
+    assert names == ["ul_B0.1GHz_tau8.dat", "ul_B0.1GHz_tau16.dat"]  # numeric tau order
+    tau8 = [r for r in records if r.tau == 8]
+    assert open(paths[0]).read() == "".join(
+        ["# ul sum rate vs bits, B = 1e+08 Hz, tau = 8\n"] + [f"{r.b} {r.sum_rate_bps:.9g}\n" for r in tau8]
+    )
 
 
 def test_sorted_output_order():
@@ -194,6 +222,11 @@ def test_cli_reports_config_errors(tmp_path):
     assert cli_main(["run", "--config", str(bad), "--quiet"]) == 2
     for raw in ({"power": 5}, {"bits": 3}):
         bad.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+    # one cheap point apart from the bad value, so a config that slips through ends quickly
+    tiny = {"direction": "ul", "bits": [10], "bandwidth_ghz": [0.1], "tau": [8], "trials": 10_000}
+    for raw in ({"bits": [9.5]}, {"envelope": {"count_ref": 10.5}}, {"seed": -1}, {"validate": "no"}):
+        bad.write_text(json.dumps({**tiny, **raw}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
 
 
