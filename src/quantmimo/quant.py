@@ -7,6 +7,7 @@ built around a real threshold/label set applied entrywise to Re and Im.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 MAX_BITS = 12
 MAX_ITERATIONS = 10_000
 CONVERGENCE_TOL = 1e-12
+# quantize works through its input in blocks of this many real parts, so
+# that each pass over a block stays in cache.
+_BLOCK = 1 << 15
+# Caps a bucket table (see _Buckets) at 8 MB; a Lloyd-Max design at b = 12
+# needs about 11k buckets.
+_MAX_BUCKETS = 1 << 20
 
 
 class LloydMaxConvergenceError(RuntimeError):
@@ -42,7 +49,9 @@ class QuantizerSpec:
 
     thresholds has 2^b + 1 entries with -inf/+inf sentinels; labels has 2^b
     entries, one per cell.  design_std is the per-real-component standard
-    deviation the quantizer was designed (or last rescaled) for.
+    deviation the quantizer was designed (or last rescaled) for.  Each spec
+    also builds the private bucket table quantize looks cells up in; it is
+    not a field, so equality and repr see only the four above.
     """
 
     bits: int
@@ -61,9 +70,9 @@ class QuantizerSpec:
             )
         if not (thresholds[0] == -np.inf and thresholds[-1] == np.inf):
             raise ValueError("thresholds must start at -inf and end at +inf")
-        if np.any(np.diff(thresholds) <= 0):
+        if not np.all(np.diff(thresholds) > 0):  # NaN fails this too
             raise ValueError("thresholds must be strictly increasing")
-        if np.any(np.diff(labels) <= 0):
+        if not np.all(np.diff(labels) > 0):
             raise ValueError("labels must be strictly increasing")
         if not self.design_std > 0:
             raise ValueError("design_std must be positive")
@@ -71,10 +80,60 @@ class QuantizerSpec:
         labels.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_buckets", _Buckets.build(thresholds, labels))
 
     @property
     def interior_thresholds(self):
         return self.thresholds[1:-1]
+
+
+def _bucket_positions(x, scale, offset, top, out):
+    """clip(x*scale + offset, 0, top) into out; its truncation is the bucket.
+
+    Every step is monotone in x, so bucket(t) < bucket(x) implies t < x and
+    t < x implies bucket(t) <= bucket(x).  fmin sends NaN to the top bucket.
+    """
+    np.multiply(x, scale, out=out)
+    out += offset
+    np.fmin(out, top, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+@dataclass(frozen=True)
+class _Buckets:
+    """Uniform buckets over the interior thresholds t, at most one t per bucket.
+
+    first[j] is the number of thresholds in buckets below j; thresholds is
+    t followed by +inf and labels repeats its last entry, so that an index
+    one past the last threshold still reads a threshold and a label.
+    """
+
+    scale: float
+    offset: float
+    top: float
+    first: np.ndarray
+    thresholds: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def build(cls, thresholds, labels):
+        t = thresholds[1:-1]
+        span = t[-1] - t[0]
+        # with buckets no wider than the narrowest cell, each threshold gets
+        # one of its own unless rounding puts two together; then double
+        count = 2 + math.ceil(min(span / np.diff(t).min(), _MAX_BUCKETS)) if t.size > 1 else 2
+        while count <= _MAX_BUCKETS:
+            scale = (count - 2) / span if span > 0 else 1.0
+            offset = 1.0 - t[0] * scale
+            top = count - 1.0
+            bucket = _bucket_positions(t, scale, offset, top, np.empty_like(t)).astype(np.intp)
+            if np.all(np.diff(bucket) > 0):
+                first = np.zeros(count, dtype=np.intp)
+                np.cumsum(np.bincount(bucket, minlength=count)[:-1], out=first[1:])
+                return cls(scale, offset, top, first, thresholds[1:], np.append(labels, labels[-1]))
+            count *= 2
+        raise ValueError("thresholds are too unevenly spaced for a bucket table")
 
 
 def _gaussian_pdf(z):
@@ -222,14 +281,39 @@ def quantize(spec, value):
     """Apply the quantizer entrywise to Re and Im of a complex scalar/array.
 
     Returns a new complex128 array of the input's shape (a complex for a
-    scalar input).  Re and Im are looked up together: one searchsorted over
-    the interleaved float64 view of the input, one take of the labels, read
-    back as complex.
+    scalar input).  Re and Im are looked up together, in the interleaved
+    float64 view of the input, at a cost per entry that does not depend on
+    b: the spec's bucket table holds at most one interior threshold t_i per
+    bucket, so with j the bucket of x and k = first[j] (the thresholds in
+    lower buckets, all below x), the cell of x is k + [t_k < x].  That is
+    the number of thresholds below x, so a value at a threshold belongs to
+    the lower cell and NaN to the top one.  Blocks of the output serve as
+    the float scratch; the only other buffers are one index and one mask
+    block.
     """
     value = np.asarray(value)
     parts = np.ascontiguousarray(value, dtype=complex).reshape(-1).view(float)
-    idx = np.searchsorted(spec.interior_thresholds, parts, side="left")
-    out = spec.labels.take(idx).view(complex).reshape(value.shape)
+    table = spec._buckets
+    out = np.empty_like(parts)
+    cell = np.empty(min(parts.size, _BLOCK), dtype=np.intp)
+    below = np.empty(cell.size, dtype=bool)
+    with np.errstate(over="ignore"):  # x*scale overflowing to +-inf still clips right
+        for start in range(0, parts.size, _BLOCK):
+            x = parts[start:start + _BLOCK]
+            f = out[start:start + _BLOCK]
+            i = cell[:x.size]
+            m = below[:x.size]
+            np.copyto(i, _bucket_positions(x, table.scale, table.offset, table.top, f), casting="unsafe")
+            # indices are in range by construction, and "clip" spares take
+            # the copy of out it makes under "raise"; take reads each index
+            # before it writes that entry, so i can be its own out
+            table.first.take(i, out=i, mode="clip")
+            table.thresholds.take(i, out=f, mode="clip")
+            np.greater_equal(f, x, out=m)
+            np.invert(m, out=m)  # t_k < x, and true for NaN
+            i += m
+            table.labels.take(i, out=f, mode="clip")
+    out = out.view(complex).reshape(value.shape)
     if value.ndim == 0:
         return complex(out)
     return out

@@ -9,6 +9,7 @@ block with the fully resolved configuration.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import sys
@@ -102,6 +103,16 @@ class SweepConfig:
             raise ConfigError("trials must be >= 10000")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.k_users < 1:
+            raise ConfigError(f"k_users must be >= 1, got {self.k_users}")
+        if not self.validate_tolerance > 0:
+            raise ConfigError(f"validate_tolerance must be > 0, got {self.validate_tolerance}")
+        if self.envelope_bits_ref < 1:
+            raise ConfigError(f"envelope bits_ref must be >= 1, got {self.envelope_bits_ref}")
+        if not self.envelope_bandwidth_hz_ref > 0:
+            raise ConfigError("envelope bandwidth_ghz_ref must be > 0")
+        if self.envelope_count_ref < 1:
+            raise ConfigError(f"envelope count_ref must be >= 1, got {self.envelope_count_ref}")
 
     def directions(self):
         return ("ul", "dl") if self.direction == "both" else (self.direction,)
@@ -152,6 +163,13 @@ def _integral(value):
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _real(value):
+    """value as a float if it is a finite real number; bools, strings and NaN are not."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite real number, got {value!r}")
+
+
 def _converted(key, convert, value):
     """convert(value); a ConfigError naming key if it does not convert."""
     try:
@@ -194,9 +212,10 @@ def config_from_dict(raw):
     """Validate a configuration dict and fill in the paper defaults."""
     _reject_unknown(raw, _TOP_KEYS, "configuration")
     kwargs = {}
-    for key in ("direction", "validate_tolerance"):
-        if key in raw:
-            kwargs[key] = raw[key]
+    if "direction" in raw:
+        kwargs["direction"] = raw["direction"]
+    if "validate_tolerance" in raw:
+        kwargs["validate_tolerance"] = _converted("validate_tolerance", _real, raw["validate_tolerance"])
     for key in ("k_users", "trials", "seed"):
         if key in raw:
             kwargs[key] = _converted(key, _integral, raw[key])
@@ -207,24 +226,24 @@ def config_from_dict(raw):
     if "bits" in raw:
         kwargs["bits"] = _values(raw, "bits", _integral)
     if "bandwidth_ghz" in raw:
-        kwargs["bandwidth_hz"] = tuple(b * 1e9 for b in _values(raw, "bandwidth_ghz", float))
+        kwargs["bandwidth_hz"] = tuple(b * 1e9 for b in _values(raw, "bandwidth_ghz", _real))
     if "tau" in raw:
         kwargs["tau"] = _values(raw, "tau", _integral)
-    power_raw = _section(raw, "power", _POWER_KEYS)
-    link_raw = _section(raw, "link", _LINK_KEYS)
-    if np.ndim(link_raw.get("distance_m", 0.0)) != 0:
-        # every point uses one SNR for all users (y_var = rho*K + 1)
-        raise ConfigError(f"link distance_m must be a single number, got {link_raw['distance_m']!r}")
+    power = {k: _converted(f"power {k}", _real, v) for k, v in _section(raw, "power", _POWER_KEYS).items()}
+    # one number per link key: a distance_m list would give each UE its own
+    # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
+    link = {k: _converted(f"link {k}", _real, v) for k, v in _section(raw, "link", _LINK_KEYS).items()}
     env_raw = _section(raw, "envelope", _ENVELOPE_KEYS)
     if "bits_ref" in env_raw:
         kwargs["envelope_bits_ref"] = _converted("envelope bits_ref", _integral, env_raw["bits_ref"])
     if "count_ref" in env_raw:
         kwargs["envelope_count_ref"] = _converted("envelope count_ref", _integral, env_raw["count_ref"])
+    if "bandwidth_ghz_ref" in env_raw:
+        ghz = _converted("envelope bandwidth_ghz_ref", _real, env_raw["bandwidth_ghz_ref"])
+        kwargs["envelope_bandwidth_hz_ref"] = ghz * 1e9
     try:
-        if "bandwidth_ghz_ref" in env_raw:
-            kwargs["envelope_bandwidth_hz_ref"] = float(env_raw["bandwidth_ghz_ref"]) * 1e9
-        return SweepConfig(power=PowerModelParams(**power_raw), link=LinkBudget(**link_raw), **kwargs)
-    except (TypeError, ValueError) as exc:
+        return SweepConfig(power=PowerModelParams(**power), link=LinkBudget(**link), **kwargs)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

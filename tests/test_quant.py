@@ -1,9 +1,13 @@
 """Tests for the scalar quantizer design and application."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from quantmimo.quant import (
+    _BLOCK,
     MAX_BITS,
     QuantizerSpec,
     cell_probabilities,
@@ -105,27 +109,75 @@ def test_quantize_applies_to_real_and_imaginary_parts_independently():
     assert isinstance(quantize(spec, 1.0 + 1.0j), complex)
 
 
+def _complex(re, im):
+    """re + 1j*im without arithmetic, which would turn 1j*inf into NaN."""
+    return np.column_stack((re, im)).view(complex).ravel()
+
+
+# complex input variances from 1/176 to 1008, so the thresholds span several scales
+VARIANCES = (1 / 176, 1.0, 3.0, 1008.0)
+
+
 @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
 def test_quantize_is_bit_identical_to_two_pass_reference(bits):
-    spec = rescale_labels(design_lloyd_max(bits, 1.0), 3.0)
-    t = spec.interior_thresholds
-    x = np.random.default_rng(bits).normal(size=(6, 8, 5, 2)) @ [1.0, 1j]
-    inputs = [
-        x,
-        x[:, ::2],                  # strided
-        x.real,                     # real
-        np.complex64(0.4 - 0.2j),   # 0-d
-        t + 1j * t[::-1],           # exactly at thresholds
-        np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]),
-        -0.0,
-    ]
-    for value in inputs:
-        new, ref = quantize(spec, value), two_pass_quantize(spec, value)
-        assert type(new) is type(ref) and np.shape(new) == np.shape(ref)
-        new_view = np.ascontiguousarray(new).reshape(-1).view(np.float64)
-        ref_view = np.ascontiguousarray(ref).reshape(-1).view(np.float64)
-        assert np.array_equal(new_view, ref_view)
-        assert np.array_equal(new_view.view(np.uint64), ref_view.view(np.uint64))  # signs of zeros too
+    rng = np.random.default_rng(bits)
+    half = _BLOCK // 2  # complex entries in one block of real parts
+    for variance in VARIANCES:
+        spec = rescale_labels(design_lloyd_max(bits, np.sqrt(variance / 2.0)), variance)
+        t = spec.interior_thresholds
+        specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324]
+        edges = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), specials])
+        x = np.sqrt(variance) * rng.normal(size=(6, 8, 5, 2)) @ [1.0, 1j]
+        inputs = [
+            x,
+            x[:, ::2],                  # strided
+            x.real,                     # real
+            np.complex64(0.4 - 0.2j),   # 0-d
+            _complex(edges, edges[::-1]),
+            np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]),
+            -0.0,
+        ]
+        for n in (0, 1, half - 1, half, half + 1, 3 * half + 5):
+            inputs.append(np.sqrt(variance / 2.0) * 3.0 * rng.normal(size=(n, 2)) @ [1.0, 1j])
+        for value in inputs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                new, ref = quantize(spec, value), two_pass_quantize(spec, value)
+            assert type(new) is type(ref) and np.shape(new) == np.shape(ref)
+            new_view = np.ascontiguousarray(new).reshape(-1).view(np.float64)
+            ref_view = np.ascontiguousarray(ref).reshape(-1).view(np.float64)
+            assert np.array_equal(new_view.view(np.uint64), ref_view.view(np.uint64))  # signs of zeros too
+
+
+def test_bucket_table_holds_at_most_one_threshold_per_bucket():
+    for bits in range(1, MAX_BITS + 1):
+        for variance in VARIANCES:
+            spec = rescale_labels(design_lloyd_max(bits, np.sqrt(variance / 2.0)), variance)
+            first = spec._buckets.first
+            per_bucket = np.diff(first, append=spec.interior_thresholds.size)
+            assert first[0] == 0
+            assert np.all((per_bucket == 0) | (per_bucket == 1))  # so first is non-decreasing
+    # a table for thresholds 1e-9 apart over a span of 1 would need 1e9 buckets
+    with pytest.raises(ValueError, match="unevenly"):
+        QuantizerSpec(
+            bits=2,
+            thresholds=np.array([-np.inf, 0.0, 1e-9, 1.0, np.inf]),
+            labels=np.array([-1.0, 0.5e-9, 0.5, 2.0]),
+            design_std=1.0,
+        )
+
+
+def test_quantize_peak_memory_is_about_its_output():
+    spec = rescale_labels(design_lloyd_max(12, np.sqrt(0.5)), 1.0)
+    x = np.random.default_rng(5).normal(size=(1 << 20, 2)) @ [1.0, 1j]
+    tracemalloc.start()
+    try:
+        out = quantize(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one index and one mask block; no full-size index array
+    assert peak <= 1.1 * out.nbytes
 
 
 def test_rescale_one_bit_to_variance_two_gives_unit_labels():

@@ -93,6 +93,27 @@ def test_config_validation_rules():
     for key, raw in bad_integers:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
+    # counts and real-valued keys are range-checked at load time, not at the first point
+    nan, inf = float("nan"), float("inf")
+    bad_values = [
+        ("k_users", {"k_users": 0}),
+        ("k_users", {"k_users": -3}),
+        *[("validate_tolerance", {"validate_tolerance": v}) for v in ("x", True, 0, -1, nan, inf)],
+        *[("v_dd", {"power": {"v_dd": v}}) for v in (True, "3", nan, inf, None)],
+        ("noise_figure_db", {"link": {"noise_figure_db": "x"}}),
+        ("p_ue_dbm", {"link": {"p_ue_dbm": nan}}),
+        ("alpha", {"link": {"alpha": False}}),
+        *[("bandwidth_ghz", {"bandwidth_ghz": [v]}) for v in (nan, inf, True, "0.1")],
+        *[("bandwidth_ghz_ref", {"envelope": {"bandwidth_ghz_ref": v}}) for v in (-0.1, 0, nan, True, "0.1")],
+        ("count_ref", {"envelope": {"count_ref": 0}}),
+        ("bits_ref", {"envelope": {"bits_ref": 0}}),
+    ]
+    for key, raw in bad_values:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+    reals = config_from_dict({"validate_tolerance": 1, "power": {"v_dd": 2}, "envelope": {"bandwidth_ghz_ref": 1}})
+    assert reals.validate_tolerance == 1.0 and reals.power.v_dd == 2.0
+    assert reals.envelope_bandwidth_hz_ref == 1e9
     integral = config_from_dict({"bits": [2.0], "trials": 1e5, "envelope": {"count_ref": 10.0}})
     assert integral.bits == (2,) and type(integral.bits[0]) is int
     assert integral.trials == 100_000 and type(integral.trials) is int
@@ -225,7 +246,21 @@ def test_cli_reports_config_errors(tmp_path):
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
     # one cheap point apart from the bad value, so a config that slips through ends quickly
     tiny = {"direction": "ul", "bits": [10], "bandwidth_ghz": [0.1], "tau": [8], "trials": 10_000}
-    for raw in ({"bits": [9.5]}, {"envelope": {"count_ref": 10.5}}, {"seed": -1}, {"validate": "no"}):
+    for raw in (
+        {"bits": [9.5]},
+        {"envelope": {"count_ref": 10.5}},
+        {"seed": -1},
+        {"validate": "no"},
+        {"k_users": 0},
+        {"validate": True, "validate_tolerance": -1},
+        {"validate": True, "validate_tolerance": "x"},
+        {"link": {"noise_figure_db": "x"}},
+        {"link": {"p_ue_dbm": float("nan")}},
+        {"bandwidth_ghz": [float("nan")]},
+        {"envelope": {"bandwidth_ghz_ref": -0.1}},
+        {"envelope": {"count_ref": 0}},
+        {"power": {"v_dd": True}},
+    ):
         bad.write_text(json.dumps({**tiny, **raw}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
 
