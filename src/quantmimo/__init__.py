@@ -15,6 +15,7 @@ from quantmimo.rates import (
     DownlinkMoments,
     moments_ul_mrc,
     moments_dl_mrt,
+    mrt_normalization,
     sindr_ul_mrc,
     sindr_dl_mrt,
     sindr_from_moments,

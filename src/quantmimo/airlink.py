@@ -1,8 +1,7 @@
 """Channels, pilots, and the quantized-pilot channel estimator.
 
-vec/unvec convention is column-major throughout: vec(H) stacks the columns
-of H, and the length-M*tau pilot-phase vectors are tau blocks of length M
-(block t corresponds to pilot symbol t).
+Pilot-phase signals are M x tau matrices: column t is the receive vector of
+pilot symbol t.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ def complex_gaussian(rng, shape, complex_variance=1.0):
 
 
 def pilot_phase_signal(channel, pilots, rho_bs, noise):
-    """ADC input during the pilot phase, as an M x tau matrix.
+    """ADC input during the pilot phase: sqrt(rho) * H @ conj(P).T plus noise.
 
-    Column t is block t of the stacked length-M*tau receive vector:
-    sqrt(rho) * H @ conj(P).T plus noise.
+    H is M x K (or a batch ..., M, K); the result is M x tau (..., M, tau).
     """
     return np.sqrt(rho_bs) * channel @ pilots.entries.conj().T + noise
 
@@ -61,17 +59,12 @@ def pilot_phase_signal(channel, pilots, rho_bs, noise):
 def estimate_channel(rce, pilots, rho_bs):
     """Channel estimate from the quantized pilot-phase output.
 
-    rce is either the stacked length-M*tau vector (tau blocks of length M),
-    the equivalent M x tau matrix, or a batch of such matrices (..., M, tau).
-    Returns M x K (batched: ..., M, K); collapses to the exact channel when
+    rce is an M x tau matrix or a batch of them (..., M, tau).  Returns
+    M x K (batched: ..., M, K); collapses to the exact channel when
     quantization and noise are absent, by pilot orthogonality.
     """
     rce = np.asarray(rce)
     tau = pilots.tau
-    if rce.ndim == 1:
-        if rce.size % tau != 0:
-            raise ValueError(f"receive vector length {rce.size} is not a multiple of tau={tau}")
-        rce = rce.reshape(tau, -1).T
-    elif rce.ndim == 0 or rce.shape[-1] != tau:
+    if rce.ndim < 2 or rce.shape[-1] != tau:
         raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
     return rce @ pilots.entries / (np.sqrt(rho_bs) * tau)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quantmimo.airlink import complex_gaussian, dft_pilots
+from quantmimo.airlink import complex_gaussian, dft_pilots, pilot_phase_signal
 from quantmimo.quant import quantize
-from quantmimo.syspower import by_direction
 
 DEFAULT_TRIALS = 100_000
 MIN_TRIALS = 10_000
@@ -43,6 +42,21 @@ def _chunks(trials):
         yield chunk, size
         start += size
         chunk += 1
+
+
+def _fsum_chunks(parts):
+    """Element-wise total of per-chunk sums, exactly rounded by math.fsum.
+
+    Chunks are combined in chunk order, so the total does not depend on how
+    the chunks were scheduled.
+    """
+    parts = np.stack(parts)
+    flat = parts.reshape(len(parts), -1).T
+    if np.iscomplexobj(flat):
+        out = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat])
+    else:
+        out = np.array([math.fsum(col) for col in flat])
+    return out.reshape(parts.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -78,27 +92,22 @@ class SystemConfig:
         """Per-entry complex variance of the precoded DAC input."""
         return 1.0 / self.m_dl
 
-    def m(self, direction):
-        return by_direction(direction, self.m_ul, self.m_dl)
-
 
 @dataclass(frozen=True)
 class BussgangStats:
-    """Scalar gains and distortion second moments for one scenario."""
+    """Scalar gains and per-antenna distortion moments for one scenario.
+
+    cd_ul and cd_dl are per-entry distortion powers and a_k the pilot
+    projections of one antenna row; antenna rows are i.i.d., so the rate
+    formulas scale them by the antenna count.
+    """
 
     g_ce: float
     g_ul: float
     g_dl: float
-    trace_cd_ul: float
-    trace_cd_dl: float
+    cd_ul: float
+    cd_dl: float
     a_k: np.ndarray
-    delta: float
-    y_var_ul: float
-    w_var_dl: float
-    m_ul: int
-    m_dl: int
-    trials: int
-    seed: int
 
     def __post_init__(self):
         for name in ("g_ce", "g_ul", "g_dl"):
@@ -107,24 +116,10 @@ class BussgangStats:
             # (legal for consistency checks) only require a positive gain
             if not (np.isfinite(g) and g > 0.0):
                 raise ValueError(f"{name}={g} must be positive and finite")
-        if self.trace_cd_ul < 0 or self.trace_cd_dl < 0:
-            raise ValueError("distortion traces must be non-negative")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not (self.cd_ul >= 0 and self.cd_dl >= 0):
+            raise ValueError(f"distortion powers cd_ul={self.cd_ul}, cd_dl={self.cd_dl} must be non-negative")
         if not np.all(np.isfinite(self.a_k)):
             raise ValueError("a_k must be finite")
-
-    @property
-    def cd_ul_per_entry(self):
-        return self.trace_cd_ul / self.m_ul
-
-    @property
-    def cd_dl_per_entry(self):
-        return self.trace_cd_dl / self.m_dl
-
-    def a_k_at(self, m):
-        """A_k scales linearly in the antenna count (i.i.d. antenna rows)."""
-        return self.a_k * (m / self.m_ul)
 
 
 def gain_scalar(spec, complex_variance):
@@ -158,16 +153,15 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
         y = complex_gaussian(rng, (size, dim), complex_variance)
         d = quantize(spec, y)
         d -= gain * y
-        chunk_sums.append(float(np.sum(np.abs(d) ** 2)))
-    return dim * math.fsum(chunk_sums) / (trials * dim)
+        chunk_sums.append(np.sum(np.abs(d) ** 2))
+    return float(dim * _fsum_chunks(chunk_sums) / (trials * dim))
 
 
-def ce_distortion_projections(spec, pilots, m, rho_bs, trials, seed):
-    """Pilot projections A_k = E[||P_k^T d_ce||^2] of the pilot-phase distortion.
+def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
+    """Pilot projections A_k = E[|P_k^T d_ce|^2] of one antenna row's pilot-phase distortion.
 
     Antenna rows of the pilot-phase signal are i.i.d., so the simulation draws
-    single rows and scales A_k by m; the M*tau covariance is never
-    materialized.
+    single rows; over M antennas the projections are M times these.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
@@ -179,50 +173,29 @@ def ce_distortion_projections(spec, pilots, m, rho_bs, trials, seed):
             f"pilot phase requires {expected_var:.6g}"
         )
     gain = gain_scalar(spec, expected_var)
-    p_conj = pilots.entries.conj()
     chunk_sums = []
     for chunk, size in _chunks(trials):
         rng = chunk_rng(seed, PHASE_CE, chunk)
         h = complex_gaussian(rng, (size, k))
-        z = complex_gaussian(rng, (size, pilots.tau))
-        y = np.sqrt(rho_bs) * h @ p_conj.T + z
+        y = pilot_phase_signal(h, pilots, rho_bs, complex_gaussian(rng, (size, pilots.tau)))
         d = quantize(spec, y)
         d -= gain * y
         u = d @ pilots.entries
         chunk_sums.append(np.sum(np.abs(u) ** 2, axis=0))
-    totals = np.array([math.fsum(s[i] for s in chunk_sums) for i in range(k)])
-    return m * totals / trials
+    return _fsum_chunks(chunk_sums) / trials
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):
-    """Bundle all gains and distortion moments needed by the rate formulas."""
+    """Bundle the gains and per-antenna distortion moments needed by the rate formulas."""
     pilots = dft_pilots(config.tau, config.k_users)
     y_var = config.y_var_ul
     w_var = config.w_var_dl
-    g_ce = gain_scalar(spec_ce, y_var)
-    g_ul = gain_scalar(spec_ul, y_var)
-    g_dl = gain_scalar(spec_dl, w_var)
-    trace_cd_ul = distortion_trace(spec_ul, y_var, config.m_ul, trials, seed)
-    trace_cd_dl = distortion_trace(spec_dl, w_var, config.m_dl, trials, np.random.SeedSequence(seed, spawn_key=(PHASE_DL,)).generate_state(1)[0])
-    a_k = ce_distortion_projections(spec_ce, pilots, config.m_ul, config.rho_bs, trials, seed)
-    rho_tau = config.rho_bs * config.tau
-    a_k_dl = a_k * (config.m_dl / config.m_ul)
-    delta = (
-        config.k_users * (1.0 + 1.0 / rho_tau) * g_ce**2 * config.m_dl
-        + np.sum(a_k_dl) / (config.rho_bs * config.tau**2)
-    )
+    dl_seed = np.random.SeedSequence(seed, spawn_key=(PHASE_DL,)).generate_state(1)[0]
     return BussgangStats(
-        g_ce=g_ce,
-        g_ul=g_ul,
-        g_dl=g_dl,
-        trace_cd_ul=trace_cd_ul,
-        trace_cd_dl=trace_cd_dl,
-        a_k=a_k,
-        delta=float(delta),
-        y_var_ul=y_var,
-        w_var_dl=w_var,
-        m_ul=config.m_ul,
-        m_dl=config.m_dl,
-        trials=trials,
-        seed=seed,
+        g_ce=gain_scalar(spec_ce, y_var),
+        g_ul=gain_scalar(spec_ul, y_var),
+        g_dl=gain_scalar(spec_dl, w_var),
+        cd_ul=distortion_trace(spec_ul, y_var, config.m_ul, trials, seed) / config.m_ul,
+        cd_dl=distortion_trace(spec_dl, w_var, config.m_dl, trials, dl_seed) / config.m_dl,
+        a_k=ce_distortion_projections(spec_ce, pilots, config.rho_bs, trials, seed),
     )

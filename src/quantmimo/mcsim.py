@@ -12,7 +12,6 @@ with the Monte Carlo moments of assemble_stats that it checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,12 @@ from quantmimo import rates
 from quantmimo.airlink import complex_gaussian, dft_pilots, estimate_channel, pilot_phase_signal
 from quantmimo.bussgang import (
     DEFAULT_TRIALS,
+    MIN_TRIALS,
     PHASE_ORACLE,
     assemble_stats,
     chunk_rng,
     _chunks,
+    _fsum_chunks,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
@@ -160,22 +161,9 @@ def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     return sums
 
 
-def _fsum_chunks(chunk_sums):
-    """Element-wise totals of per-chunk sums, exactly rounded by math.fsum.
-
-    Chunks are combined in chunk order, so the totals do not depend on how
-    the chunks were scheduled.
-    """
-    totals = {}
-    for name in chunk_sums[0]:
-        parts = np.stack([s[name] for s in chunk_sums])
-        flat = parts.reshape(len(chunk_sums), -1).T
-        if np.iscomplexobj(flat):
-            out = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat])
-        else:
-            out = np.array([math.fsum(col) for col in flat])
-        totals[name] = out.reshape(parts.shape[1:])
-    return totals
+def _totals(chunk_sums):
+    """Exactly rounded totals of a list of per-chunk {name: sum} dicts."""
+    return {name: _fsum_chunks([s[name] for s in chunk_sums]) for name in chunk_sums[0]}
 
 
 def _residual(totals, n_samples):
@@ -190,14 +178,13 @@ def _closed_values(closed, name):
     return np.array([getattr(c, name) for c in closed])
 
 
-def _uplink_terms(config, stats, mean):
+def _uplink_terms(inputs, mean):
     """Empirical and closed-form UL moments per UE plus {moment: (empirical, closed)} pairs."""
-    k = config.k_users
-    inputs = rates.SindrInputsUL(config.m_ul, k, config.tau, config.rho_bs, stats)
+    k = inputs.k_users
     closed = [rates.moments_ul_mrc(inputs, ue) for ue in range(k)]
     emp = [
         rates.UplinkMoments(
-            rho_bs=config.rho_bs,
+            rho_bs=inputs.rho_bs,
             desired_mean=mean["desired"][ue],
             signal_powers=mean["signal"][ue],
             combiner_power=mean["combiner"][ue],
@@ -217,14 +204,13 @@ def _uplink_terms(config, stats, mean):
     return emp, closed, pairs
 
 
-def _downlink_terms(config, stats, mean):
+def _downlink_terms(inputs, mean):
     """Empirical and closed-form DL moments per UE plus {moment: (empirical, closed)} pairs."""
-    m, k = config.m_dl, config.k_users
-    inputs = rates.SindrInputsDL(m, k, config.tau, config.rho_bs, config.rho_ue, stats)
+    m, k = inputs.m, inputs.k_users
     closed = [rates.moments_dl_mrt(inputs, ue) for ue in range(k)]
     emp = [
         rates.DownlinkMoments(
-            rho_ue=config.rho_ue,
+            rho_ue=inputs.rho_ue,
             desired_mean=mean["desired"][ue],
             signal_powers=mean["signal"][ue],
             distortion_power=mean["distortion"][ue],
@@ -289,8 +275,14 @@ def validate_closed_form(
         specs = default_specs(config)
     spec_ce, spec_ul, spec_dl = specs
     if stats is None:
-        stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=max(trials, 10_000), seed=seed)
-    pilots = dft_pilots(config.tau, config.k_users)
+        stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=max(trials, MIN_TRIALS), seed=seed)
+    m, k, tau = config.m_ul, config.k_users, config.tau
+    inputs = {
+        "ul": rates.SindrInputsUL(m, k, tau, config.rho_bs, stats),
+        "dl": rates.SindrInputsDL(m, k, tau, config.rho_bs, config.rho_ue, stats),
+    }
+    delta = rates.mrt_normalization(inputs["dl"])
+    pilots = dft_pilots(tau, k)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
     chunk_sums = {phase: [] for phase in ("ce",) + directions}
@@ -301,14 +293,13 @@ def validate_closed_form(
         if "ul" in chunk_sums:
             chunk_sums["ul"].append(_uplink_chunk(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, track_offdiag))
         if "dl" in chunk_sums:
-            chunk_sums["dl"].append(_downlink_chunk(spec_dl, stats.g_dl, stats.delta, h, h_hat, rng))
+            chunk_sums["dl"].append(_downlink_chunk(spec_dl, stats.g_dl, delta, h, h_hat, rng))
 
-    m = config.m_ul
-    ce = _fsum_chunks(chunk_sums["ce"])
-    ce_residual = _residual(ce, trials * m * config.tau)
+    ce = _totals(chunk_sums["ce"])
+    ce_residual = _residual(ce, trials * m * tau)
     reports = {}
     for d in directions:
-        totals = _fsum_chunks(chunk_sums[d])
+        totals = _totals(chunk_sums[d])
         mean = {name: total / trials for name, total in totals.items()}
         terms = _uplink_terms if d == "ul" else _downlink_terms
         off_max = off_sigma = None
@@ -317,14 +308,14 @@ def validate_closed_form(
             off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
         reports[d] = _report(
             d,
-            *terms(config, stats, mean),
+            *terms(inputs[d], mean),
             tolerance,
             trials=trials,
             seed=seed,
             bussgang_residual={"ce": ce_residual, d: _residual(totals, trials * m)},
             offdiag_max=off_max,
             offdiag_sigma=off_sigma,
-            delta_closed=stats.delta,
+            delta_closed=delta,
             delta_empirical=float(ce["delta"] / trials),
         )
     if direction == "both":

@@ -2,8 +2,9 @@
 
 One general SINDR ratio is assembled from expectation terms (UplinkMoments,
 DownlinkMoments).  The closed-form terms are built here from the scalar
-Bussgang gains and distortion moments of BussgangStats; the Monte Carlo
-validator pairs its empirical terms with the same dataclasses.
+Bussgang gains and per-antenna distortion moments of BussgangStats, scaled
+to the antenna count m; the Monte Carlo validator pairs its empirical terms
+with the same dataclasses.
 """
 
 from __future__ import annotations
@@ -72,7 +73,16 @@ def _check_finite(name, terms):
 def _estimate_powers(inputs):
     """E[||h_hat_i||^2] for every UE i: estimation noise plus the pilot projection A_i."""
     s, m, tau, rho = inputs.stats, inputs.m, inputs.tau, inputs.rho_bs
-    return (1.0 + 1.0 / (rho * tau)) * s.g_ce**2 * m + s.a_k_at(m) / (rho * tau**2)
+    return (1.0 + 1.0 / (rho * tau)) * s.g_ce**2 * m + m * s.a_k / (rho * tau**2)
+
+
+def mrt_normalization(inputs):
+    """MRT precoder normalization delta = sum_i E[||h_hat_i||^2] over the UEs.
+
+    Reads only m, tau, rho_bs and stats, which SindrInputsUL and
+    SindrInputsDL both carry.
+    """
+    return float(np.sum(_estimate_powers(inputs)))
 
 
 def moments_ul_mrc(inputs, ue=0):
@@ -88,7 +98,7 @@ def moments_ul_mrc(inputs, ue=0):
         desired_mean=desired,
         signal_powers=powers,
         combiner_power=combiner,
-        distortion_power=s.g_ul**2 * s.cd_ul_per_entry * estimate_power,
+        distortion_power=s.g_ul**2 * s.cd_ul * estimate_power,
     )
 
 
@@ -98,14 +108,15 @@ def moments_dl_mrt(inputs, ue=0):
     The precoder of UE i carries A_i, so every signal power has its own.
     """
     s, m = inputs.stats, inputs.m
-    desired = s.g_ce * s.g_dl * m / np.sqrt(s.delta)
-    powers = s.g_dl**2 * _estimate_powers(inputs) / s.delta
+    delta = mrt_normalization(inputs)
+    desired = s.g_ce * s.g_dl * m / np.sqrt(delta)
+    powers = s.g_dl**2 * _estimate_powers(inputs) / delta
     powers[ue] += desired**2
     return DownlinkMoments(
         rho_ue=inputs.rho_ue,
         desired_mean=desired,
         signal_powers=powers,
-        distortion_power=s.cd_dl_per_entry * m,
+        distortion_power=m * s.cd_dl,
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from quantmimo import rates
-from quantmimo.bussgang import SystemConfig, assemble_stats
+from quantmimo.bussgang import MIN_TRIALS, SystemConfig, assemble_stats
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import (
     InfeasibleConfigError,
@@ -99,7 +99,7 @@ class SweepConfig:
             raise ConfigError("bandwidths must be positive")
         if any(t < self.k_users for t in self.tau):
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
-        if self.trials < 10_000:
+        if self.trials < MIN_TRIALS:
             raise ConfigError("trials must be >= 10000")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -323,11 +323,11 @@ def run_point(config, direction, b, bandwidth_hz, tau):
     if direction == "ul":
         inputs = rates.SindrInputsUL(m, config.k_users, tau, rho_bs, stats)
         sindr = tuple(rates.sindr_ul_mrc(inputs, ue=kk) for kk in range(config.k_users))
-        g_phase, trace_cd = stats.g_ul, stats.trace_cd_ul
+        g_phase, cd = stats.g_ul, stats.cd_ul
     else:
         inputs = rates.SindrInputsDL(m, config.k_users, tau, rho_bs, rho_ue, stats)
         sindr = tuple(rates.sindr_dl_mrt(inputs, ue=kk) for kk in range(config.k_users))
-        g_phase, trace_cd = stats.g_dl, stats.trace_cd_dl
+        g_phase, cd = stats.g_dl, stats.cd_dl
     validation_passed = None
     if config.validate:
         report = validate_closed_form(
@@ -350,8 +350,8 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         sum_rate_bps=rates.sum_rate(bandwidth_hz, sindr),
         g_ce=stats.g_ce,
         g_phase=g_phase,
-        trace_cd=trace_cd,
-        delta=stats.delta,
+        trace_cd=m * cd,
+        delta=rates.mrt_normalization(inputs),
         trials=config.trials,
         seed=seed,
         validation_passed=validation_passed,

@@ -56,7 +56,9 @@ class LinkBudget:
     noise_figure_db: float = 13.0
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.distance_m) > 0):
+        if np.ndim(self.distance_m) != 0:
+            raise ValueError(f"distance_m must be one distance for all users, got {self.distance_m!r}")
+        if not self.distance_m > 0:
             raise ValueError("distances must be positive")
         if not self.alpha > 2:
             raise ValueError("pathloss exponent must exceed 2")
@@ -103,16 +105,12 @@ def noise_power_dbm(bandwidth_hz, noise_figure_db):
 def snr_linear(direction, budget, bandwidth_hz):
     """Linear receive SNR: transmit power minus pathloss minus thermal noise.
 
-    Uplink returns the SNR at the BS, downlink the SNR at the UEs.  Scalar
-    for the default equal-distance layout; array if per-UE distances are set.
+    Uplink returns the SNR at the BS, downlink the SNR at the UEs; every UE
+    sits at the same distance.
     """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
     tx_dbm = by_direction(direction, budget.p_ue_dbm, budget.p_bs_dbm)
-    distance = np.asarray(budget.distance_m, dtype=float)
-    pathloss_db = 10.0 * budget.alpha * np.log10(distance)
+    pathloss_db = 10.0 * budget.alpha * np.log10(budget.distance_m)
     snr_db = tx_dbm - pathloss_db - noise_power_dbm(bandwidth_hz, budget.noise_figure_db)
-    snr = 10.0 ** (snr_db / 10.0)
-    if snr.ndim == 0:
-        return float(snr)
-    return snr
+    return float(10.0 ** (snr_db / 10.0))

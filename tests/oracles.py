@@ -128,10 +128,10 @@ def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials
 
     Draws independent pilot-phase and data-phase distortion samples and
     estimates B_k = E[|d_ul^H (P_k^T d_ce)|^2], which the closed forms take as
-    cd_ul_per_entry * A_k (i.i.d. antennas).  The data-phase ADC input is
+    cd_ul * A_k (i.i.d. antennas).  The data-phase ADC input is
     drawn from the matched Gaussian model (the same per-entry law the scalar
-    distortion powers are defined under).  Slower than
-    bussgang.ce_distortion_projections by a factor of m.
+    distortion powers are defined under).  Returns the m-antenna A_k, m times
+    the one-row bussgang.ce_distortion_projections, at m times its cost.
     """
     k = pilots.k_users
     y_var = rho_bs * k + 1.0

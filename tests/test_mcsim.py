@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantmimo import mcsim
+from quantmimo import mcsim, rates
 from quantmimo.airlink import dft_pilots
 from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, chunk_rng
 from quantmimo.mcsim import default_specs, validate_closed_form
@@ -131,12 +131,15 @@ def test_chunk_kernels_match_einsum_reference():
     spec_ce, spec_ul, spec_dl = default_specs(config)
     stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=10_000, seed=1)
     pilots = dft_pilots(config.tau, config.k_users)
+    delta = rates.mrt_normalization(
+        rates.SindrInputsDL(config.m_dl, config.k_users, config.tau, config.rho_bs, config.rho_ue, stats)
+    )
 
     def run(uplink, downlink):
         rng = chunk_rng(5, PHASE_ORACLE, 0)
         h, h_hat, _ = mcsim._pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, 2_000)
         ul = uplink(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, True)
-        return ul, downlink(spec_dl, stats.g_dl, stats.delta, h, h_hat, rng)
+        return ul, downlink(spec_dl, stats.g_dl, delta, h, h_hat, rng)
 
     fast = run(mcsim._uplink_chunk, mcsim._downlink_chunk)
     ref = run(einsum_uplink_chunk, einsum_downlink_chunk)

@@ -14,6 +14,7 @@ from quantmimo.rates import (
     UplinkMoments,
     moments_dl_mrt,
     moments_ul_mrc,
+    mrt_normalization,
     sindr_dl_mrt,
     sindr_from_moments,
     sindr_ul_mrc,
@@ -21,29 +22,14 @@ from quantmimo.rates import (
 )
 
 
-def _ideal_stats(m, k, tau, rho_bs):
+def _ideal_stats(k):
     """Distortion-free stats: unit gains, zero distortion moments."""
-    delta = k * (1.0 + 1.0 / (rho_bs * tau)) * m
-    return BussgangStats(
-        g_ce=1.0,
-        g_ul=1.0,
-        g_dl=1.0,
-        trace_cd_ul=0.0,
-        trace_cd_dl=0.0,
-        a_k=np.zeros(k),
-        delta=delta,
-        y_var_ul=rho_bs * k + 1.0,
-        w_var_dl=1.0 / m,
-        m_ul=m,
-        m_dl=m,
-        trials=0,
-        seed=0,
-    )
+    return BussgangStats(g_ce=1.0, g_ul=1.0, g_dl=1.0, cd_ul=0.0, cd_dl=0.0, a_k=np.zeros(k))
 
 
 def test_distortion_free_uplink_reduction():
     m, k, tau, rho = 32, 4, 8, 2.0
-    stats = _ideal_stats(m, k, tau, rho)
+    stats = _ideal_stats(k)
     got = sindr_ul_mrc(SindrInputsUL(m, k, tau, rho, stats))
     expected = rho * m**2 / ((rho * k + 1.0) * (1.0 + 1.0 / (rho * tau)) * m)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -51,7 +37,7 @@ def test_distortion_free_uplink_reduction():
 
 def test_distortion_free_downlink_reduction():
     m, k, tau, rho_bs, rho_ue = 32, 4, 8, 2.0, 3.0
-    stats = _ideal_stats(m, k, tau, rho_bs)
+    stats = _ideal_stats(k)
     got = sindr_dl_mrt(SindrInputsDL(m, k, tau, rho_bs, rho_ue, stats))
     delta = k * m * (1.0 + 1.0 / (rho_bs * tau))
     expected = rho_ue * m**2 / (rho_ue * k * (1.0 + 1.0 / (rho_bs * tau)) * m + delta)
@@ -60,11 +46,11 @@ def test_distortion_free_downlink_reduction():
 
 def test_sindrs_vanish_with_transmit_power():
     m, k, tau = 16, 4, 8
+    stats = _ideal_stats(k)
     for rho in (1e-4, 1e-6, 1e-8):
-        stats = _ideal_stats(m, k, tau, rho)
         assert sindr_ul_mrc(SindrInputsUL(m, k, tau, rho, stats)) < 10 * rho * m
-        stats2 = _ideal_stats(m, k, tau, 1.0)
-        assert sindr_dl_mrt(SindrInputsDL(m, k, tau, 1.0, rho, stats2)) < 10 * rho * m**2 / stats2.delta
+        inputs = SindrInputsDL(m, k, tau, 1.0, rho, stats)
+        assert sindr_dl_mrt(inputs) < 10 * rho * m**2 / mrt_normalization(inputs)
 
 
 def test_uplink_sindr_strictly_increases_in_antennas():
@@ -84,13 +70,13 @@ def _closed_form_ul_moments(m, k, tau, rho, stats, ue=0):
     g_ce, g_ul = stats.g_ce, stats.g_ul
     ce_noise = 1.0 + 1.0 / (rho * tau)
     inv_rt2 = 1.0 / (rho * tau**2)
-    a_k = stats.a_k_at(m)[ue]
+    a_k = m * stats.a_k[ue]
     cross = ce_noise * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
     self_power = (m + 1.0 + 1.0 / (rho * tau)) * g_ce**2 * g_ul**4 * m + inv_rt2 * g_ul**4 * a_k
     powers = np.full(k, cross)
     powers[ue] = self_power
-    b_k = stats.cd_ul_per_entry * a_k
-    dist = ce_noise * g_ce**2 * g_ul**2 * stats.trace_cd_ul + inv_rt2 * g_ul**2 * b_k
+    b_k = stats.cd_ul * a_k
+    dist = ce_noise * g_ce**2 * g_ul**2 * m * stats.cd_ul + inv_rt2 * g_ul**2 * b_k
     return UplinkMoments(
         rho_bs=rho,
         desired_mean=g_ce * g_ul**2 * m,
@@ -100,20 +86,25 @@ def _closed_form_ul_moments(m, k, tau, rho, stats, ue=0):
     )
 
 
+def _closed_form_delta(m, k, tau, rho_bs, stats):
+    return k * (1 + 1 / (rho_bs * tau)) * stats.g_ce**2 * m + m * np.sum(stats.a_k) / (rho_bs * tau**2)
+
+
 def _closed_form_dl_moments(m, k, tau, rho_bs, rho_ue, stats, ue=0):
     g_ce, g_dl = stats.g_ce, stats.g_dl
     ce_noise = 1.0 + 1.0 / (rho_bs * tau)
     inv_rt2 = 1.0 / (rho_bs * tau**2)
-    a = stats.a_k_at(m)
-    powers = (ce_noise * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * a) / stats.delta
+    a = m * stats.a_k
+    delta = _closed_form_delta(m, k, tau, rho_bs, stats)
+    powers = (ce_noise * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * a) / delta
     powers[ue] = (
         (m + 1.0 + 1.0 / (rho_bs * tau)) * g_ce**2 * g_dl**2 * m + inv_rt2 * g_dl**2 * a[ue]
-    ) / stats.delta
+    ) / delta
     return DownlinkMoments(
         rho_ue=rho_ue,
-        desired_mean=g_ce * g_dl * m / np.sqrt(stats.delta),
+        desired_mean=g_ce * g_dl * m / np.sqrt(delta),
         signal_powers=powers,
-        distortion_power=stats.trace_cd_dl,
+        distortion_power=m * stats.cd_dl,
     )
 
 
@@ -150,6 +141,18 @@ def test_moment_substitution_reproduces_downlink_closed_form():
             moments = _closed_form_dl_moments(m, k, tau, 1.0, 2.0, stats, ue)
             _assert_same_moments(moments_dl_mrt(inputs, ue), moments)
             assert sindr_from_moments(moments) == pytest.approx(sindr_dl_mrt(inputs, ue), rel=1e-12)
+
+
+def test_mrt_normalization_matches_closed_form():
+    # delta = K (1 + 1/(rho tau)) g_ce^2 m + m sum_k A_k / (rho tau^2), the same for either direction's inputs
+    k, rho = 4, 1.0
+    for tau in (8, 16):
+        stats = _stats_at(tau, 2.0)
+        assert np.all(stats.a_k > 0)
+        for m in (16, 32, 64):
+            expected = _closed_form_delta(m, k, tau, rho, stats)
+            assert mrt_normalization(SindrInputsDL(m, k, tau, rho, 2.0, stats)) == pytest.approx(expected, rel=1e-12)
+            assert mrt_normalization(SindrInputsUL(m, k, tau, rho, stats)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sindr_invariant_to_uplink_label_rescaling():
@@ -193,7 +196,7 @@ def test_sindr_from_moments_rejects_unknown_type():
 
 
 def test_input_validation():
-    stats = _ideal_stats(4, 2, 4, 1.0)
+    stats = _ideal_stats(2)
     with pytest.raises(ValueError):
         SindrInputsUL(0, 2, 4, 1.0, stats)
     with pytest.raises(ValueError):

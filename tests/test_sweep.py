@@ -19,7 +19,6 @@ from quantmimo.sweep import (
     write_csv,
     write_gnuplot,
 )
-from quantmimo.bussgang import SystemConfig
 from quantmimo.syspower import LinkBudget, PowerModelParams, p_adc, snr_linear
 
 
@@ -277,9 +276,7 @@ def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
 
 def test_unknown_direction_is_an_error_not_downlink():
     params = PowerModelParams()
-    system = SystemConfig(m_ul=8, m_dl=8, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
     calls = [
-        lambda: system.m("sideways"),
         lambda: params.p_rf("sideways"),
         lambda: snr_linear("sideways", LinkBudget(), 1e8),
         lambda: envelope_from_reference(10, 1e8, 10, "sideways", params),

@@ -97,17 +97,12 @@ def test_link_budget_reference_snrs():
     assert 10 * np.log10(snr_linear("dl", budget, 1e8)) == pytest.approx(31.0)
 
 
-def test_link_budget_per_ue_distances():
-    budget = LinkBudget(distance_m=(100.0, 200.0))
-    snr = snr_linear("ul", budget, 1e8)
-    assert snr.shape == (2,)
-    # alpha = 4 pathloss: doubling distance costs 40 log10(2) dB
-    assert 10 * np.log10(snr[0] / snr[1]) == pytest.approx(40 * np.log10(2.0))
-
-
 def test_link_budget_validation():
     with pytest.raises(ValueError):
         LinkBudget(distance_m=0.0)
+    # one distance for all users: every point has one SNR (y_var = rho*K + 1)
+    with pytest.raises(ValueError, match="distance_m"):
+        LinkBudget(distance_m=(100, 200))
     with pytest.raises(ValueError):
         LinkBudget(alpha=2.0)
     with pytest.raises(ValueError):
