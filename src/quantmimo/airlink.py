@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# float64 draws written per pass in complex_gaussian (512 KB)
+_DRAW_BUFFER = 1 << 16
+
 
 @dataclass(frozen=True)
 class PilotMatrix:
@@ -43,9 +46,24 @@ def dft_pilots(tau, k_users):
 
 
 def complex_gaussian(rng, shape, complex_variance=1.0):
-    """Circularly symmetric complex Gaussian samples, variance per entry."""
+    """Circularly symmetric complex Gaussian samples, variance per entry.
+
+    All real parts are drawn before all imaginary parts.  The draws go
+    through one cache-sized buffer and are scaled on their way into the
+    preallocated result, so no full-size temporary is made; the values and
+    the generator's final state are those of
+    scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).
+    """
     scale = np.sqrt(complex_variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = np.empty(shape, dtype=complex)
+    flat = z.reshape(-1)
+    buf = np.empty(min(flat.size, _DRAW_BUFFER))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _DRAW_BUFFER):
+            draws = buf[: min(_DRAW_BUFFER, flat.size - start)]
+            rng.standard_normal(out=draws)
+            np.multiply(draws, scale, out=part[start : start + draws.size])
+    return z
 
 
 def pilot_phase_signal(channel, pilots, rho_bs, noise):

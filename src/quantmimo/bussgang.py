@@ -27,6 +27,10 @@ PHASE_DL = 2
 PHASE_ORACLE = 3  # the full-chain validator, apart from the estimates it checks
 
 _CHUNK_TRIALS = 1 << 14
+# entries of the widest per-trial array worked through at once within a
+# chunk: 1 MB of complex entries, so that a block's arrays stay in a 2 MB
+# L2 cache
+_BLOCK_ENTRIES = 1 << 16
 
 
 def chunk_rng(seed, phase, chunk):
@@ -44,11 +48,21 @@ def _chunks(trials):
         chunk += 1
 
 
-def _fsum_chunks(parts):
-    """Element-wise total of per-chunk sums, exactly rounded by math.fsum.
+def _blocks(size, row_entries):
+    """Slices of whole trials that cover a chunk of size trials, in order.
 
-    Chunks are combined in chunk order, so the total does not depend on how
-    the chunks were scheduled.
+    A block holds at most _BLOCK_ENTRIES entries of the widest per-trial
+    array, which has row_entries entries per trial, and at least one trial.
+    """
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+def _fsum_chunks(parts):
+    """Element-wise total of per-block sums, exactly rounded by math.fsum.
+
+    Blocks are combined in chunk and block order, so the total does not
+    depend on how the chunks were scheduled.
     """
     parts = np.stack(parts)
     flat = parts.reshape(len(parts), -1).T
@@ -147,14 +161,15 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     if trials < MIN_TRIALS:
         raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
     gain = gain_scalar(spec, complex_variance)
-    chunk_sums = []
+    block_sums = []
     for chunk, size in _chunks(trials):
-        rng = chunk_rng(seed, PHASE_UL, chunk)
-        y = complex_gaussian(rng, (size, dim), complex_variance)
-        d = quantize(spec, y)
-        d -= gain * y
-        chunk_sums.append(np.sum(np.abs(d) ** 2))
-    return float(dim * _fsum_chunks(chunk_sums) / (trials * dim))
+        y_chunk = complex_gaussian(chunk_rng(seed, PHASE_UL, chunk), (size, dim), complex_variance)
+        for block in _blocks(size, dim):
+            y = y_chunk[block]
+            d = quantize(spec, y)
+            d -= gain * y
+            block_sums.append(np.sum(np.abs(d) ** 2))
+    return float(dim * _fsum_chunks(block_sums) / (trials * dim))
 
 
 def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
@@ -173,16 +188,18 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
             f"pilot phase requires {expected_var:.6g}"
         )
     gain = gain_scalar(spec, expected_var)
-    chunk_sums = []
+    block_sums = []
     for chunk, size in _chunks(trials):
         rng = chunk_rng(seed, PHASE_CE, chunk)
         h = complex_gaussian(rng, (size, k))
-        y = pilot_phase_signal(h, pilots, rho_bs, complex_gaussian(rng, (size, pilots.tau)))
-        d = quantize(spec, y)
-        d -= gain * y
-        u = d @ pilots.entries
-        chunk_sums.append(np.sum(np.abs(u) ** 2, axis=0))
-    return _fsum_chunks(chunk_sums) / trials
+        noise = complex_gaussian(rng, (size, pilots.tau))
+        for block in _blocks(size, pilots.tau):
+            y = pilot_phase_signal(h[block], pilots, rho_bs, noise[block])
+            d = quantize(spec, y)
+            d -= gain * y
+            u = d @ pilots.entries
+            block_sums.append(np.sum(np.abs(u) ** 2, axis=0))
+    return _fsum_chunks(block_sums) / trials
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):

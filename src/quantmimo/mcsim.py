@@ -7,7 +7,9 @@ the closed forms.
 
 The chain draws from its own PHASE_ORACLE stream, one generator per chunk
 (pilot phase, then uplink, then downlink), so it shares no random numbers
-with the Monte Carlo moments of assemble_stats that it checks.
+with the Monte Carlo moments of assemble_stats that it checks.  Each
+chunk's random numbers are drawn first, in that order; the chain then runs
+over the chunk in cache-sized blocks of trials.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from quantmimo.bussgang import (
     PHASE_ORACLE,
     assemble_stats,
     chunk_rng,
+    _blocks,
     _chunks,
     _fsum_chunks,
 )
@@ -91,20 +94,15 @@ def _residual_sums(d, y):
     return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
 
 
-def _pilot_phase(config, spec_ce, g_ce, pilots, rng, size):
-    """Channels and their quantized-pilot estimates for one chunk of trials.
-
-    Returns (h, h_hat, sums); the pilot-phase signals are dropped here so
-    they do not stay alive through the data phase.
-    """
-    h = complex_gaussian(rng, (size, config.m_ul, config.k_users))
-    y_ce = pilot_phase_signal(h, pilots, config.rho_bs, complex_gaussian(rng, (size, config.m_ul, config.tau)))
+def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise):
+    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase sums."""
+    y_ce = pilot_phase_signal(h, pilots, rho_bs, noise)
     d_ce = quantize(spec_ce, y_ce)
-    h_hat = estimate_channel(d_ce, pilots, config.rho_bs)
-    d_ce -= g_ce * y_ce  # in place: one chunk-sized array fewer alive at the peak
+    h_hat = estimate_channel(d_ce, pilots, rho_bs)
+    d_ce -= g_ce * y_ce
     sums = _residual_sums(d_ce, y_ce)
     sums["delta"] = np.vdot(h_hat, h_hat).real
-    return h, h_hat, sums
+    return h_hat, sums
 
 
 def _matvec(a, x):
@@ -112,11 +110,8 @@ def _matvec(a, x):
     return np.matmul(a, x[:, :, None])[:, :, 0]
 
 
-def _uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
-    """MRC moment sums of one chunk: E[v^H G h], E|v^H G h_i|^2, E||G v||^2, E[v^H C_d v]."""
-    size, m, k = h.shape
-    x = complex_gaussian(rng, (size, k))
-    z_ul = complex_gaussian(rng, (size, m))
+def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, x, z_ul, track_offdiag):
+    """MRC moment sums of a block: E[v^H G h], E|v^H G h_i|^2, E||G v||^2, E[v^H C_d v]."""
     y_ul = _matvec(h, x)
     y_ul *= np.sqrt(rho_bs)
     y_ul += z_ul
@@ -137,20 +132,22 @@ def _uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
     return sums
 
 
-def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
-    """MRT moment sums of one chunk: E[h^H G w], E|h^H G w_i|^2, E[h^H C_d h], precoder powers."""
-    size, _, k = h.shape
+def _downlink_block(spec_dl, g_dl, delta, h, h_hat, x, d_prev):
+    """MRT moment sums of a block: E[h^H G w], E|h^H G w_i|^2, E[h^H C_d h], precoder powers.
+
+    E[h^H C_d h] has the unconditional distortion covariance, so each
+    trial's channel is paired with the previous trial's distortion sample;
+    d_prev is that of the trial before the block.  Returns the sums and the
+    block's last distortion row, the next block's d_prev.
+    """
     w = h_hat / np.sqrt(delta)
-    x = complex_gaussian(rng, (size, k))
     u = _matvec(w, x)
     d_dl = quantize(spec_dl, u)
     d_dl -= g_dl * u
     h_h = np.conj(h).transpose(0, 2, 1)
     cross = np.matmul(h_h, w)
     cross *= g_dl
-    # E[h^H C_d h] has the unconditional distortion covariance, so the
-    # channel is paired with another trial's distortion sample
-    d_dec = np.roll(d_dl, 1, axis=0)
+    d_dec = np.concatenate((d_prev[None], d_dl[:-1]))
     w_power = np.abs(w) ** 2
     sums = _residual_sums(d_dl, u)
     sums["desired"] = np.einsum("ckk->k", cross)
@@ -158,12 +155,60 @@ def _downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     sums["distortion"] = np.sum(np.abs(_matvec(h_h, d_dec)) ** 2, axis=0)
     sums["precoder"] = np.sum(w_power)
     sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
+    return sums, d_dl[-1]
+
+
+def _wrap_pair(h_first, d_last):
+    """Distortion sum of a chunk's first trial, paired with its last trial's distortion.
+
+    The first block pairs that trial with zeros, so the pairs of a chunk are
+    those of np.roll(d, 1) over the whole chunk.
+    """
+    return {"distortion": np.abs(np.conj(h_first).T @ d_last) ** 2}
+
+
+def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions):
+    """Per-block moment sums of one chunk: {phase: [sums of each block]} for "ce" and each direction.
+
+    The chunk's random numbers are drawn first, in stream order: pilot-phase
+    channels and noise, then the uplink's symbols and noise, then the
+    downlink's symbols.  The chain then runs one cache-sized block of trials
+    at a time.
+    """
+    spec_ce, spec_ul, spec_dl = specs
+    m, k = config.m_ul, config.k_users
+    h = complex_gaussian(rng, (size, m, k))
+    noise = complex_gaussian(rng, (size, m, config.tau))
+    if "ul" in directions:
+        x_ul = complex_gaussian(rng, (size, k))
+        z_ul = complex_gaussian(rng, (size, m))
+    if "dl" in directions:
+        x_dl = complex_gaussian(rng, (size, k))
+        d_prev = np.zeros(m, dtype=complex)
+    sums = {phase: [] for phase in ("ce",) + directions}
+    for block in _blocks(size, m * config.tau):
+        h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h[block], noise[block])
+        sums["ce"].append(ce_sums)
+        if "ul" in directions:
+            ul_sums = _uplink_block(
+                config.rho_bs, spec_ul, stats.g_ul, h[block], h_hat, x_ul[block], z_ul[block], track_offdiag
+            )
+            sums["ul"].append(ul_sums)
+        if "dl" in directions:
+            dl_sums, d_prev = _downlink_block(spec_dl, stats.g_dl, delta, h[block], h_hat, x_dl[block], d_prev)
+            sums["dl"].append(dl_sums)
+    if "dl" in directions:
+        sums["dl"].append(_wrap_pair(h[0], d_prev))
     return sums
 
 
-def _totals(chunk_sums):
-    """Exactly rounded totals of a list of per-chunk {name: sum} dicts."""
-    return {name: _fsum_chunks([s[name] for s in chunk_sums]) for name in chunk_sums[0]}
+def _totals(block_sums):
+    """Exactly rounded totals of a list of per-block {name: sum} dicts.
+
+    Names missing from a dict (such as all but distortion in a _wrap_pair)
+    add nothing.
+    """
+    return {name: _fsum_chunks([s[name] for s in block_sums if name in s]) for name in block_sums[0]}
 
 
 def _residual(totals, n_samples):
@@ -273,9 +318,8 @@ def validate_closed_form(
         raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
     if specs is None:
         specs = default_specs(config)
-    spec_ce, spec_ul, spec_dl = specs
     if stats is None:
-        stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=max(trials, MIN_TRIALS), seed=seed)
+        stats = assemble_stats(config, *specs, trials=max(trials, MIN_TRIALS), seed=seed)
     m, k, tau = config.m_ul, config.k_users, config.tau
     inputs = {
         "ul": rates.SindrInputsUL(m, k, tau, config.rho_bs, stats),
@@ -285,21 +329,18 @@ def validate_closed_form(
     pilots = dft_pilots(tau, k)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
-    chunk_sums = {phase: [] for phase in ("ce",) + directions}
+    block_sums = {phase: [] for phase in ("ce",) + directions}
     for chunk, size in _chunks(trials):
         rng = chunk_rng(seed, PHASE_ORACLE, chunk)
-        h, h_hat, ce_sums = _pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, size)
-        chunk_sums["ce"].append(ce_sums)
-        if "ul" in chunk_sums:
-            chunk_sums["ul"].append(_uplink_chunk(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, track_offdiag))
-        if "dl" in chunk_sums:
-            chunk_sums["dl"].append(_downlink_chunk(spec_dl, stats.g_dl, delta, h, h_hat, rng))
+        chunk_sums = _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
+        for phase, sums in chunk_sums.items():
+            block_sums[phase] += sums
 
-    ce = _totals(chunk_sums["ce"])
+    ce = _totals(block_sums["ce"])
     ce_residual = _residual(ce, trials * m * tau)
     reports = {}
     for d in directions:
-        totals = _totals(chunk_sums[d])
+        totals = _totals(block_sums[d])
         mean = {name: total / trials for name, total in totals.items()}
         terms = _uplink_terms if d == "ul" else _downlink_terms
         off_max = off_sigma = None

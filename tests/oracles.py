@@ -3,9 +3,9 @@
 These deliberately avoid the package's own algorithms: the quantizer oracle
 runs plain Lloyd iteration on a dense probability grid, with no Newton
 acceleration, no closed-form Gaussian moments, and no shared code paths.
-The kernel references keep the plain forms (two-pass quantize, einsum
-chunk kernels, full-array pilot projections) that the package's faster
-forms must reproduce.
+The kernel references keep the plain forms (complex Gaussian draws from two
+full-size arrays, two-pass quantize, einsum chunk kernels, full-array pilot
+projections) that the package's faster forms must reproduce.
 """
 
 import math
@@ -63,6 +63,16 @@ def mc_gain_regression(quantize_fn, samples):
     return float(g_hat), float(se)
 
 
+def two_array_complex_gaussian(rng, shape, complex_variance=1.0):
+    """Complex Gaussian draws as one expression over two full-size arrays.
+
+    The straightforward form of airlink.complex_gaussian, kept as its
+    bit-exact reference for the values and the generator's final state.
+    """
+    scale = np.sqrt(complex_variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def two_pass_quantize(spec, value):
     """Quantizer applied with one searchsorted per real component.
 
@@ -85,7 +95,11 @@ def _einsum_residual_sums(d, y):
 
 
 def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
-    """Index-notation reference for mcsim._uplink_chunk; draws the same random numbers."""
+    """Index-notation reference for mcsim._uplink_block over a whole chunk.
+
+    Draws the chunk's uplink random numbers from rng, as the oracle does
+    after the pilot phase.
+    """
     size, m, k = h.shape
     x = complex_gaussian(rng, (size, k))
     z_ul = complex_gaussian(rng, (size, m))
@@ -105,7 +119,12 @@ def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
 
 
 def einsum_downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
-    """Index-notation reference for mcsim._downlink_chunk; draws the same random numbers."""
+    """Index-notation reference for mcsim._downlink_block over a whole chunk.
+
+    Draws the chunk's downlink random numbers from rng; each trial's channel
+    is paired with the previous trial's distortion, and the first trial's
+    with the last's (np.roll over the chunk).
+    """
     size, _, k = h.shape
     w = h_hat / np.sqrt(delta)
     x = complex_gaussian(rng, (size, k))

@@ -123,6 +123,7 @@ def oracle_reports():
     return reports
 
 
+@pytest.mark.slow
 def test_criterion_4_closed_forms_match_full_chain_oracle(oracle_reports):
     details = []
     ok = True
@@ -140,6 +141,7 @@ def reference_sweep():
     return run_sweep(SweepConfig())  # full default grid, 1e5 trials, seed 12345
 
 
+@pytest.mark.slow
 def test_criterion_5_optimal_resolution_trends(reference_sweep):
     best = {}
     for r in reference_sweep:
@@ -201,6 +203,7 @@ def test_criterion_8_pilot_orthogonality_over_sweep_grid():
     _report(8, "pilot orthogonality over the sweep grid", worst < 1e-9, f"worst Frobenius defect = {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_9_sweep_is_byte_deterministic(tmp_path):
     config = config_from_dict({"trials": 10_000})  # default grid, reduced depth
     paths = []

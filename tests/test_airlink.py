@@ -11,6 +11,8 @@ from quantmimo.airlink import (
     pilot_phase_signal,
 )
 
+from oracles import two_array_complex_gaussian
+
 
 @pytest.mark.parametrize("tau,k", [(8, 8), (16, 8), (32, 8), (64, 8), (8, 4), (13, 5)])
 def test_dft_pilots_are_orthogonal(tau, k):
@@ -42,6 +44,20 @@ def test_complex_gaussian_moments():
     assert np.mean(np.abs(x) ** 2) == pytest.approx(3.0, rel=0.01)
     # circular symmetry: pseudo-variance vanishes
     assert abs(np.mean(x**2)) < 0.01
+
+
+# one shape per form the library draws: 1-D test samples, (trials, K),
+# (trials, m), (trials, tau), (trials, m, K), (trials, m, tau); the last two
+# hold more entries than one pass of the draw buffer
+@pytest.mark.parametrize("shape", [(5,), (2000, 8), (1000, 176), (700, 64), (600, 32, 4), (300, 32, 8)])
+@pytest.mark.parametrize("complex_variance", [1 / 176, 1.0, 1008.0])
+def test_complex_gaussian_is_bit_identical_to_two_array_reference(shape, complex_variance):
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    got = complex_gaussian(rng, shape, complex_variance)
+    want = two_array_complex_gaussian(ref_rng, shape, complex_variance)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_estimate_channel_recovers_exactly_without_noise_or_quantization():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quantmimo import bussgang
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import (
     BussgangStats,
@@ -118,6 +119,24 @@ def test_ce_projection_row_shortcut_agrees_with_direct_estimator():
     assert np.allclose(a_fast, a_dir, rtol=0.03)
     # the closed forms take B_k = cd_ul * A_k
     assert np.allclose(cd * a_fast, b_dir, rtol=0.06)
+
+
+def test_block_size_does_not_change_the_estimates(monkeypatch):
+    config, spec = _scenario(m=8)
+    pilots = dft_pilots(config.tau, config.k_users)
+    trials = bussgang._CHUNK_TRIALS + 1_500  # two chunks
+
+    def run(block_trials):
+        # both estimators' widest per-trial rows have 8 entries (dim, tau)
+        monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_trials * 8)
+        return (
+            distortion_trace(spec, config.y_var_ul, config.m_ul, trials, 5),
+            ce_distortion_projections(spec, pilots, config.rho_bs, trials, 5),
+        )
+
+    (trace, a_k), (trace_whole, a_k_whole) = run(700), run(bussgang._CHUNK_TRIALS)  # 700: ragged last block
+    assert trace == pytest.approx(trace_whole, rel=1e-12, abs=0)
+    assert np.allclose(a_k, a_k_whole, rtol=1e-12, atol=0)
 
 
 def test_ce_projection_rejects_mismatched_quantizer():

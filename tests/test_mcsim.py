@@ -1,10 +1,12 @@
 """Tests for the full-chain Monte Carlo validator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quantmimo import mcsim, rates
-from quantmimo.airlink import dft_pilots
+from quantmimo import bussgang, mcsim, rates
+from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, chunk_rng
 from quantmimo.mcsim import default_specs, validate_closed_form
 
@@ -126,25 +128,97 @@ def test_validator_input_checks():
         validate_closed_form(mismatched, trials=10_000)
 
 
-def test_chunk_kernels_match_einsum_reference():
-    config = _config(m_ul=10, m_dl=10, k_users=3, tau=5, bits=2)
-    spec_ce, spec_ul, spec_dl = default_specs(config)
-    stats = assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=10_000, seed=1)
-    pilots = dft_pilots(config.tau, config.k_users)
+def _oracle_inputs(config):
+    specs = default_specs(config)
+    stats = assemble_stats(config, *specs, trials=10_000, seed=1)
     delta = rates.mrt_normalization(
         rates.SindrInputsDL(config.m_dl, config.k_users, config.tau, config.rho_bs, config.rho_ue, stats)
     )
+    return specs, stats, delta
 
-    def run(uplink, downlink):
-        rng = chunk_rng(5, PHASE_ORACLE, 0)
-        h, h_hat, _ = mcsim._pilot_phase(config, spec_ce, stats.g_ce, pilots, rng, 2_000)
-        ul = uplink(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, rng, True)
-        return ul, downlink(spec_dl, stats.g_dl, delta, h, h_hat, rng)
 
-    fast = run(mcsim._uplink_chunk, mcsim._downlink_chunk)
-    ref = run(einsum_uplink_chunk, einsum_downlink_chunk)
-    for got, want in zip(fast, ref):
-        assert got.keys() == want.keys()
+def test_chunk_kernels_match_einsum_reference(monkeypatch):
+    # the block kernels, summed over three full blocks and a ragged one, give
+    # the plain whole-chunk sums; the downlink distortion pairs each trial's
+    # channel with the previous trial's distortion across block boundaries,
+    # and the first trial's with the last's, as np.roll over the chunk does
+    config = _config(m_ul=10, m_dl=10, k_users=3, tau=5, bits=2)
+    monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", 600 * config.m_ul * config.tau)  # 600 trials a block
+    specs, stats, delta = _oracle_inputs(config)
+    pilots = dft_pilots(config.tau, config.k_users)
+    size, m, k = 2_000, config.m_ul, config.k_users
+
+    rng = chunk_rng(5, PHASE_ORACLE, 0)
+    blocked = mcsim._chunk_sums(config, specs, stats, delta, pilots, rng, size, True, ("ul", "dl"))
+    assert len(blocked["ce"]) == len(blocked["ul"]) == 4
+
+    ref_rng = chunk_rng(5, PHASE_ORACLE, 0)
+    h = complex_gaussian(ref_rng, (size, m, k))
+    noise = complex_gaussian(ref_rng, (size, m, config.tau))
+    h_hat, ce = mcsim._pilot_phase(config.rho_bs, specs[0], stats.g_ce, pilots, h, noise)
+    ref = {
+        "ce": ce,
+        "ul": einsum_uplink_chunk(config.rho_bs, specs[1], stats.g_ul, h, h_hat, ref_rng, True),
+        "dl": einsum_downlink_chunk(specs[2], stats.g_dl, delta, h, h_hat, ref_rng),
+    }
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for phase, want in ref.items():
+        got = mcsim._totals(blocked[phase])
+        assert got.keys() == want.keys(), phase
         for name in want:
-            assert np.shape(got[name]) == np.shape(want[name]), name
-            assert np.allclose(got[name], want[name], rtol=1e-12, atol=0), name
+            assert np.shape(got[name]) == np.shape(want[name]), (phase, name)
+            assert np.allclose(got[name], want[name], rtol=1e-12, atol=0), (phase, name)
+
+
+def _assert_reports_match(got, want):
+    """Every report field within 1e-12 relative, and the same verdict.
+
+    Relative errors are differences of nearly equal numbers, so they are
+    compared to 1e-12 absolute: a 1e-12 relative change of the empirical
+    value moves them by about that much.
+    """
+    assert got.passed == want.passed
+    assert np.allclose(got.sindr_closed, want.sindr_closed, rtol=1e-12, atol=0)
+    assert np.allclose(got.sindr_empirical, want.sindr_empirical, rtol=1e-12, atol=0)
+    assert np.allclose(got.sindr_rel_error, want.sindr_rel_error, rtol=0, atol=1e-12)
+    assert got.moment_errors.keys() == want.moment_errors.keys()
+    for name, (value, error) in want.moment_errors.items():
+        assert got.moment_errors[name][0] == pytest.approx(value, rel=1e-12, abs=0), name
+        assert got.moment_errors[name][1] == pytest.approx(error, rel=0, abs=1e-12), name
+    assert got.bussgang_residual.keys() == want.bussgang_residual.keys()
+    for phase, (mag, sigma) in want.bussgang_residual.items():
+        # the residual mean is zero up to sampling noise of size sigma
+        assert got.bussgang_residual[phase][0] == pytest.approx(mag, rel=0, abs=1e-12 * sigma), phase
+        assert got.bussgang_residual[phase][1] == pytest.approx(sigma, rel=1e-12, abs=0), phase
+    for name in ("offdiag_max", "offdiag_sigma", "delta_closed", "delta_empirical"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0), name
+
+
+def test_block_size_does_not_change_the_oracle(monkeypatch):
+    config = _config(m_ul=8, m_dl=8, k_users=3, tau=5, bits=2)
+    specs, stats, _ = _oracle_inputs(config)
+    trials = bussgang._CHUNK_TRIALS + 1_500  # two chunks
+
+    def run(block_trials):
+        monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_trials * config.m_ul * config.tau)
+        return validate_closed_form(config, trials=trials, seed=6, specs=specs, stats=stats, track_offdiag=True)
+
+    blocked, whole = run(700), run(bussgang._CHUNK_TRIALS)  # 700 leaves a ragged last block
+    for direction in ("ul", "dl"):
+        _assert_reports_match(blocked[direction], whole[direction])
+
+
+def test_peak_memory_of_a_chunk_stays_near_its_draws():
+    # one chunk at the criterion-4 scenario: the blocks add little to the
+    # chunk's Gaussian draws, which are the only chunk-sized arrays
+    config = SystemConfig(m_ul=32, m_dl=32, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
+    specs, stats, _ = _oracle_inputs(config)
+    size, m, k = bussgang._CHUNK_TRIALS, config.m_ul, config.k_users
+    draws_bytes = 16 * size * (m * k + m * config.tau + k + m + k)
+    tracemalloc.start()
+    try:
+        validate_closed_form(config, trials=size, seed=1, specs=specs, stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * draws_bytes, f"peak {peak / 1e6:.1f} MB, draws {draws_bytes / 1e6:.1f} MB"
