@@ -10,6 +10,9 @@ import sys
 
 from quantmimo.sweep import (
     ConfigError,
+    _converted,
+    _integral,
+    _real,
     config_from_dict,
     print_cost_estimate,
     read_config,
@@ -42,16 +45,36 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _number(text):
+    """A flag entry as an int if it reads as one, else as a float (so "2.0" is 2.0)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def _flag_values(flag, text, convert):
+    """The entries of a comma-separated flag, converted as config_from_dict converts them.
+
+    An entry that does not convert is a ConfigError naming the flag.
+    """
+    return [_converted(flag, lambda entry: convert(_number(entry)), entry) for entry in text.split(",")]
+
+
 def _build_config(args):
     raw = read_config(args.config) if args.config else {}
     if args.direction:
         raw["direction"] = args.direction
-    if args.bits:
-        raw["bits"] = [int(b) for b in args.bits.split(",")]
-    if args.bandwidth:
-        raw["bandwidth_ghz"] = [float(b) for b in args.bandwidth.split(",")]
-    if args.tau:
-        raw["tau"] = [int(t) for t in args.tau.split(",")]
+    if args.bits is not None:
+        raw["bits"] = _flag_values("--bits", args.bits, _integral)
+    if args.bandwidth is not None:
+        raw["bandwidth_ghz"] = _flag_values("--bandwidth", args.bandwidth, _real)
+    if args.tau is not None:
+        raw["tau"] = _flag_values("--tau", args.tau, _integral)
     if args.trials is not None:
         raw["trials"] = args.trials
     if args.seed is not None:

@@ -7,6 +7,7 @@ built around a real threshold/label set applied entrywise to Re and Im.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,8 +144,8 @@ def _gaussian_pdf(z):
     return out
 
 
-def _half_cell_moments(labels, sigma):
-    """Per-cell probability and centroid for positive-half cells.
+def _half_cell_moments(labels):
+    """Per-cell probability and centroid for positive-half cells at unit sigma.
 
     Cells are (t_i, t_{i+1}] with t_0 = 0, t_m = inf and interior thresholds
     at label midpoints.  Finite cells use Gauss-Legendre quadrature (positive
@@ -155,13 +156,12 @@ def _half_cell_moments(labels, sigma):
     t[0] = 0.0
     t[-1] = np.inf
     t[1:-1] = 0.5 * (labels[:-1] + labels[1:])
-    z = t / sigma
-    pdf = _gaussian_pdf(z)
+    pdf = _gaussian_pdf(t)
     prob = np.empty(m)
     centroid = np.empty(m)
     if m > 1:
-        lo = z[:-2, None]
-        hi = z[1:-1, None]
+        lo = t[:-2, None]
+        hi = t[1:-1, None]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         x = mid + half * _GL_NODES
@@ -170,49 +170,44 @@ def _half_cell_moments(labels, sigma):
         p0 = np.sum(w * f, axis=1)
         p1 = np.sum(w * x * f, axis=1)
         prob[:-1] = p0
-        centroid[:-1] = sigma * p1 / p0
-    tail = ndtr(-z[-2])
+        centroid[:-1] = p1 / p0
+    tail = ndtr(-t[-2])
     prob[-1] = tail
-    centroid[-1] = sigma * pdf[-2] / tail
-    return centroid, t, z, pdf, prob
+    centroid[-1] = pdf[-2] / tail
+    return centroid, t, pdf, prob
 
 
-def design_lloyd_max(bits, component_std):
-    """MMSE quantizer for a real zero-mean Gaussian with std component_std.
+@functools.lru_cache(maxsize=MAX_BITS)
+def _unit_lloyd_max(bits):
+    """Thresholds and labels of the b-bit design for a unit-sigma Gaussian.
 
     Solves the Lloyd-Max fixed point (labels are conditional means of their
     cells, interior thresholds are label midpoints) with Newton steps on the
-    centroid map, exploiting odd symmetry by designing the positive half and
-    mirroring.  The Jacobian of the map is tridiagonal because each centroid
-    depends only on the two adjacent midpoint thresholds.
+    centroid map, over the positive half only (the design is odd).  The
+    Jacobian of the map is tridiagonal because each centroid depends only on
+    the two adjacent midpoint thresholds.  The arrays are read-only, since
+    every caller of the cache shares them.
     """
-    if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
-    sigma = float(component_std)
-    if not sigma > 0:
-        raise ValueError("component_std must be positive")
-
     m = 2 ** (bits - 1)
     # init at half-Gaussian equiprobable quantile cells; deterministic, no dead cells
     t = np.empty(m + 1)
     t[0] = 0.0
     t[-1] = np.inf
-    t[1:-1] = sigma * ndtri(0.5 + 0.5 * np.arange(1, m) / m)
-    z = t / sigma
-    pdf = _gaussian_pdf(z)
-    surv = ndtr(-z)
-    labels = sigma * (pdf[:-1] - pdf[1:]) / (surv[:-1] - surv[1:])
+    t[1:-1] = ndtri(0.5 + 0.5 * np.arange(1, m) / m)
+    pdf = _gaussian_pdf(t)
+    surv = ndtr(-t)
+    labels = (pdf[:-1] - pdf[1:]) / (surv[:-1] - surv[1:])
 
     residual = np.inf
     for iteration in range(MAX_ITERATIONS):
-        centroid, t, z, pdf, prob = _half_cell_moments(labels, sigma)
+        centroid, t, pdf, prob = _half_cell_moments(labels)
         r = centroid - labels
-        residual = np.max(np.abs(r)) / sigma
+        residual = np.max(np.abs(r))
         if residual < CONVERGENCE_TOL:
             break
         with np.errstate(invalid="ignore", divide="ignore"):
-            dlo = (pdf[:-1] / sigma) * (centroid - t[:-1]) / prob
-            dhi = (pdf[1:] / sigma) * (t[1:] - centroid) / prob
+            dlo = pdf[:-1] * (centroid - t[:-1]) / prob
+            dhi = pdf[1:] * (t[1:] - centroid) / prob
         dlo[~np.isfinite(dlo)] = 0.0
         dhi[~np.isfinite(dhi)] = 0.0
         dlo[0] = 0.0  # t_0 = 0 fixed by symmetry
@@ -231,7 +226,26 @@ def design_lloyd_max(bits, component_std):
     full_labels = np.concatenate([-labels[::-1], labels])
     interior = np.concatenate([-t[1:-1][::-1], [0.0], t[1:-1]])
     full_thresholds = np.concatenate([[-np.inf], interior, [np.inf]])
-    return QuantizerSpec(bits=int(bits), thresholds=full_thresholds, labels=full_labels, design_std=sigma)
+    full_thresholds.flags.writeable = False
+    full_labels.flags.writeable = False
+    return full_thresholds, full_labels
+
+
+def design_lloyd_max(bits, component_std):
+    """MMSE quantizer for a real zero-mean Gaussian with std component_std.
+
+    The Lloyd-Max conditions are scale-equivariant for a Gaussian input
+    (Max 1960), so the design is the unit-sigma one with thresholds and
+    labels multiplied by sigma.  The unit-sigma design of each b is solved
+    once per process (_unit_lloyd_max) and scaled on every call.
+    """
+    if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
+    sigma = float(component_std)
+    if not sigma > 0:
+        raise ValueError("component_std must be positive")
+    thresholds, labels = _unit_lloyd_max(int(bits))
+    return QuantizerSpec(bits=int(bits), thresholds=sigma * thresholds, labels=sigma * labels, design_std=sigma)
 
 
 def cell_probabilities(spec, component_std):

@@ -95,10 +95,14 @@ class SweepConfig:
             raise ConfigError(f"direction must be ul, dl, or both, got {self.direction!r}")
         if any(not 1 <= b <= 12 for b in self.bits):
             raise ConfigError(f"bits must lie in [1, 12], got {self.bits}")
-        if any(b <= 0 for b in self.bandwidth_hz):
-            raise ConfigError("bandwidths must be positive")
+        if not all(0 < b < math.inf for b in self.bandwidth_hz):
+            raise ConfigError("bandwidth_ghz entries must be positive and finite in Hz")
         if any(t < self.k_users for t in self.tau):
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
+        _check_grid("bits", self.bits, int)
+        _check_grid("tau", self.tau, int)
+        # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
+        _check_grid("bandwidth_ghz", self.bandwidth_hz, int, _fmt)
         if self.trials < MIN_TRIALS:
             raise ConfigError("trials must be >= 10000")
         if self.seed < 0:
@@ -137,6 +141,22 @@ class SweepRecord:
     seed: int
     skipped: bool = False
     validation_passed: bool | None = None
+
+
+def _check_grid(key, values, *identities):
+    """A ConfigError naming key if values is empty or two entries are one point.
+
+    Each identity maps an entry to what names its point; two entries collide
+    if any identity maps them to the same thing.
+    """
+    if not values:
+        raise ConfigError(f"{key} must list at least one value")
+    for identity in identities:
+        seen = {}
+        for i, value in enumerate(values):
+            j = seen.setdefault(identity(value), i)
+            if j != i:
+                raise ConfigError(f"{key} entries {j} and {i} are the same point")
 
 
 def _reject_unknown(mapping, allowed, context):

@@ -5,12 +5,17 @@ runs plain Lloyd iteration on a dense probability grid, with no Newton
 acceleration, no closed-form Gaussian moments, and no shared code paths.
 The kernel references keep the plain forms (complex Gaussian draws from two
 full-size arrays, two-pass quantize, einsum chunk kernels, full-array pilot
-projections) that the package's faster forms must reproduce.
+projections) that the package's faster forms must reproduce, and the
+Lloyd-Max Newton solver that carries sigma through every step, which the
+package's scaled unit-sigma design must match.
 """
 
 import math
 
 import numpy as np
+
+from scipy.linalg import solve_banded
+from scipy.special import ndtr, ndtri
 
 from quantmimo.airlink import complex_gaussian
 from quantmimo.bussgang import PHASE_CE, _chunks, chunk_rng, gain_scalar
@@ -45,6 +50,70 @@ def dense_grid_lloyd(bits, component_std, step=1e-5, span=8.0, max_iter=100_000,
     t = 0.5 * (labels[:-1] + labels[1:])
     thresholds = np.concatenate([[-np.inf], t, [np.inf]])
     return thresholds, labels
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def _sigma_half_cell_moments(labels, sigma):
+    """Positive-half cell centroids, thresholds, z-scores, pdf and probabilities at sigma."""
+    m = labels.size
+    t = np.concatenate([[0.0], 0.5 * (labels[:-1] + labels[1:]), [np.inf]])
+    z = t / sigma
+    pdf = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)  # 0 at z = inf
+    prob = np.empty(m)
+    centroid = np.empty(m)
+    if m > 1:
+        lo = z[:-2, None]
+        hi = z[1:-1, None]
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * _GL_NODES
+        w = half * _GL_WEIGHTS
+        f = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+        p0 = np.sum(w * f, axis=1)
+        prob[:-1] = p0
+        centroid[:-1] = sigma * np.sum(w * x * f, axis=1) / p0
+    prob[-1] = ndtr(-z[-2])
+    centroid[-1] = sigma * pdf[-2] / prob[-1]
+    return centroid, t, z, pdf, prob
+
+
+def sigma_lloyd_max(bits, component_std, tol=1e-12, max_iter=10_000):
+    """Newton-accelerated Lloyd-Max design solved at component_std itself.
+
+    The form quant.design_lloyd_max had before it scaled one cached
+    unit-sigma design: sigma enters the start, the centroids, the Jacobian
+    and the stopping test.  Returns (thresholds, labels) like
+    dense_grid_lloyd.
+    """
+    sigma = float(component_std)
+    m = 2 ** (bits - 1)
+    z = np.concatenate([[0.0], sigma * ndtri(0.5 + 0.5 * np.arange(1, m) / m), [np.inf]]) / sigma
+    pdf = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
+    surv = ndtr(-z)
+    labels = sigma * (pdf[:-1] - pdf[1:]) / (surv[:-1] - surv[1:])
+    for _ in range(max_iter):
+        centroid, t, z, pdf, prob = _sigma_half_cell_moments(labels, sigma)
+        r = centroid - labels
+        if np.max(np.abs(r)) / sigma < tol:
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dlo = (pdf[:-1] / sigma) * (centroid - t[:-1]) / prob
+            dhi = (pdf[1:] / sigma) * (t[1:] - centroid) / prob
+        dlo[~np.isfinite(dlo)] = 0.0
+        dhi[~np.isfinite(dhi)] = 0.0
+        dlo[0] = 0.0
+        banded = np.zeros((3, m))
+        banded[0, 1:] = 0.5 * dhi[:-1]
+        banded[1, :] = 0.5 * dlo + 0.5 * dhi - 1.0
+        banded[2, :-1] = 0.5 * dlo[1:]
+        new = labels + solve_banded((1, 1), banded, -r)
+        labels = centroid if new[0] <= 0 or np.any(np.diff(new) <= 0) else new
+    else:
+        raise RuntimeError(f"reference Lloyd-Max design for b={bits} did not converge")
+    half = t[1:-1]
+    thresholds = np.concatenate([[-np.inf], -half[::-1], [0.0], half, [np.inf]])
+    return thresholds, np.concatenate([-labels[::-1], labels])
 
 
 def mc_gain_regression(quantize_fn, samples):

@@ -15,9 +15,10 @@ from quantmimo.quant import (
     output_complex_variance,
     quantize,
     rescale_labels,
+    _unit_lloyd_max,
 )
 
-from oracles import two_pass_quantize
+from oracles import sigma_lloyd_max, two_pass_quantize
 
 
 def test_one_bit_labels_are_gaussian_conditional_means():
@@ -34,11 +35,40 @@ def test_two_bit_values_match_published_gaussian_solution():
     assert np.allclose(spec.interior_thresholds, [-0.9816, 0.0, 0.9816], atol=5e-4)
 
 
+# per-component std of the sweep's smallest DAC input (1/m at m = 176) and
+# of a large ADC input (rho*K + 1 = 1008), around the unit design
+SIGMAS = (np.sqrt(1 / 352), 1.0, np.sqrt(1008 / 2))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_design_is_scale_equivariant():
-    base = design_lloyd_max(3, 1.0)
-    scaled = design_lloyd_max(3, 2.5)
-    assert np.allclose(scaled.labels, 2.5 * base.labels, rtol=1e-10)
-    assert np.allclose(scaled.interior_thresholds, 2.5 * base.interior_thresholds, rtol=1e-10)
+    for bits in range(1, MAX_BITS + 1):
+        # bit for bit: every design is the unit-sigma one times sigma
+        base = design_lloyd_max(bits, 1.0)
+        for sigma in SIGMAS:
+            spec = design_lloyd_max(bits, sigma)
+            assert _same_bits(spec.labels, sigma * base.labels)
+            assert _same_bits(spec.thresholds, sigma * base.thresholds)
+            assert spec.design_std == sigma and spec.bits == bits
+            # and within 1e-10 of the Newton solver that carries sigma throughout
+            ref_thresholds, ref_labels = sigma_lloyd_max(bits, sigma)
+            np.testing.assert_allclose(spec.labels, ref_labels, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.thresholds, ref_thresholds, rtol=1e-10, atol=0)
+        ref_thresholds, ref_labels = sigma_lloyd_max(bits, 1.0)
+        assert _same_bits(base.labels, ref_labels) and _same_bits(base.thresholds, ref_thresholds)
+
+
+def test_cached_unit_design_is_shared_and_read_only():
+    _unit_lloyd_max.cache_clear()
+    a, b = design_lloyd_max(4, 2.0), design_lloyd_max(np.int64(4), 2.0)
+    assert _unit_lloyd_max.cache_info().misses == 1
+    assert a.labels is not b.labels and _same_bits(a.labels, b.labels)
+    # every design of b = 4 shares the cached arrays, so none may write to them
+    with pytest.raises(ValueError):
+        _unit_lloyd_max(4)[1][0] = 0.0
 
 
 @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))

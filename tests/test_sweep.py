@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from quantmimo import sweep
 from quantmimo.cli import main as cli_main
+from quantmimo.mcsim import default_specs
+from quantmimo.quant import _unit_lloyd_max
 from quantmimo.sweep import (
     ConfigError,
     SweepConfig,
@@ -47,6 +50,21 @@ def test_config_rejects_unknown_keys_at_every_level():
         config_from_dict({"link": {"bogus": 1}})
     with pytest.raises(ConfigError):
         config_from_dict({"envelope": {"bogus": 1}})
+
+
+EMPTY_OR_REPEATED_GRIDS = [
+    ("bits", {"bits": []}),
+    ("bandwidth_ghz", {"bandwidth_ghz": []}),
+    ("tau", {"tau": []}),
+    ("bits", {"bits": [2, 2]}),
+    ("bits", {"bits": [2, 3, 2.0]}),
+    ("tau", {"tau": [8, 8.0]}),
+    # the same point seed (int Hz) and the same CSV field
+    ("bandwidth_ghz", {"bandwidth_ghz": [0.1, 0.1000000001]}),
+    # distinct int Hz, but the same 9-digit CSV field
+    ("bandwidth_ghz", {"bandwidth_ghz": [1.0, 1.000000001]}),
+    ("bandwidth_ghz", {"bandwidth_ghz": [1e300]}),  # infinite in Hz
+]
 
 
 def test_config_validation_rules():
@@ -110,6 +128,14 @@ def test_config_validation_rules():
     for key, raw in bad_values:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
+    # an empty grid runs nothing, and a repeated point runs twice
+    for key, raw in EMPTY_OR_REPEATED_GRIDS:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+    with pytest.raises(ConfigError, match="bits"):
+        SweepConfig(bits=(3, 3))
+    distinct = config_from_dict({"bits": [2, 3], "tau": [8, 16], "bandwidth_ghz": [0.1, 0.100000002, 1.0]})
+    assert distinct.bandwidth_hz == (1e8, 100000002.0, 1e9)
     reals = config_from_dict({"validate_tolerance": 1, "power": {"v_dd": 2}, "envelope": {"bandwidth_ghz_ref": 1}})
     assert reals.validate_tolerance == 1.0 and reals.power.v_dd == 2.0
     assert reals.envelope_bandwidth_hz_ref == 1e9
@@ -206,6 +232,32 @@ def test_gnuplot_curve_files(tmp_path):
     )
 
 
+def test_sweep_solves_each_resolution_once(monkeypatch):
+    config = _tiny_config(direction="both", bits=[2, 3], bandwidth_ghz=[0.1, 1.0], tau=[8])
+    designed = []
+
+    def recording_specs(sys_config):
+        designed.append(default_specs(sys_config))
+        return designed[-1]
+
+    monkeypatch.setattr(sweep, "default_specs", recording_specs)
+    runs = []
+    for _ in range(2):
+        _unit_lloyd_max.cache_clear()
+        runs.append(run_sweep(config))
+        info = _unit_lloyd_max.cache_info()
+        # 8 points, an ADC and a DAC each: 16 designs, 2 solves
+        assert len(runs[-1]) == 8 and not any(r.skipped for r in runs[-1])
+        assert info.misses == 2 and info.hits == 14
+    # a fresh solve gives the same specs, bit for bit, and the same sweep
+    assert len(designed) == 16
+    for before, after in zip(designed[:8], designed[8:]):
+        for a, b in zip(before, after):
+            assert np.array_equal(a.labels.view(np.uint64), b.labels.view(np.uint64))
+            assert np.array_equal(a.thresholds.view(np.uint64), b.thresholds.view(np.uint64))
+    assert runs[0] == runs[1]
+
+
 def test_sorted_output_order():
     config = _tiny_config(direction="both", bits=[10, 8], tau=[16, 8])
     records = run_sweep(config)
@@ -259,9 +311,36 @@ def test_cli_reports_config_errors(tmp_path):
         {"envelope": {"bandwidth_ghz_ref": -0.1}},
         {"envelope": {"count_ref": 0}},
         {"power": {"v_dd": True}},
+        *[raw for _, raw in EMPTY_OR_REPEATED_GRIDS],
     ):
         bad.write_text(json.dumps({**tiny, **raw}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_grid_flags_are_checked_like_the_config(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    tiny = ["run", "--direction", "ul", "--trials", "10000", "--out", str(out), "--quiet"]
+    for flag, text in (
+        ("--bits", "1,,2"),
+        ("--bits", ""),
+        ("--bits", "2.5"),
+        ("--bits", "x"),
+        ("--tau", "8.5"),
+        ("--tau", "8,"),
+        ("--bandwidth", "nan"),
+        ("--bandwidth", "0.1,inf"),
+        ("--bandwidth", "0.1x"),
+    ):
+        assert cli_main([*tiny, "--bits", "10", "--tau", "8", flag, text]) == 2
+        assert f"configuration error: {flag}: " in capsys.readouterr().err
+    for flag, text in (("--bits", "10,10.0"), ("--tau", "8,8"), ("--bandwidth", "0.1,0.1000000001")):
+        assert cli_main([*tiny, "--bits", "10", "--tau", "8", flag, text]) == 2
+    assert not out.exists()
+    # integral numbers are integers on the command line too, as in JSON
+    assert cli_main([*tiny, "--bits", "10.0", "--tau", "8.0", "--bandwidth", "1e-1"]) == 0
+    rows = read_csv(out)
+    assert [(r["b"], r["tau"], r["bandwidth_hz"]) for r in rows] == [("10", "8", "100000000")]
 
 
 def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
