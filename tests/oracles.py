@@ -13,7 +13,6 @@ package's scaled unit-sigma design must match.
 import math
 
 import numpy as np
-
 from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 

@@ -52,7 +52,7 @@ def test_config_rejects_unknown_keys_at_every_level():
         config_from_dict({"envelope": {"bogus": 1}})
 
 
-EMPTY_OR_REPEATED_GRIDS = [
+BAD_GRIDS = [
     ("bits", {"bits": []}),
     ("bandwidth_ghz", {"bandwidth_ghz": []}),
     ("tau", {"tau": []}),
@@ -128,8 +128,8 @@ def test_config_validation_rules():
     for key, raw in bad_values:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
-    # an empty grid runs nothing, and a repeated point runs twice
-    for key, raw in EMPTY_OR_REPEATED_GRIDS:
+    # an empty grid would run nothing, and a repeated point would run twice
+    for key, raw in BAD_GRIDS:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
     with pytest.raises(ConfigError, match="bits"):
@@ -311,7 +311,7 @@ def test_cli_reports_config_errors(tmp_path):
         {"envelope": {"bandwidth_ghz_ref": -0.1}},
         {"envelope": {"count_ref": 0}},
         {"power": {"v_dd": True}},
-        *[raw for _, raw in EMPTY_OR_REPEATED_GRIDS],
+        *[raw for _, raw in BAD_GRIDS],
     ):
         bad.write_text(json.dumps({**tiny, **raw}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
