@@ -23,6 +23,7 @@ from quantmimo.rates import (
 )
 from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, snr_linear
 from quantmimo.mcsim import ValidationReport, validate_closed_form
-from quantmimo.sweep import SweepConfig, SweepRecord, load_config, envelope_from_reference, run_sweep, write_csv
+from quantmimo.config import SweepConfig, load_config
+from quantmimo.sweep import SweepRecord, envelope_from_reference, run_sweep, write_csv
 
 __version__ = "0.1.0"

@@ -84,7 +84,6 @@ class SystemConfig:
     bits: int
     rho_bs: float
     rho_ue: float
-    bandwidth_hz: float = 1e8
 
     def __post_init__(self):
         if min(self.m_ul, self.m_dl, self.k_users) < 1:
@@ -93,8 +92,6 @@ class SystemConfig:
             raise ValueError(f"tau={self.tau} must be >= k_users={self.k_users}")
         if self.rho_bs <= 0 or self.rho_ue <= 0:
             raise ValueError("SNRs must be positive (linear scale)")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
 
     @property
     def y_var_ul(self):

@@ -8,19 +8,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from quantmimo.sweep import (
-    ConfigError,
-    _converted,
-    _integral,
-    _real,
-    config_from_dict,
-    print_cost_estimate,
-    read_config,
-    read_csv,
-    run_sweep,
-    write_csv,
-    write_gnuplot,
-)
+from quantmimo.config import ConfigError, config_from_dict, from_text, read_config
+from quantmimo.sweep import print_cost_estimate, read_csv, run_sweep, write_csv, write_gnuplot
+
+# each flag that sets a config key, by its argparse dest, and that key
+_FLAG_KEYS = {"bits": "bits", "bandwidth": "bandwidth_ghz", "tau": "tau", "trials": "trials", "seed": "seed"}
 
 
 def _parse_args(argv):
@@ -33,8 +25,8 @@ def _parse_args(argv):
     run.add_argument("--bits", help="comma-separated resolution bits, e.g. 1,2,3")
     run.add_argument("--bandwidth", help="comma-separated bandwidths in GHz, e.g. 0.1,1")
     run.add_argument("--tau", help="comma-separated pilot lengths")
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
+    run.add_argument("--trials", help="Monte Carlo trials per point, e.g. 1e5")
+    run.add_argument("--seed")
     run.add_argument("--validate", action="store_true", help="run the Monte Carlo validator per point")
     run.add_argument("--out", default="sweep.csv", help="output CSV path")
     run.add_argument("--quiet", action="store_true")
@@ -45,40 +37,14 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _number(text):
-    """A flag entry as an int if it reads as one, else as a float (so "2.0" is 2.0)."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}") from None
-
-
-def _flag_values(flag, text, convert):
-    """The entries of a comma-separated flag, converted as config_from_dict converts them.
-
-    An entry that does not convert is a ConfigError naming the flag.
-    """
-    return [_converted(flag, lambda entry: convert(_number(entry)), entry) for entry in text.split(",")]
-
-
 def _build_config(args):
     raw = read_config(args.config) if args.config else {}
     if args.direction:
         raw["direction"] = args.direction
-    if args.bits is not None:
-        raw["bits"] = _flag_values("--bits", args.bits, _integral)
-    if args.bandwidth is not None:
-        raw["bandwidth_ghz"] = _flag_values("--bandwidth", args.bandwidth, _real)
-    if args.tau is not None:
-        raw["tau"] = _flag_values("--tau", args.tau, _integral)
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    for dest, key in _FLAG_KEYS.items():
+        text = getattr(args, dest)
+        if text is not None:
+            raw[key] = from_text(f"--{dest}", key, text)
     if args.validate:
         raw["validate"] = True
     return config_from_dict(raw)

@@ -10,6 +10,11 @@ The chain draws from its own PHASE_ORACLE stream, one generator per chunk
 with the Monte Carlo moments of assemble_stats that it checks.  Each
 chunk's random numbers are drawn first, in that order; the chain then runs
 over the chunk in cache-sized blocks of trials.
+
+The downlink pairs each trial's channel with the previous trial's
+distortion, so E[h^H C_d h] has the unconditional covariance that the
+closed form assumes.  The uplink pairs values of the same trial, so its
+E[v^H C_d v] also holds the distortion's dependence on the channel.
 """
 
 from __future__ import annotations

@@ -3,26 +3,26 @@
 Each sweep point derives the antenna count from the hardware envelope,
 designs the converters, estimates the distortion moments, and evaluates the
 closed-form sum rate.  Output is a fixed-schema CSV plus a sidecar metadata
-block with the fully resolved configuration.
+block with the fully resolved configuration, which quantmimo.config reads
+and checks.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from quantmimo import rates
-from quantmimo.bussgang import MIN_TRIALS, SystemConfig, assemble_stats
+from quantmimo.bussgang import SystemConfig, assemble_stats
+# config_from_dict is re-exported: the benchmark scripts call sweep.config_from_dict
+from quantmimo.config import config_from_dict, csv_float  # noqa: F401
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import (
     InfeasibleConfigError,
-    LinkBudget,
     PowerModelParams,
     antennas_budget,
     by_direction,
@@ -48,79 +48,6 @@ CSV_COLUMNS = [
     "seed",
 ]
 
-_POWER_KEYS = {"v_dd", "l_min", "f_cor", "i_0", "c_p", "p_rf_ul", "p_rf_dl"}
-_LINK_KEYS = {"p_ue_dbm", "p_bs_dbm", "alpha", "distance_m", "noise_figure_db"}
-_ENVELOPE_KEYS = {"bits_ref", "bandwidth_ghz_ref", "count_ref"}
-_TOP_KEYS = {
-    "direction",
-    "bits",
-    "bandwidth_ghz",
-    "tau",
-    "k_users",
-    "trials",
-    "seed",
-    "power",
-    "link",
-    "envelope",
-    "validate",
-    "validate_tolerance",
-}
-
-
-class ConfigError(ValueError):
-    """Sweep configuration is malformed."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep configuration with paper defaults filled in."""
-
-    direction: str = "both"
-    bits: tuple = tuple(range(1, 13))
-    bandwidth_hz: tuple = (1e8,)
-    tau: tuple = (8, 16, 32, 64)
-    k_users: int = 8
-    trials: int = 100_000
-    seed: int = 12345
-    power: PowerModelParams = field(default_factory=PowerModelParams)
-    link: LinkBudget = field(default_factory=LinkBudget)
-    envelope_bits_ref: int = 10
-    envelope_bandwidth_hz_ref: float = 1e8
-    envelope_count_ref: int = 10
-    validate: bool = False
-    validate_tolerance: float = 0.05
-
-    def __post_init__(self):
-        if self.direction not in ("ul", "dl", "both"):
-            raise ConfigError(f"direction must be ul, dl, or both, got {self.direction!r}")
-        if any(not 1 <= b <= 12 for b in self.bits):
-            raise ConfigError(f"bits must lie in [1, 12], got {self.bits}")
-        if not all(0 < b < math.inf for b in self.bandwidth_hz):
-            raise ConfigError("bandwidth_ghz entries must be positive and finite in Hz")
-        if any(t < self.k_users for t in self.tau):
-            raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
-        _check_grid("bits", self.bits, int)
-        _check_grid("tau", self.tau, int)
-        # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
-        _check_grid("bandwidth_ghz", self.bandwidth_hz, int, _fmt)
-        if self.trials < MIN_TRIALS:
-            raise ConfigError("trials must be >= 10000")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.k_users < 1:
-            raise ConfigError(f"k_users must be >= 1, got {self.k_users}")
-        if not self.validate_tolerance > 0:
-            raise ConfigError(f"validate_tolerance must be > 0, got {self.validate_tolerance}")
-        if self.envelope_bits_ref < 1:
-            raise ConfigError(f"envelope bits_ref must be >= 1, got {self.envelope_bits_ref}")
-        if not self.envelope_bandwidth_hz_ref > 0:
-            raise ConfigError("envelope bandwidth_ghz_ref must be > 0")
-        if self.envelope_count_ref < 1:
-            raise ConfigError(f"envelope count_ref must be >= 1, got {self.envelope_count_ref}")
-
-    def directions(self):
-        return ("ul", "dl") if self.direction == "both" else (self.direction,)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -141,130 +68,6 @@ class SweepRecord:
     seed: int
     skipped: bool = False
     validation_passed: bool | None = None
-
-
-def _check_grid(key, values, *identities):
-    """A ConfigError naming key if values is empty or two entries are one point.
-
-    Each identity maps an entry to what names its point; two entries collide
-    if any identity maps them to the same thing.
-    """
-    if not values:
-        raise ConfigError(f"{key} must list at least one value")
-    for identity in identities:
-        seen = {}
-        for i, value in enumerate(values):
-            j = seen.setdefault(identity(value), i)
-            if j != i:
-                raise ConfigError(f"{key} entries {j} and {i} are the same point")
-
-
-def _reject_unknown(mapping, allowed, context):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown {context} key {key!r}")
-
-
-def _section(raw, key, allowed):
-    """The raw[key] object (empty if absent), with its keys checked."""
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    _reject_unknown(section, allowed, key)
-    return section
-
-
-def _integral(value):
-    """value as an int if it is an integral number; bools and 2.7 are not."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _real(value):
-    """value as a float if it is a finite real number; bools, strings and NaN are not."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise ValueError(f"expected a finite real number, got {value!r}")
-
-
-def _converted(key, convert, value):
-    """convert(value); a ConfigError naming key if it does not convert."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _values(raw, key, convert):
-    """The raw[key] list, each entry converted; a ConfigError naming key otherwise."""
-    values = raw[key]
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(_converted(key, convert, v) for v in values)
-
-
-def read_config(path):
-    """Read a JSON sweep configuration file into a dict, unvalidated.
-
-    An empty file reads as an empty object.
-    """
-    with open(path) as fh:
-        text = fh.read().strip()
-    raw = json.loads(text) if text else {}
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    return raw
-
-
-def load_config(path):
-    """Parse and validate a JSON sweep configuration file.
-
-    An empty file (or empty object) yields the full paper-default setup.
-    Unknown keys are rejected by name.
-    """
-    return config_from_dict(read_config(path))
-
-
-def config_from_dict(raw):
-    """Validate a configuration dict and fill in the paper defaults."""
-    _reject_unknown(raw, _TOP_KEYS, "configuration")
-    kwargs = {}
-    if "direction" in raw:
-        kwargs["direction"] = raw["direction"]
-    if "validate_tolerance" in raw:
-        kwargs["validate_tolerance"] = _converted("validate_tolerance", _real, raw["validate_tolerance"])
-    for key in ("k_users", "trials", "seed"):
-        if key in raw:
-            kwargs[key] = _converted(key, _integral, raw[key])
-    if "validate" in raw:
-        if not isinstance(raw["validate"], bool):
-            raise ConfigError(f"validate must be true or false, got {raw['validate']!r}")
-        kwargs["validate"] = raw["validate"]
-    if "bits" in raw:
-        kwargs["bits"] = _values(raw, "bits", _integral)
-    if "bandwidth_ghz" in raw:
-        kwargs["bandwidth_hz"] = tuple(b * 1e9 for b in _values(raw, "bandwidth_ghz", _real))
-    if "tau" in raw:
-        kwargs["tau"] = _values(raw, "tau", _integral)
-    power = {k: _converted(f"power {k}", _real, v) for k, v in _section(raw, "power", _POWER_KEYS).items()}
-    # one number per link key: a distance_m list would give each UE its own
-    # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
-    link = {k: _converted(f"link {k}", _real, v) for k, v in _section(raw, "link", _LINK_KEYS).items()}
-    env_raw = _section(raw, "envelope", _ENVELOPE_KEYS)
-    if "bits_ref" in env_raw:
-        kwargs["envelope_bits_ref"] = _converted("envelope bits_ref", _integral, env_raw["bits_ref"])
-    if "count_ref" in env_raw:
-        kwargs["envelope_count_ref"] = _converted("envelope count_ref", _integral, env_raw["count_ref"])
-    if "bandwidth_ghz_ref" in env_raw:
-        ghz = _converted("envelope bandwidth_ghz_ref", _real, env_raw["bandwidth_ghz_ref"])
-        kwargs["envelope_bandwidth_hz_ref"] = ghz * 1e9
-    try:
-        return SweepConfig(power=PowerModelParams(**power), link=LinkBudget(**link), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params=PowerModelParams()):
@@ -336,7 +139,6 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         bits=b,
         rho_bs=rho_bs,
         rho_ue=rho_ue,
-        bandwidth_hz=bandwidth_hz,
     )
     specs = default_specs(sys_config)
     stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
@@ -392,10 +194,6 @@ def run_sweep(config, progress=None):
     return records
 
 
-def _fmt(value):
-    return f"{value:.9g}"
-
-
 def write_csv(records, path, config=None):
     """Write the fixed-schema CSV plus a sidecar metadata block.
 
@@ -408,30 +206,13 @@ def write_csv(records, path, config=None):
     for r in records:
         if r.skipped:
             lines.append(
-                f"# skipped direction={r.direction} b={r.b} bandwidth_hz={_fmt(r.bandwidth_hz)} "
+                f"# skipped direction={r.direction} b={r.b} bandwidth_hz={csv_float(r.bandwidth_hz)} "
                 f"tau={r.tau} reason=infeasible"
             )
             continue
-        lines.append(
-            ",".join(
-                [
-                    r.direction,
-                    str(r.b),
-                    _fmt(r.bandwidth_hz),
-                    str(r.tau),
-                    str(r.m),
-                    _fmt(r.sum_rate_bps),
-                    _fmt(min(r.sindr)),
-                    _fmt(max(r.sindr)),
-                    _fmt(r.g_ce),
-                    _fmt(r.g_phase),
-                    _fmt(r.trace_cd),
-                    _fmt(r.delta),
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
-        )
+        point = [r.direction, str(r.b), csv_float(r.bandwidth_hz), str(r.tau), str(r.m)]
+        floats = [r.sum_rate_bps, min(r.sindr), max(r.sindr), r.g_ce, r.g_phase, r.trace_cd, r.delta]
+        lines.append(",".join([*point, *map(csv_float, floats), str(r.trials), str(r.seed)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if config is not None:

@@ -13,9 +13,10 @@ import pytest
 
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import SystemConfig, gain_scalar
+from quantmimo.config import SweepConfig, config_from_dict
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
-from quantmimo.sweep import SweepConfig, config_from_dict, run_sweep, write_csv
+from quantmimo.sweep import run_sweep, write_csv
 from quantmimo.syspower import PowerModelParams, antennas_budget, p_adc, p_dac
 
 from oracles import dense_grid_lloyd, mc_gain_regression

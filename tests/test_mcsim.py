@@ -111,6 +111,18 @@ def test_empirical_delta_matches_closed_form():
     assert report.delta_empirical == pytest.approx(report.delta_closed, rel=0.01)
 
 
+# A drift alarm, not a bound the closed form meets: on the README library
+# example the closed-form uplink E[v^H C_d v] misses the oracle's.  Over
+# seeds 1-10 at 4e4 trials the relative error was 0.317 (SD 0.003) at b = 1
+# and 0.631 (SD 0.013) at b = 3; each band is 4 SD on either side.
+@pytest.mark.parametrize("bits,error,band", [(1, 0.317, 0.013), (3, 0.631, 0.053)])
+def test_uplink_distortion_moment_error_stays_where_measured(bits, error, band):
+    config = _config(m_ul=32, m_dl=32, bits=bits)
+    report = validate_closed_form(config, trials=40_000, seed=1, direction="ul")
+    _, rel_error = report.moment_errors["distortion_power"]
+    assert rel_error == pytest.approx(error, abs=band)
+
+
 def test_report_text_is_flat_and_complete():
     config = _config(m_ul=8, m_dl=8)
     report = validate_closed_form(config, trials=10_000, seed=0, direction="ul")

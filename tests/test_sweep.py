@@ -7,14 +7,11 @@ import pytest
 
 from quantmimo import sweep
 from quantmimo.cli import main as cli_main
+from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, load_config
 from quantmimo.mcsim import default_specs
 from quantmimo.quant import _unit_lloyd_max
 from quantmimo.sweep import (
-    ConfigError,
-    SweepConfig,
-    config_from_dict,
     envelope_from_reference,
-    load_config,
     point_seed,
     read_csv,
     run_point,
@@ -154,6 +151,8 @@ def test_load_config_round_trip(tmp_path):
     assert config.bandwidth_hz == (1e8, 1e9)
     (tmp_path / "empty.json").write_text("")
     assert load_config(tmp_path / "empty.json") == SweepConfig()
+    # one implementation, also under the name the sweep module exports
+    assert sweep.config_from_dict is config_from_dict
 
 
 def test_envelope_matches_reference_chain():
@@ -331,6 +330,9 @@ def test_cli_grid_flags_are_checked_like_the_config(tmp_path, capsys):
         ("--bandwidth", "nan"),
         ("--bandwidth", "0.1,inf"),
         ("--bandwidth", "0.1x"),
+        ("--trials", "2.5"),
+        ("--trials", "1,2"),
+        ("--seed", "x"),
     ):
         assert cli_main([*tiny, "--bits", "10", "--tau", "8", flag, text]) == 2
         assert f"configuration error: {flag}: " in capsys.readouterr().err
@@ -338,9 +340,12 @@ def test_cli_grid_flags_are_checked_like_the_config(tmp_path, capsys):
         assert cli_main([*tiny, "--bits", "10", "--tau", "8", flag, text]) == 2
     assert not out.exists()
     # integral numbers are integers on the command line too, as in JSON
-    assert cli_main([*tiny, "--bits", "10.0", "--tau", "8.0", "--bandwidth", "1e-1"]) == 0
+    flags = ["--bits", "10.0", "--tau", "8.0", "--bandwidth", "1e-1", "--trials", "1e4", "--seed", "2.0"]
+    assert cli_main([*tiny, *flags]) == 0
     rows = read_csv(out)
-    assert [(r["b"], r["tau"], r["bandwidth_hz"]) for r in rows] == [("10", "8", "100000000")]
+    assert [(r["b"], r["tau"], r["bandwidth_hz"], r["trials"]) for r in rows] == [("10", "8", "100000000", "10000")]
+    assert json.loads((tmp_path / "out.csv.meta").read_text())["seed"] == 2
+    assert config_from_dict({"trials": from_text("--trials", "trials", "1e5")}).trials == 100_000
 
 
 def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
