@@ -21,9 +21,9 @@ from quantmimo.rates import (
     sindr_from_moments,
     sum_rate,
 )
-from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, snr_linear
+from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, envelope_from_reference, snr_linear
 from quantmimo.mcsim import ValidationReport, validate_closed_form
 from quantmimo.config import SweepConfig, load_config
-from quantmimo.sweep import SweepRecord, envelope_from_reference, run_sweep, write_csv
+from quantmimo.sweep import SweepRecord, run_sweep, write_csv
 
 __version__ = "0.1.0"

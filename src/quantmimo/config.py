@@ -1,18 +1,22 @@
 """Sweep configuration: the one place where JSON keys and CLI flags are converted.
 
-Each key's converter is declared once, in KEYS or SECTIONS, and both
-config_from_dict and the command line's from_text convert through it.
+Each SweepConfig field is the one declaration of its config key: the field's
+default, its JSON key, the converter from the JSON value and its range.
+config_from_dict, the command line's from_text and SweepConfig's own check
+all read these declarations.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from quantmimo.bussgang import MIN_TRIALS
-from quantmimo.syspower import LinkBudget, PowerModelParams
+from quantmimo.bussgang import DEFAULT_TRIALS, MIN_TRIALS
+from quantmimo.quant import MAX_BITS
+from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas
 
 
 class ConfigError(ValueError):
@@ -22,75 +26,6 @@ class ConfigError(ValueError):
 def csv_float(value):
     """A float as the sweep CSV writes it."""
     return f"{value:.9g}"
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep configuration with paper defaults filled in."""
-
-    direction: str = "both"
-    bits: tuple = tuple(range(1, 13))
-    bandwidth_hz: tuple = (1e8,)
-    tau: tuple = (8, 16, 32, 64)
-    k_users: int = 8
-    trials: int = 100_000
-    seed: int = 12345
-    power: PowerModelParams = field(default_factory=PowerModelParams)
-    link: LinkBudget = field(default_factory=LinkBudget)
-    envelope_bits_ref: int = 10
-    envelope_bandwidth_hz_ref: float = 1e8
-    envelope_count_ref: int = 10
-    validate: bool = False
-    validate_tolerance: float = 0.05
-
-    def __post_init__(self):
-        if self.direction not in ("ul", "dl", "both"):
-            raise ConfigError(f"direction must be ul, dl, or both, got {self.direction!r}")
-        if not isinstance(self.validate, bool):
-            raise ConfigError(f"validate must be true or false, got {self.validate!r}")
-        if any(not 1 <= b <= 12 for b in self.bits):
-            raise ConfigError(f"bits must lie in [1, 12], got {self.bits}")
-        if not all(0 < b < math.inf for b in self.bandwidth_hz):
-            raise ConfigError("bandwidth_ghz entries must be positive and finite in Hz")
-        if any(t < self.k_users for t in self.tau):
-            raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
-        _check_grid("bits", self.bits, int)
-        _check_grid("tau", self.tau, int)
-        # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
-        _check_grid("bandwidth_ghz", self.bandwidth_hz, int, csv_float)
-        if self.trials < MIN_TRIALS:
-            raise ConfigError("trials must be >= 10000")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.k_users < 1:
-            raise ConfigError(f"k_users must be >= 1, got {self.k_users}")
-        if not self.validate_tolerance > 0:
-            raise ConfigError(f"validate_tolerance must be > 0, got {self.validate_tolerance}")
-        if self.envelope_bits_ref < 1:
-            raise ConfigError(f"envelope bits_ref must be >= 1, got {self.envelope_bits_ref}")
-        if not self.envelope_bandwidth_hz_ref > 0:
-            raise ConfigError("envelope bandwidth_ghz_ref must be > 0")
-        if self.envelope_count_ref < 1:
-            raise ConfigError(f"envelope count_ref must be >= 1, got {self.envelope_count_ref}")
-
-    def directions(self):
-        return ("ul", "dl") if self.direction == "both" else (self.direction,)
-
-
-def _check_grid(key, values, *identities):
-    """A ConfigError naming key if values is empty or two entries are one point.
-
-    Each identity maps an entry to what names its point; two entries collide
-    if any identity maps them to the same thing.
-    """
-    if not values:
-        raise ConfigError(f"{key} must list at least one value")
-    for identity in identities:
-        seen = {}
-        for i, value in enumerate(values):
-            j = seen.setdefault(identity(value), i)
-            if j != i:
-                raise ConfigError(f"{key} entries {j} and {i} are the same point")
 
 
 def integral(value):
@@ -110,13 +45,11 @@ def real(value):
 
 
 def _hz(ghz):
-    """A bandwidth given in GHz, in Hz."""
-    return real(ghz) * 1e9
-
-
-def _as_given(value):
-    """value unchanged; SweepConfig checks it."""
-    return value
+    """A bandwidth given in GHz, in Hz; a ValueError if that is not finite."""
+    hz = real(ghz) * 1e9
+    if not math.isfinite(hz):
+        raise ValueError(f"expected a bandwidth finite in Hz, got {ghz!r}")
+    return hz
 
 
 def converted(key, convert, value):
@@ -127,64 +60,116 @@ def converted(key, convert, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-# config key -> (SweepConfig field, converter), in the order the keys are
-# converted; a grid's converter converts each entry of its list
-KEYS = {
-    "direction": ("direction", _as_given),
-    "validate_tolerance": ("validate_tolerance", real),
-    "k_users": ("k_users", integral),
-    "trials": ("trials", integral),
-    "seed": ("seed", integral),
-    "validate": ("validate", _as_given),
-    "bits": ("bits", integral),
-    "bandwidth_ghz": ("bandwidth_hz", _hz),
-    "tau": ("tau", integral),
-}
-GRIDS = ("bits", "bandwidth_ghz", "tau")
-# each section's keys, likewise, in the order the sections are checked; the
-# power and link keys are the fields of the SweepConfig field they build
-SECTIONS = {
-    "power": {f.name: (f.name, real) for f in fields(PowerModelParams)},
-    "link": {f.name: (f.name, real) for f in fields(LinkBudget)},
-    "envelope": {
-        "bits_ref": ("envelope_bits_ref", integral),
-        "count_ref": ("envelope_count_ref", integral),
-        "bandwidth_ghz_ref": ("envelope_bandwidth_hz_ref", _hz),
-    },
-}
+def _at_least(low):
+    """The range [low, inf): a test and what it asks for."""
+    return (lambda value: value >= low), f">= {low}"
 
 
-def _reject_unknown(mapping, allowed, context):
-    for key in mapping:
+_BITS = (lambda b: 1 <= b <= MAX_BITS), f"in [1, {MAX_BITS}]"
+_BANDWIDTH = (lambda hz: 0 < hz < math.inf), "> 0 and finite in Hz"
+
+
+def _key(key, default, convert, check=None, grid=False):
+    """A SweepConfig field: its default and the one declaration of its config key.
+
+    key is the JSON key ("envelope bits_ref" is bits_ref in the envelope
+    object); convert takes its value to the field's (None: as given); check
+    is the range, a test and what it asks for.  A grid's entries are each
+    converted and checked.  A dataclass default is built from the key object
+    by converting each of its fields, and checks its own ranges.
+    """
+    meta = {"key": key, "convert": convert, "check": check, "grid": grid}
+    if isinstance(default, type):
+        return field(default_factory=default, metadata={**meta, "build": default})
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Resolved sweep configuration with paper defaults filled in."""
+
+    direction: str = _key("direction", "both", None, ((lambda d: d in ("ul", "dl", "both")), "ul, dl, or both"))
+    bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, _BITS, grid=True)
+    bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, _BANDWIDTH, grid=True)
+    tau: tuple = _key("tau", (8, 16, 32, 64), integral, grid=True)
+    k_users: int = _key("k_users", 8, integral, _at_least(1))
+    trials: int = _key("trials", DEFAULT_TRIALS, integral, _at_least(MIN_TRIALS))
+    seed: int = _key("seed", 12345, integral, _at_least(0))
+    power: PowerModelParams = _key("power", PowerModelParams, real)
+    # one number per link key: a distance_m list would give each UE its own
+    # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
+    link: LinkBudget = _key("link", LinkBudget, real)
+    envelope_bits_ref: int = _key("envelope bits_ref", 10, integral, _at_least(1))
+    envelope_bandwidth_hz_ref: float = _key("envelope bandwidth_ghz_ref", 1e8, _hz, _BANDWIDTH)
+    envelope_count_ref: int = _key("envelope count_ref", 10, integral, _at_least(1))
+    validate: bool = _key("validate", False, None, ((lambda v: isinstance(v, bool)), "true or false"))
+    validate_tolerance: float = _key("validate_tolerance", 0.05, real, ((lambda t: t > 0), "> 0"))
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.metadata["check"]:
+                test, must = f.metadata["check"]
+                values = getattr(self, f.name)
+                for value in values if f.metadata["grid"] else (values,):
+                    if not test(value):
+                        given = value / 1e9 if f.metadata["convert"] is _hz else value  # a bandwidth in GHz
+                        raise ConfigError(f"{f.metadata['key']}: must be {must}, got {given!r}")
+        if any(t < self.k_users for t in self.tau):
+            raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
+        _check_grid("bits", self.bits, int)
+        _check_grid("tau", self.tau, int)
+        # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
+        _check_grid("bandwidth_ghz", self.bandwidth_hz, int, csv_float)
+        for direction, b, bandwidth_hz in itertools.product(self.directions(), self.bits, self.bandwidth_hz):
+            try:
+                self.antennas(direction, b, bandwidth_hz)
+            except InfeasibleConfigError:
+                pass  # the sweep skips the point
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"envelope: at {direction} b={b} B={bandwidth_hz / 1e9:g} GHz, {exc}") from exc
+
+    def directions(self):
+        return ("ul", "dl") if self.direction == "both" else (self.direction,)
+
+    def antennas(self, direction, b, bandwidth_hz):
+        """The antenna count the envelope supplies at a point (syspower.envelope_antennas)."""
+        envelope = (self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref)
+        return envelope_antennas(*envelope, direction, b, bandwidth_hz, self.power)
+
+
+def _check_grid(key, values, *identities):
+    """A ConfigError naming key if values is empty or two entries are one point.
+
+    Each identity maps an entry to what names its point; two entries collide
+    if any identity maps them to the same thing.
+    """
+    if not values:
+        raise ConfigError(f"{key} must list at least one value")
+    for identity in identities:
+        seen = {}
+        for i, value in enumerate(values):
+            j = seen.setdefault(identity(value), i)
+            if j != i:
+                raise ConfigError(f"{key} entries {j} and {i} are the same point")
+
+
+def _object(value, allowed, name):
+    """value, a JSON object with no key outside allowed; name names it in messages."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    for key in value:
         if key not in allowed:
-            raise ConfigError(f"unknown {context} key {key!r}")
+            raise ConfigError(f"unknown {name} key {key!r}")
+    return value
 
 
-def _value(name, value, convert, grid):
-    """value converted, or each entry of the list if grid; a ConfigError naming name otherwise."""
+def _value(key, value, convert, grid):
+    """value converted, or each entry of the list if grid; a ConfigError naming key otherwise."""
     if not grid:
-        return converted(name, convert, value)
+        return converted(key, convert, value) if convert else value
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return tuple(converted(name, convert, v) for v in value)
-
-
-def _fields(raw, keys, prefix=""):
-    """The SweepConfig fields that raw sets through keys, each value converted."""
-    return {
-        name: _value(prefix + key, raw[key], convert, key in GRIDS)
-        for key, (name, convert) in keys.items()
-        if key in raw
-    }
-
-
-def _section(raw, key):
-    """The raw[key] object (empty if absent), with its keys checked."""
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    _reject_unknown(section, SECTIONS[key], key)
-    return section
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(converted(key, convert, v) for v in value)
 
 
 def read_config(path):
@@ -211,15 +196,21 @@ def load_config(path):
 
 def config_from_dict(raw):
     """Validate a configuration dict and fill in the paper defaults."""
-    _reject_unknown(raw, {**KEYS, **SECTIONS}, "configuration")
-    kwargs = _fields(raw, KEYS)
-    # one number per link key: a distance_m list would give each UE its own
-    # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
-    power, link, envelope = (_fields(_section(raw, key), keys, f"{key} ") for key, keys in SECTIONS.items())
-    try:
-        return SweepConfig(power=PowerModelParams(**power), link=LinkBudget(**link), **envelope, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    keys = [f.metadata["key"] for f in fields(SweepConfig)]
+    _object(raw, {key.split()[0] for key in keys}, "configuration")
+    kwargs = {}
+    for f in fields(SweepConfig):
+        key, convert, cls = f.metadata["key"], f.metadata["convert"], f.metadata.get("build")
+        section, _, name = key.rpartition(" ")  # "envelope bits_ref": bits_ref in the envelope object
+        inside = [k.split()[1] for k in keys if k.startswith(section + " ")]
+        given = _object(raw.get(section, {}), inside, section) if section else raw
+        if cls:
+            values = _object(raw.get(key, {}), [g.name for g in fields(cls)], key)
+            values = {k: converted(f"{key} {k}", convert, v) for k, v in values.items()}
+            kwargs[f.name] = converted(key, lambda values: cls(**values), values)
+        elif name in given:
+            kwargs[f.name] = _value(key, given[name], convert, f.metadata["grid"])
+    return SweepConfig(**kwargs)
 
 
 def _number(text):
@@ -239,9 +230,10 @@ def from_text(flag, key, text):
     JSON form does ("1e5" is 100000 trials); a ConfigError names flag if it
     does not.
     """
-    if key in GRIDS:
+    meta = next(f.metadata for f in fields(SweepConfig) if f.metadata["key"] == key)
+    if meta["grid"]:
         value = [converted(flag, _number, entry) for entry in text.split(",")]
     else:
         value = converted(flag, _number, text)
-    _value(flag, value, KEYS[key][1], key in GRIDS)
+    _value(flag, value, meta["convert"], meta["grid"])
     return value

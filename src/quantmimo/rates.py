@@ -15,6 +15,8 @@ import numpy as np
 
 from quantmimo.bussgang import BussgangStats
 
+RESIDUAL_TOL = 1e-9  # the negative interference residual sindr_from_moments tolerates, relative
+
 
 @dataclass(frozen=True)
 class SindrInputsUL:
@@ -130,12 +132,12 @@ def sindr_dl_mrt(inputs, ue=0):
     return sindr_from_moments(moments_dl_mrt(inputs, ue))
 
 
-def sindr_from_moments(moments, tol=1e-9):
+def sindr_from_moments(moments):
     """Assemble the general SINDR ratio from expectation terms.
 
     The interference term is the total signal power minus the coherent
-    desired power; a residual more negative than tol times the total is a
-    moment-estimation failure and is rejected.
+    desired power; a residual more negative than RESIDUAL_TOL times the total
+    is a moment-estimation failure and is rejected.
     """
     if isinstance(moments, UplinkMoments):
         rho = moments.rho_bs
@@ -148,7 +150,7 @@ def sindr_from_moments(moments, tol=1e-9):
     desired = abs(moments.desired_mean) ** 2
     total = float(np.sum(moments.signal_powers))
     interference = rho * (total - desired)
-    if interference < -tol * max(rho * total, 1.0):
+    if interference < -RESIDUAL_TOL * max(rho * total, 1.0):
         raise ValueError(
             f"negative interference residual {interference:.3e}: "
             "signal powers are inconsistent with the desired mean"

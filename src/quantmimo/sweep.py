@@ -21,15 +21,7 @@ from quantmimo.bussgang import SystemConfig, assemble_stats
 # config_from_dict is re-exported: the benchmark scripts call sweep.config_from_dict
 from quantmimo.config import config_from_dict, csv_float  # noqa: F401
 from quantmimo.mcsim import default_specs, validate_closed_form
-from quantmimo.syspower import (
-    InfeasibleConfigError,
-    PowerModelParams,
-    antennas_budget,
-    by_direction,
-    p_adc,
-    p_dac,
-    snr_linear,
-)
+from quantmimo.syspower import InfeasibleConfigError, by_direction, snr_linear
 
 CSV_COLUMNS = [
     "direction",
@@ -70,27 +62,11 @@ class SweepRecord:
     validation_passed: bool | None = None
 
 
-def envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params=PowerModelParams()):
-    """Hardware envelope supplying count_ref chains at a reference resolution."""
-    conv = by_direction(direction, p_adc, p_dac)
-    p_conv = conv(bits_ref, bandwidth_ref_hz, params)
-    return count_ref * (params.p_rf(direction) + 2.0 * p_conv)
-
-
 def point_seed(master_seed, direction, b, bandwidth_hz, tau):
     """Stable per-point seed, independent of sweep order."""
     dir_code = by_direction(direction, 0, 1)
     ss = np.random.SeedSequence(master_seed, spawn_key=(dir_code, b, int(bandwidth_hz), tau))
     return int(ss.generate_state(1)[0])
-
-
-def _antennas(config, direction, b, bandwidth_hz):
-    """Antenna count the envelope affords at b bits; InfeasibleConfigError if none."""
-    p_hw = envelope_from_reference(
-        config.envelope_bits_ref, config.envelope_bandwidth_hz_ref, config.envelope_count_ref, direction, config.power
-    )
-    conv = by_direction(direction, p_adc, p_dac)
-    return antennas_budget(p_hw, config.power.p_rf(direction), conv(b, bandwidth_hz, config.power))
 
 
 def estimated_cost(config):
@@ -100,7 +76,7 @@ def estimated_cost(config):
         for bw in config.bandwidth_hz:
             for b in config.bits:
                 try:
-                    m = _antennas(config, direction, b, bw)
+                    m = config.antennas(direction, b, bw)
                 except InfeasibleConfigError:
                     continue
                 total += config.trials * (m + max(config.tau)) * len(config.tau)
@@ -111,7 +87,7 @@ def run_point(config, direction, b, bandwidth_hz, tau):
     """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
     seed = point_seed(config.seed, direction, b, bandwidth_hz, tau)
     try:
-        m = _antennas(config, direction, b, bandwidth_hz)
+        m = config.antennas(direction, b, bandwidth_hz)
     except InfeasibleConfigError:
         return SweepRecord(
             direction=direction,

@@ -1,4 +1,4 @@
-"""Converter power models, the hardware antenna budget, and the link budget.
+"""Converter power models, the hardware envelope and its antenna budget, and the link budget.
 
 SI units internally (watts, Hz, meters); dBm/dB appear only at the config
 boundary in LinkBudget.
@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from quantmimo.bussgang import MAX_ANTENNAS
 
 
 class InfeasibleConfigError(ValueError):
@@ -43,6 +45,9 @@ class PowerModelParams:
 
     def p_rf(self, direction):
         return by_direction(direction, self.p_rf_ul, self.p_rf_dl)
+
+    def p_conv(self, direction, b, bandwidth_hz):
+        return by_direction(direction, p_adc, p_dac)(b, bandwidth_hz, self)
 
 
 @dataclass(frozen=True)
@@ -80,22 +85,40 @@ def p_dac(b, bandwidth_hz, params=PowerModelParams()):
     return static + dynamic
 
 
+def _chain_power(p_rf, p_conv):
+    """Power of one RF chain: the RF power plus two converters (I and Q)."""
+    return p_rf + 2.0 * p_conv
+
+
+def envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params=PowerModelParams()):
+    """Hardware envelope supplying count_ref chains at a reference resolution."""
+    p_conv = params.p_conv(direction, bits_ref, bandwidth_ref_hz)
+    return count_ref * _chain_power(params.p_rf(direction), p_conv)
+
+
 def antennas_budget(p_hw, p_rf, p_conv):
     """Antenna count supplied by the hardware envelope: floor(P_HW / chain).
 
-    Each chain costs the RF power plus two converters (I and Q).  The tiny
-    slack tolerates the one-ulp case where the envelope is an exact multiple
-    of the chain power.
+    The tiny slack tolerates the one-ulp case where the envelope is an exact
+    multiple of the chain power.  A count above MAX_ANTENNAS, infinite ones
+    included, is a ValueError: the simulation could not hold its arrays.
     """
-    denom = p_rf + 2.0 * p_conv
-    if denom <= 0:
+    chain = _chain_power(p_rf, p_conv)
+    if chain <= 0:
         raise ValueError("chain power must be positive")
-    m = int(np.floor(p_hw / denom * (1.0 + 1e-12)))
+    m = p_hw / chain * (1.0 + 1e-12)
+    if not m <= MAX_ANTENNAS:
+        raise ValueError(f"{p_hw:.4g} W supplies {m:.4g} chains of {chain:.4g} W, more than the {MAX_ANTENNAS} allowed")
+    m = int(np.floor(m))
     if m < 1:
-        raise InfeasibleConfigError(
-            f"envelope {p_hw:.4g} W cannot supply one chain of {denom:.4g} W"
-        )
+        raise InfeasibleConfigError(f"envelope {p_hw:.4g} W cannot supply one chain of {chain:.4g} W")
     return m
+
+
+def envelope_antennas(bits_ref, bandwidth_ref_hz, count_ref, direction, b, bandwidth_hz, params=PowerModelParams()):
+    """Antennas (antennas_budget) that the envelope_from_reference envelope supplies at b bits and bandwidth_hz."""
+    p_hw = envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params)
+    return antennas_budget(p_hw, params.p_rf(direction), params.p_conv(direction, b, bandwidth_hz))
 
 
 def noise_power_dbm(bandwidth_hz, noise_figure_db):

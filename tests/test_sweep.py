@@ -1,6 +1,7 @@
 """Tests for the sweep engine, CSV output, and CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,16 +11,8 @@ from quantmimo.cli import main as cli_main
 from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, load_config
 from quantmimo.mcsim import default_specs
 from quantmimo.quant import _unit_lloyd_max
-from quantmimo.sweep import (
-    envelope_from_reference,
-    point_seed,
-    read_csv,
-    run_point,
-    run_sweep,
-    write_csv,
-    write_gnuplot,
-)
-from quantmimo.syspower import LinkBudget, PowerModelParams, p_adc, snr_linear
+from quantmimo.sweep import point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
+from quantmimo.syspower import LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
 
 
 def _tiny_config(**overrides):
@@ -62,6 +55,8 @@ BAD_GRIDS = [
     ("bandwidth_ghz", {"bandwidth_ghz": [1.0, 1.000000001]}),
     ("bandwidth_ghz", {"bandwidth_ghz": [1e300]}),  # infinite in Hz
 ]
+
+BIG_ENVELOPES = [{"count_ref": 1e9}, {"bandwidth_ghz_ref": 1e290}, {"count_ref": 1e308}]
 
 
 def test_config_validation_rules():
@@ -118,13 +113,23 @@ def test_config_validation_rules():
         ("p_ue_dbm", {"link": {"p_ue_dbm": nan}}),
         ("alpha", {"link": {"alpha": False}}),
         *[("bandwidth_ghz", {"bandwidth_ghz": [v]}) for v in (nan, inf, True, "0.1")],
-        *[("bandwidth_ghz_ref", {"envelope": {"bandwidth_ghz_ref": v}}) for v in (-0.1, 0, nan, True, "0.1")],
+        *[("bandwidth_ghz_ref", {"envelope": {"bandwidth_ghz_ref": v}}) for v in (-0.1, 0, nan, True, "0.1", 1e300)],
         ("count_ref", {"envelope": {"count_ref": 0}}),
         ("bits_ref", {"envelope": {"bits_ref": 0}}),
+        # envelopes that supply more antennas than a point's arrays can hold (or infinitely many)
+        *[("envelope", {"envelope": envelope}) for envelope in BIG_ENVELOPES],
     ]
     for key, raw in bad_values:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
+    # a SweepConfig made directly is checked as a loaded one is
+    for key, kwargs in (
+        ("bandwidth_ghz_ref", {"envelope_bandwidth_hz_ref": math.inf}),
+        ("k_users", {"k_users": 0}),
+        ("trials", {"trials": 10}),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig(**kwargs)
     # an empty grid would run nothing, and a repeated point would run twice
     for key, raw in BAD_GRIDS:
         with pytest.raises(ConfigError, match=key):
@@ -310,6 +315,8 @@ def test_cli_reports_config_errors(tmp_path):
         {"envelope": {"bandwidth_ghz_ref": -0.1}},
         {"envelope": {"count_ref": 0}},
         {"power": {"v_dd": True}},
+        {"envelope": {"bandwidth_ghz_ref": 1e300}},
+        *[{"envelope": envelope} for envelope in BIG_ENVELOPES],
         *[raw for _, raw in BAD_GRIDS],
     ):
         bad.write_text(json.dumps({**tiny, **raw}))

@@ -74,6 +74,10 @@ def test_antenna_budget_infeasible_is_an_error():
         antennas_budget(1e-6, 0.04, 0.1)
     with pytest.raises(ValueError):
         antennas_budget(1.0, 0.0, 0.0)
+    # more antennas than a point's arrays can hold, an infinite count included
+    for p_hw in (1e9, np.inf):
+        with pytest.raises(ValueError, match="more than the 4096 allowed"):
+            antennas_budget(p_hw, 0.04, 0.1)
 
 
 def test_power_outputs_positive_over_grid():
