@@ -27,10 +27,11 @@ PHASE_DL = 2
 PHASE_ORACLE = 3  # the full-chain validator, apart from the estimates it checks
 
 _CHUNK_TRIALS = 1 << 14
-# the most antennas a point may have: distortion_trace draws a
-# (_CHUNK_TRIALS, m) complex array at once, 16 bytes an entry, and that draw
-# stays within 1 GiB
-MAX_ANTENNAS = (1 << 30) // (16 * _CHUNK_TRIALS)
+# the most antennas and pilot symbols a point may have: distortion_trace
+# draws a (_CHUNK_TRIALS, m) and ce_distortion_projections a
+# (_CHUNK_TRIALS, tau) complex array at once, 16 bytes an entry, and each
+# draw stays within 1 GiB
+MAX_ANTENNAS = MAX_PILOT_LENGTH = (1 << 30) // (16 * _CHUNK_TRIALS)
 # entries of the widest per-trial array worked through at once within a
 # chunk: 1 MB of complex entries, so that a block's arrays stay in a 2 MB
 # L2 cache

@@ -1,6 +1,7 @@
 """Command line interface for the sweep engine.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error or an
+input CSV that is missing or malformed.
 """
 
 from __future__ import annotations
@@ -54,9 +55,20 @@ def main(argv=None):
     args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     if args.command == "curves":
-        for p in write_gnuplot(read_csv(args.csv), args.out_dir):
-            print(p)
-        return 0
+        try:
+            paths = write_gnuplot(read_csv(args.csv), args.out_dir)
+        except OSError as exc:
+            problem = exc
+        except KeyError as exc:
+            problem = f"{args.csv}: no {exc} column"
+        except ValueError as exc:
+            problem = f"{args.csv}: {exc}"
+        else:
+            for p in paths:
+                print(p)
+            return 0
+        print(f"input error: {problem}", file=sys.stderr)
+        return 2
 
     try:
         config = _build_config(args)

@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from quantmimo.bussgang import DEFAULT_TRIALS, MIN_TRIALS
+from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS
 from quantmimo.quant import MAX_BITS
 from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas
 
@@ -67,6 +67,7 @@ def _at_least(low):
 
 _BITS = (lambda b: 1 <= b <= MAX_BITS), f"in [1, {MAX_BITS}]"
 _BANDWIDTH = (lambda hz: 0 < hz < math.inf), "> 0 and finite in Hz"
+_PILOT_LENGTH = (lambda tau: tau <= MAX_PILOT_LENGTH), f"<= {MAX_PILOT_LENGTH}"
 
 
 def _key(key, default, convert, check=None, grid=False):
@@ -91,7 +92,7 @@ class SweepConfig:
     direction: str = _key("direction", "both", None, ((lambda d: d in ("ul", "dl", "both")), "ul, dl, or both"))
     bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, _BITS, grid=True)
     bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, _BANDWIDTH, grid=True)
-    tau: tuple = _key("tau", (8, 16, 32, 64), integral, grid=True)
+    tau: tuple = _key("tau", (8, 16, 32, 64), integral, _PILOT_LENGTH, grid=True)
     k_users: int = _key("k_users", 8, integral, _at_least(1))
     trials: int = _key("trials", DEFAULT_TRIALS, integral, _at_least(MIN_TRIALS))
     seed: int = _key("seed", 12345, integral, _at_least(0))

@@ -11,15 +11,16 @@ with the Monte Carlo moments of assemble_stats that it checks.  Each
 chunk's random numbers are drawn first, in that order; the chain then runs
 over the chunk in cache-sized blocks of trials.
 
-The downlink pairs each trial's channel with the previous trial's
-distortion, so E[h^H C_d h] has the unconditional covariance that the
-closed form assumes.  The uplink pairs values of the same trial, so its
+The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
+Bussgang model takes the DAC distortion d independent of the channel, so
+E[|h_k^H d|^2 | d] = ||d||^2 exactly, the same for every UE.  The uplink
+pairs the combiner and the distortion of the same trial, so its
 E[v^H C_d v] also holds the distortion's dependence on the channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,8 +54,8 @@ class ValidationReport:
     bussgang_residual: dict      # phase -> (|mean d conj(y)|, MC standard error)
     offdiag_max: float | None
     offdiag_sigma: float | None
-    delta_closed: float | None
-    delta_empirical: float | None
+    delta_closed: float
+    delta_empirical: float
     passed: bool
 
     def to_text(self):
@@ -75,9 +76,8 @@ class ValidationReport:
             lines.append(f"residual_{phase} {mag:.6g} sigma {sigma:.6g}")
         if self.offdiag_max is not None:
             lines.append(f"offdiag_max {self.offdiag_max:.6g} sigma {self.offdiag_sigma:.6g}")
-        if self.delta_closed is not None:
-            lines.append(f"delta_closed {self.delta_closed:.9g}")
-            lines.append(f"delta_empirical {self.delta_empirical:.9g}")
+        lines.append(f"delta_closed {self.delta_closed:.9g}")
+        lines.append(f"delta_empirical {self.delta_empirical:.9g}")
         worst = int(np.argmax(self.sindr_rel_error))
         lines.append(f"worst_term sindr_ue_{worst} rel_error {self.sindr_rel_error[worst]:.6g}")
         return "\n".join(lines)
@@ -116,7 +116,7 @@ def _matvec(a, x):
 
 
 def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, x, z_ul, track_offdiag):
-    """MRC moment sums of a block: E[v^H G h], E|v^H G h_i|^2, E||G v||^2, E[v^H C_d v]."""
+    """MRC sums of a block, each named after the UplinkMoments field it estimates."""
     y_ul = _matvec(h, x)
     y_ul *= np.sqrt(rho_bs)
     y_ul += z_ul
@@ -127,49 +127,36 @@ def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, x, z_ul, track_offdiag):
     cross = np.matmul(v_h, h)
     cross *= g_ul
     sums = _residual_sums(d_ul, y_ul)
-    sums["desired"] = np.einsum("ckk->k", cross)
-    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["combiner"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
-    sums["distortion"] = np.sum(np.abs(_matvec(v_h, d_ul)) ** 2, axis=0)
+    sums["desired_mean"] = np.einsum("ckk->k", cross)
+    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["combiner_power"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
+    sums["distortion_power"] = np.sum(np.abs(_matvec(v_h, d_ul)) ** 2, axis=0)
     if track_offdiag:
         sums["offdiag"] = d_ul.T @ d_ul.conj()
         sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
     return sums
 
 
-def _downlink_block(spec_dl, g_dl, delta, h, h_hat, x, d_prev):
-    """MRT moment sums of a block: E[h^H G w], E|h^H G w_i|^2, E[h^H C_d h], precoder powers.
+def _downlink_block(spec_dl, g_dl, delta, h, h_hat, x):
+    """MRT sums of a block, each named after the DownlinkMoments field it estimates, and precoder powers.
 
-    E[h^H C_d h] has the unconditional distortion covariance, so each
-    trial's channel is paired with the previous trial's distortion sample;
-    d_prev is that of the trial before the block.  Returns the sums and the
-    block's last distortion row, the next block's d_prev.
+    The distortion term of every UE sums ||d||^2, which is E[|h_k^H d|^2 | d]
+    for a channel independent of d.
     """
     w = h_hat / np.sqrt(delta)
     u = _matvec(w, x)
     d_dl = quantize(spec_dl, u)
     d_dl -= g_dl * u
-    h_h = np.conj(h).transpose(0, 2, 1)
-    cross = np.matmul(h_h, w)
+    cross = np.matmul(np.conj(h).transpose(0, 2, 1), w)
     cross *= g_dl
-    d_dec = np.concatenate((d_prev[None], d_dl[:-1]))
     w_power = np.abs(w) ** 2
     sums = _residual_sums(d_dl, u)
-    sums["desired"] = np.einsum("ckk->k", cross)
-    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["distortion"] = np.sum(np.abs(_matvec(h_h, d_dec)) ** 2, axis=0)
+    sums["desired_mean"] = np.einsum("ckk->k", cross)
+    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["distortion_power"] = np.full(h.shape[2], np.vdot(d_dl, d_dl).real)
     sums["precoder"] = np.sum(w_power)
     sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
-    return sums, d_dl[-1]
-
-
-def _wrap_pair(h_first, d_last):
-    """Distortion sum of a chunk's first trial, paired with its last trial's distortion.
-
-    The first block pairs that trial with zeros, so the pairs of a chunk are
-    those of np.roll(d, 1) over the whole chunk.
-    """
-    return {"distortion": np.abs(np.conj(h_first).T @ d_last) ** 2}
+    return sums
 
 
 def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions):
@@ -189,7 +176,6 @@ def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, d
         z_ul = complex_gaussian(rng, (size, m))
     if "dl" in directions:
         x_dl = complex_gaussian(rng, (size, k))
-        d_prev = np.zeros(m, dtype=complex)
     sums = {phase: [] for phase in ("ce",) + directions}
     for block in _blocks(size, m * config.tau):
         h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h[block], noise[block])
@@ -200,20 +186,13 @@ def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, d
             )
             sums["ul"].append(ul_sums)
         if "dl" in directions:
-            dl_sums, d_prev = _downlink_block(spec_dl, stats.g_dl, delta, h[block], h_hat, x_dl[block], d_prev)
-            sums["dl"].append(dl_sums)
-    if "dl" in directions:
-        sums["dl"].append(_wrap_pair(h[0], d_prev))
+            sums["dl"].append(_downlink_block(spec_dl, stats.g_dl, delta, h[block], h_hat, x_dl[block]))
     return sums
 
 
 def _totals(block_sums):
-    """Exactly rounded totals of a list of per-block {name: sum} dicts.
-
-    Names missing from a dict (such as all but distortion in a _wrap_pair)
-    add nothing.
-    """
-    return {name: _fsum_chunks([s[name] for s in block_sums if name in s]) for name in block_sums[0]}
+    """Exactly rounded totals of a list of per-block {name: sum} dicts."""
+    return {name: _fsum_chunks([s[name] for s in block_sums]) for name in block_sums[0]}
 
 
 def _residual(totals, n_samples):
@@ -223,71 +202,34 @@ def _residual(totals, n_samples):
     return abs(complex(mean)), np.sqrt(var / n_samples)
 
 
-def _closed_values(closed, name):
-    """One field of the per-UE closed-form moments, stacked over UEs."""
-    return np.array([getattr(c, name) for c in closed])
+def _report(direction, closed, mean, checks, tolerance, **report_fields):
+    """ValidationReport of one direction from its per-UE closed-form moments and the trial means.
 
-
-def _uplink_terms(inputs, mean):
-    """Empirical and closed-form UL moments per UE plus {moment: (empirical, closed)} pairs."""
-    k = inputs.k_users
-    closed = [rates.moments_ul_mrc(inputs, ue) for ue in range(k)]
-    emp = [
-        rates.UplinkMoments(
-            rho_bs=inputs.rho_bs,
-            desired_mean=mean["desired"][ue],
-            signal_powers=mean["signal"][ue],
-            combiner_power=mean["combiner"][ue],
-            distortion_power=mean["distortion"][ue],
-        )
-        for ue in range(k)
-    ]
-    signal = _closed_values(closed, "signal_powers")
-    cross = ~np.eye(k, dtype=bool)
-    pairs = {
-        "desired_mean": (mean["desired"], _closed_values(closed, "desired_mean")),
-        "cross_power": (mean["signal"][cross], signal[cross]),
-        "self_power": (np.diagonal(mean["signal"]), np.diagonal(signal)),
-        "combiner_power": (mean["combiner"], _closed_values(closed, "combiner_power")),
-        "distortion_power": (mean["distortion"], _closed_values(closed, "distortion_power")),
-    }
-    return emp, closed, pairs
-
-
-def _downlink_terms(inputs, mean):
-    """Empirical and closed-form DL moments per UE plus {moment: (empirical, closed)} pairs."""
-    m, k = inputs.m, inputs.k_users
-    closed = [rates.moments_dl_mrt(inputs, ue) for ue in range(k)]
-    emp = [
-        rates.DownlinkMoments(
-            rho_ue=inputs.rho_ue,
-            desired_mean=mean["desired"][ue],
-            signal_powers=mean["signal"][ue],
-            distortion_power=mean["distortion"][ue],
-        )
-        for ue in range(k)
-    ]
-    cross = ~np.eye(k, dtype=bool)
-    pairs = {
-        "desired_mean": (mean["desired"], _closed_values(closed, "desired_mean")),
-        "cross_power": (mean["signal"][cross], _closed_values(closed, "signal_powers")[cross]),
-        "distortion_power": (mean["distortion"], _closed_values(closed, "distortion_power")),
-        "precoder_frobenius": (mean["precoder"], 1.0),
-        "precoder_diag": (mean["precoder_diag"], 1.0 / m),
-    }
-    return emp, closed, pairs
-
-
-def _report(direction, emp, closed, pairs, tolerance, **fields):
-    """ValidationReport from per-UE moments; moment errors are relative to the closed-form mean."""
-    emp = np.array([rates.sindr_from_moments(x) for x in emp])
-    closed = np.array([rates.sindr_from_moments(x) for x in closed])
-    rel = np.abs(emp - closed) / emp
+    A UE's empirical moments are its closed-form ones with every simulated
+    field (each field that mean names, indexed by UE) set to its mean.  Each
+    such field is paired with its closed form, the signal powers as cross
+    and self powers, ahead of the further {name: (empirical, closed)} checks;
+    moment errors are relative to the closed-form mean.
+    """
+    names = [f.name for f in fields(closed[0]) if f.name in mean]
+    emp = [replace(c, **{name: mean[name][ue] for name in names}) for ue, c in enumerate(closed)]
+    cross = ~np.eye(len(closed), dtype=bool)
+    pairs = {}
+    for name in names:
+        closed_form = np.array([getattr(c, name) for c in closed])
+        if name == "signal_powers":
+            pairs["cross_power"] = (mean[name][cross], closed_form[cross])
+            pairs["self_power"] = (np.diagonal(mean[name]), np.diagonal(closed_form))
+        else:
+            pairs[name] = (mean[name], closed_form)
     moment_errors = {}
-    for name, (empirical, closed_form) in pairs.items():
+    for name, (empirical, closed_form) in {**pairs, **checks}.items():
         reference = np.mean(closed_form)
         error = abs(np.mean(empirical) - reference) / reference
         moment_errors[name] = (float(np.mean(np.real(empirical))), float(error))
+    emp = np.array([rates.sindr_from_moments(x) for x in emp])
+    closed = np.array([rates.sindr_from_moments(x) for x in closed])
+    rel = np.abs(emp - closed) / emp
     return ValidationReport(
         direction=direction,
         tolerance=tolerance,
@@ -296,7 +238,7 @@ def _report(direction, emp, closed, pairs, tolerance, **fields):
         sindr_rel_error=rel,
         moment_errors=moment_errors,
         passed=bool(np.all(rel <= tolerance)),
-        **fields,
+        **report_fields,
     )
 
 
@@ -330,6 +272,7 @@ def validate_closed_form(
         "ul": rates.SindrInputsUL(m, k, tau, config.rho_bs, stats),
         "dl": rates.SindrInputsDL(m, k, tau, config.rho_bs, config.rho_ue, stats),
     }
+    moments = {"ul": rates.moments_ul_mrc, "dl": rates.moments_dl_mrt}
     delta = rates.mrt_normalization(inputs["dl"])
     pilots = dft_pilots(tau, k)
     directions = ("ul", "dl") if direction == "both" else (direction,)
@@ -347,14 +290,17 @@ def validate_closed_form(
     for d in directions:
         totals = _totals(block_sums[d])
         mean = {name: total / trials for name, total in totals.items()}
-        terms = _uplink_terms if d == "ul" else _downlink_terms
-        off_max = off_sigma = None
-        if d == "ul" and track_offdiag:
+        checks, off_max, off_sigma = {}, None, None
+        if d == "dl":
+            checks = {"precoder_frobenius": (mean["precoder"], 1.0), "precoder_diag": (mean["precoder_diag"], 1.0 / m)}
+        elif track_offdiag:
             off_max = float(np.max(np.abs(mean["offdiag"][~np.eye(m, dtype=bool)])))
             off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
         reports[d] = _report(
             d,
-            *terms(inputs[d], mean),
+            [moments[d](inputs[d], ue) for ue in range(k)],
+            mean,
+            checks,
             tolerance,
             trials=trials,
             seed=seed,

@@ -83,10 +83,6 @@ class QuantizerSpec:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_buckets", _Buckets.build(thresholds, labels))
 
-    @property
-    def interior_thresholds(self):
-        return self.thresholds[1:-1]
-
 
 def _bucket_positions(x, scale, offset, top, out):
     """clip(x*scale + offset, 0, top) into out; its truncation is the bucket.

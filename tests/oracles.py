@@ -148,7 +148,7 @@ def two_pass_quantize(spec, value):
     reference.
     """
     value = np.asarray(value)
-    interior = spec.interior_thresholds
+    interior = spec.thresholds[1:-1]
     re_idx = np.searchsorted(interior, value.real, side="left")
     im_idx = np.searchsorted(interior, value.imag, side="left")
     out = spec.labels[re_idx] + 1j * spec.labels[im_idx]
@@ -176,10 +176,10 @@ def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
     v = g_ul * h_hat
     cross = g_ul * np.einsum("cmk,cmi->cki", v.conj(), h)
     sums = _einsum_residual_sums(d_ul, y_ul)
-    sums["desired"] = np.einsum("ckk->k", cross)
-    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["combiner"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
-    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0)
+    sums["desired_mean"] = np.einsum("ckk->k", cross)
+    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["combiner_power"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
+    sums["distortion_power"] = np.sum(np.abs(np.einsum("cmk,cm->ck", v.conj(), d_ul)) ** 2, axis=0)
     if track_offdiag:
         sums["offdiag"] = np.einsum("cm,cn->mn", d_ul, d_ul.conj())
         sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
@@ -189,9 +189,8 @@ def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
 def einsum_downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     """Index-notation reference for mcsim._downlink_block over a whole chunk.
 
-    Draws the chunk's downlink random numbers from rng; each trial's channel
-    is paired with the previous trial's distortion, and the first trial's
-    with the last's (np.roll over the chunk).
+    Draws the chunk's downlink random numbers from rng; every UE's
+    distortion term is the total distortion power ||d||^2 of the chunk.
     """
     size, _, k = h.shape
     w = h_hat / np.sqrt(delta)
@@ -199,12 +198,11 @@ def einsum_downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
     u = np.einsum("cmk,ck->cm", w, x)
     d_dl = two_pass_quantize(spec_dl, u) - g_dl * u
     cross = g_dl * np.einsum("cmk,cmi->cki", h.conj(), w)
-    d_dec = np.roll(d_dl, 1, axis=0)
     w_power = np.abs(w) ** 2
     sums = _einsum_residual_sums(d_dl, u)
-    sums["desired"] = np.einsum("ckk->k", cross)
-    sums["signal"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["distortion"] = np.sum(np.abs(np.einsum("cmk,cm->ck", h.conj(), d_dec)) ** 2, axis=0)
+    sums["desired_mean"] = np.einsum("ckk->k", cross)
+    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
+    sums["distortion_power"] = np.full(k, np.sum(np.abs(d_dl) ** 2))
     sums["precoder"] = np.sum(w_power)
     sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
     return sums

@@ -52,7 +52,7 @@ def test_criterion_1_quantizer_matches_dense_grid_oracle():
         t_ref, l_ref = dense_grid_lloyd(bits, 1.0, step=1e-5, span=8.0)
         worst = max(
             worst,
-            float(np.max(np.abs(spec.interior_thresholds - t_ref[1:-1]))),
+            float(np.max(np.abs(spec.thresholds[1:-1] - t_ref[1:-1]))),
             float(np.max(np.abs(spec.labels - l_ref))),
         )
     one_bit_err = float(np.max(np.abs(design_lloyd_max(1, 1.0).labels - np.array([-1, 1]) * np.sqrt(2 / np.pi))))

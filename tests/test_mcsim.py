@@ -112,23 +112,38 @@ def test_empirical_delta_matches_closed_form():
 
 
 # A drift alarm, not a bound the closed form meets: on the README library
-# example the closed-form uplink E[v^H C_d v] misses the oracle's.  Over
-# seeds 1-10 at 4e4 trials the relative error was 0.317 (SD 0.003) at b = 1
-# and 0.631 (SD 0.013) at b = 3; each band is 4 SD on either side.
-@pytest.mark.parametrize("bits,error,band", [(1, 0.317, 0.013), (3, 0.631, 0.053)])
-def test_uplink_distortion_moment_error_stays_where_measured(bits, error, band):
+# example the closed-form distortion terms miss the oracle's.  Over seeds
+# 1-10 at 4e4 trials the relative error of the uplink E[v^H C_d v] was 0.317
+# (SD 0.003) at b = 1 and 0.631 (SD 0.013) at b = 3, and that of the
+# downlink m*cd_dl against E||d||^2 was 0.0109 (SD 0.0008) at b = 1 and
+# 0.1842 (SD 0.0045) at b = 3; each band is 4 SD on either side.
+@pytest.mark.parametrize(
+    "direction,bits,error,band",
+    [("ul", 1, 0.317, 0.013), ("ul", 3, 0.631, 0.053), ("dl", 1, 0.0109, 0.0032), ("dl", 3, 0.1842, 0.018)],
+)
+def test_uplink_distortion_moment_error_stays_where_measured(direction, bits, error, band):
     config = _config(m_ul=32, m_dl=32, bits=bits)
-    report = validate_closed_form(config, trials=40_000, seed=1, direction="ul")
+    report = validate_closed_form(config, trials=40_000, seed=1, direction=direction)
     _, rel_error = report.moment_errors["distortion_power"]
     assert rel_error == pytest.approx(error, abs=band)
 
 
-def test_report_text_is_flat_and_complete():
+MOMENT_NAMES = {
+    "ul": {"desired_mean", "cross_power", "self_power", "combiner_power", "distortion_power"},
+    "dl": {"desired_mean", "cross_power", "self_power", "distortion_power", "precoder_frobenius", "precoder_diag"},
+}
+
+
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+def test_report_text_is_flat_and_complete(direction):
     config = _config(m_ul=8, m_dl=8)
-    report = validate_closed_form(config, trials=10_000, seed=0, direction="ul")
+    report = validate_closed_form(config, trials=10_000, seed=0, direction=direction)
+    assert set(report.moment_errors) == MOMENT_NAMES[direction]
     text = report.to_text()
-    for token in ("direction ul", "trials 10000", "passed", "sindr_closed_0", "worst_term"):
+    for token in (f"direction {direction}", "trials 10000", "passed", "sindr_closed_0", "delta_closed", "worst_term"):
         assert token in text
+    for name in MOMENT_NAMES[direction]:
+        assert f"moment_{name} " in text
 
 
 def test_validator_input_checks():
@@ -151,9 +166,7 @@ def _oracle_inputs(config):
 
 def test_chunk_kernels_match_einsum_reference(monkeypatch):
     # the block kernels, summed over three full blocks and a ragged one, give
-    # the plain whole-chunk sums; the downlink distortion pairs each trial's
-    # channel with the previous trial's distortion across block boundaries,
-    # and the first trial's with the last's, as np.roll over the chunk does
+    # the plain whole-chunk sums
     config = _config(m_ul=10, m_dl=10, k_users=3, tau=5, bits=2)
     monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", 600 * config.m_ul * config.tau)  # 600 trials a block
     specs, stats, delta = _oracle_inputs(config)
@@ -162,7 +175,7 @@ def test_chunk_kernels_match_einsum_reference(monkeypatch):
 
     rng = chunk_rng(5, PHASE_ORACLE, 0)
     blocked = mcsim._chunk_sums(config, specs, stats, delta, pilots, rng, size, True, ("ul", "dl"))
-    assert len(blocked["ce"]) == len(blocked["ul"]) == 4
+    assert len(blocked["ce"]) == len(blocked["ul"]) == len(blocked["dl"]) == 4
 
     ref_rng = chunk_rng(5, PHASE_ORACLE, 0)
     h = complex_gaussian(ref_rng, (size, m, k))

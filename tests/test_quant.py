@@ -32,7 +32,7 @@ def test_two_bit_values_match_published_gaussian_solution():
     # classical MMSE 2-bit quantizer for the unit Gaussian
     spec = design_lloyd_max(2, 1.0)
     assert np.allclose(spec.labels, [-1.510, -0.4528, 0.4528, 1.510], atol=5e-4)
-    assert np.allclose(spec.interior_thresholds, [-0.9816, 0.0, 0.9816], atol=5e-4)
+    assert np.allclose(spec.thresholds[1:-1], [-0.9816, 0.0, 0.9816], atol=5e-4)
 
 
 # per-component std of the sweep's smallest DAC input (1/m at m = 176) and
@@ -124,7 +124,7 @@ def test_spec_arrays_are_immutable():
 
 def test_quantize_cell_convention_is_left_open_right_closed():
     spec = design_lloyd_max(2, 1.0)
-    t = spec.interior_thresholds[2]  # positive interior threshold
+    t = spec.thresholds[3]  # positive interior threshold
     # value exactly at a threshold belongs to the lower cell
     assert quantize(spec, t + 0j).real == spec.labels[2]
     assert quantize(spec, t + 1e-12 + 0j).real == spec.labels[3]
@@ -154,7 +154,7 @@ def test_quantize_is_bit_identical_to_two_pass_reference(bits):
     half = _BLOCK // 2  # complex entries in one block of real parts
     for variance in VARIANCES:
         spec = rescale_labels(design_lloyd_max(bits, np.sqrt(variance / 2.0)), variance)
-        t = spec.interior_thresholds
+        t = spec.thresholds[1:-1]
         specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324]
         edges = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), specials])
         x = np.sqrt(variance) * rng.normal(size=(6, 8, 5, 2)) @ [1.0, 1j]
@@ -184,7 +184,7 @@ def test_bucket_table_holds_at_most_one_threshold_per_bucket():
         for variance in VARIANCES:
             spec = rescale_labels(design_lloyd_max(bits, np.sqrt(variance / 2.0)), variance)
             first = spec._buckets.first
-            per_bucket = np.diff(first, append=spec.interior_thresholds.size)
+            per_bucket = np.diff(first, append=spec.thresholds.size - 2)
             assert first[0] == 0
             assert np.all((per_bucket == 0) | (per_bucket == 1))  # so first is non-decreasing
     # a table for thresholds 1e-9 apart over a span of 1 would need 1e9 buckets
@@ -243,7 +243,7 @@ def test_label_perturbation_increases_mse():
     spec = design_lloyd_max(2, 1.0)
 
     def mse(labels):
-        idx = np.searchsorted(spec.interior_thresholds, x, side="left")
+        idx = np.searchsorted(spec.thresholds[1:-1], x, side="left")
         return np.mean((labels[idx] - x) ** 2)
 
     base = mse(spec.labels)
@@ -261,7 +261,7 @@ def test_fine_quantizer_mse_tracks_rate_distortion_scaling():
     errors = []
     for bits in (6, 7, 8):
         spec = design_lloyd_max(bits, 1.0)
-        idx = np.searchsorted(spec.interior_thresholds, x, side="left")
+        idx = np.searchsorted(spec.thresholds[1:-1], x, side="left")
         errors.append(np.mean((spec.labels[idx] - x) ** 2))
     assert 3.0 < errors[0] / errors[1] < 5.0
     assert 3.0 < errors[1] / errors[2] < 5.0

@@ -116,6 +116,8 @@ def test_config_validation_rules():
         *[("bandwidth_ghz_ref", {"envelope": {"bandwidth_ghz_ref": v}}) for v in (-0.1, 0, nan, True, "0.1", 1e300)],
         ("count_ref", {"envelope": {"count_ref": 0}}),
         ("bits_ref", {"envelope": {"bits_ref": 0}}),
+        # a pilot length whose chunk of pilot-phase noise would not fit in 1 GiB
+        ("tau", {"tau": [1_000_000], "k_users": 8}),
         # envelopes that supply more antennas than a point's arrays can hold (or infinitely many)
         *[("envelope", {"envelope": envelope}) for envelope in BIG_ENVELOPES],
     ]
@@ -282,6 +284,21 @@ def test_cli_run_and_curves(tmp_path, capsys):
     assert printed and printed[0].endswith("ul_B0.1GHz_tau8.dat")
 
 
+def test_cli_curves_reports_bad_input(tmp_path, capsys):
+    # a missing file, a CSV without a bandwidth_hz column and one with a
+    # non-integer b: exit 2 and one stderr line that names the file and the
+    # problem, not a traceback
+    missing = tmp_path / "missing.csv"
+    partial = tmp_path / "partial.csv"
+    partial.write_text("direction,b,tau,sum_rate_bps\nul,3,8,1e9\n")
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("direction,b,bandwidth_hz,tau,sum_rate_bps\nul,x,1e8,8,1e9\n")
+    for path, problem in ((missing, "No such file"), (partial, "no 'bandwidth_hz' column"), (garbled, "'x'")):
+        assert cli_main(["curves", "--csv", str(path), "--out-dir", str(tmp_path / "curves")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0] and problem in err[0], err
+
+
 def test_cli_flag_overrides(tmp_path):
     out = tmp_path / "out.csv"
     code = cli_main(
@@ -316,6 +333,7 @@ def test_cli_reports_config_errors(tmp_path):
         {"envelope": {"count_ref": 0}},
         {"power": {"v_dd": True}},
         {"envelope": {"bandwidth_ghz_ref": 1e300}},
+        {"tau": [4097]},  # one past the bound, so that a run that slips through still fits in memory
         *[{"envelope": envelope} for envelope in BIG_ENVELOPES],
         *[raw for _, raw in BAD_GRIDS],
     ):
