@@ -27,11 +27,12 @@ PHASE_DL = 2
 PHASE_ORACLE = 3  # the full-chain validator, apart from the estimates it checks
 
 _CHUNK_TRIALS = 1 << 14
+# the most bytes one Gaussian draw of a chunk may take, 16 bytes an entry
+_MAX_DRAW_BYTES = 1 << 30
 # the most antennas and pilot symbols a point may have: distortion_trace
-# draws a (_CHUNK_TRIALS, m) and ce_distortion_projections a
-# (_CHUNK_TRIALS, tau) complex array at once, 16 bytes an entry, and each
-# draw stays within 1 GiB
-MAX_ANTENNAS = MAX_PILOT_LENGTH = (1 << 30) // (16 * _CHUNK_TRIALS)
+# draws a (size, m) and ce_distortion_projections a (size, tau) complex
+# array at once, and up to these counts a chunk keeps _CHUNK_TRIALS trials
+MAX_ANTENNAS = MAX_PILOT_LENGTH = _MAX_DRAW_BYTES // (16 * _CHUNK_TRIALS)
 # entries of the widest per-trial array worked through at once within a
 # chunk: 1 MB of complex entries, so that a block's arrays stay in a 2 MB
 # L2 cache
@@ -43,11 +44,18 @@ def chunk_rng(seed, phase, chunk):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, chunk)))
 
 
-def _chunks(trials):
+def _chunks(trials, row_entries):
+    """(chunk index, trials in it) of chunks that cover trials, in order.
+
+    A chunk holds _CHUNK_TRIALS trials, or fewer where its widest draw, of
+    row_entries complex entries per trial, would pass _MAX_DRAW_BYTES; at
+    least one.
+    """
+    step = max(1, min(_CHUNK_TRIALS, _MAX_DRAW_BYTES // (16 * row_entries)))
     start = 0
     chunk = 0
     while start < trials:
-        size = min(_CHUNK_TRIALS, trials - start)
+        size = min(step, trials - start)
         yield chunk, size
         start += size
         chunk += 1
@@ -164,7 +172,7 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
         raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
     gain = gain_scalar(spec, complex_variance)
     block_sums = []
-    for chunk, size in _chunks(trials):
+    for chunk, size in _chunks(trials, dim):
         y_chunk = complex_gaussian(chunk_rng(seed, PHASE_UL, chunk), (size, dim), complex_variance)
         for block in _blocks(size, dim):
             y = y_chunk[block]
@@ -191,7 +199,7 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
         )
     gain = gain_scalar(spec, expected_var)
     block_sums = []
-    for chunk, size in _chunks(trials):
+    for chunk, size in _chunks(trials, pilots.tau):
         rng = chunk_rng(seed, PHASE_CE, chunk)
         h = complex_gaussian(rng, (size, k))
         noise = complex_gaussian(rng, (size, pilots.tau))

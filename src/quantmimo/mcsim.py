@@ -278,7 +278,7 @@ def validate_closed_form(
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
     block_sums = {phase: [] for phase in ("ce",) + directions}
-    for chunk, size in _chunks(trials):
+    for chunk, size in _chunks(trials, m * tau):  # the pilot noise is the widest draw
         rng = chunk_rng(seed, PHASE_ORACLE, chunk)
         chunk_sums = _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
         for phase, sums in chunk_sums.items():

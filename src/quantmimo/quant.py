@@ -3,6 +3,11 @@
 A b-bit converter quantizes the in-phase and quadrature components
 independently with the same real scalar quantizer, so everything here is
 built around a real threshold/label set applied entrywise to Re and Im.
+
+Gaussian probabilities come from the standard library alone: a tail
+0.5 erfc(|z|/sqrt 2) per threshold (math.erfc) and the equiprobable start's
+quantiles from statistics.NormalDist; the Newton steps of the design solve
+their tridiagonal systems with the Thomas algorithm.
 """
 
 from __future__ import annotations
@@ -10,12 +15,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr, ndtri
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_HALF = math.sqrt(0.5)
 # Gauss-Legendre rule for per-cell Gaussian moments; 48 nodes is machine
 # precision for any cell a Lloyd-Max design produces (width < ~1.5 sigma).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -133,6 +138,32 @@ class _Buckets:
         raise ValueError("thresholds are too unevenly spaced for a bucket table")
 
 
+def _gaussian_tail(z):
+    """P(Z > |z|) for a standard Gaussian Z, one erfc per entry of the array z."""
+    return 0.5 * np.fromiter(map(math.erfc, (np.abs(z) * _SQRT_HALF).tolist()), float, count=z.size)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solution x of the tridiagonal system J x = rhs by the Thomas algorithm.
+
+    J has diagonal diag, superdiagonal upper (J[i, i+1] = upper[i]) and
+    subdiagonal lower (J[i+1, i] = lower[i]).  It eliminates without
+    pivoting, which is stable for the row diagonally dominant Jacobians of
+    the Lloyd-Max Newton step (see _unit_lloyd_max).
+    """
+    lower, diag, upper, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    ratio = [0.0] * len(upper)
+    pivot = diag[0]
+    x[0] /= pivot
+    for i in range(1, len(x)):
+        ratio[i - 1] = upper[i - 1] / pivot
+        pivot = diag[i] - lower[i - 1] * ratio[i - 1]
+        x[i] = (x[i] - lower[i - 1] * x[i - 1]) / pivot
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return np.array(x)
+
+
 def _gaussian_pdf(z):
     out = np.zeros_like(z)
     finite = np.isfinite(z)
@@ -167,7 +198,7 @@ def _half_cell_moments(labels):
         p1 = np.sum(w * x * f, axis=1)
         prob[:-1] = p0
         centroid[:-1] = p1 / p0
-    tail = ndtr(-t[-2])
+    tail = 0.5 * math.erfc(t[-2] * _SQRT_HALF)
     prob[-1] = tail
     centroid[-1] = pdf[-2] / tail
     return centroid, t, pdf, prob
@@ -181,7 +212,11 @@ def _unit_lloyd_max(bits):
     cells, interior thresholds are label midpoints) with Newton steps on the
     centroid map, over the positive half only (the design is odd).  The
     Jacobian of the map is tridiagonal because each centroid depends only on
-    the two adjacent midpoint thresholds.  The arrays are read-only, since
+    the two adjacent midpoint thresholds, and it is row diagonally dominant:
+    a cell's centroid moves by less than a common shift of both its ends
+    (the Gaussian is log-concave), so the off-diagonal entries of a row sum
+    to less than the distance of its diagonal entry from zero.  Each step
+    solves it with the Thomas algorithm.  The arrays are read-only, since
     every caller of the cache shares them.
     """
     m = 2 ** (bits - 1)
@@ -189,9 +224,9 @@ def _unit_lloyd_max(bits):
     t = np.empty(m + 1)
     t[0] = 0.0
     t[-1] = np.inf
-    t[1:-1] = ndtri(0.5 + 0.5 * np.arange(1, m) / m)
+    t[1:-1] = list(map(NormalDist().inv_cdf, 0.5 + 0.5 * np.arange(1, m) / m))
     pdf = _gaussian_pdf(t)
-    surv = ndtr(-t)
+    surv = _gaussian_tail(t)
     labels = (pdf[:-1] - pdf[1:]) / (surv[:-1] - surv[1:])
 
     residual = np.inf
@@ -207,11 +242,7 @@ def _unit_lloyd_max(bits):
         dlo[~np.isfinite(dlo)] = 0.0
         dhi[~np.isfinite(dhi)] = 0.0
         dlo[0] = 0.0  # t_0 = 0 fixed by symmetry
-        banded = np.zeros((3, m))
-        banded[0, 1:] = 0.5 * dhi[:-1]
-        banded[1, :] = 0.5 * dlo + 0.5 * dhi - 1.0
-        banded[2, :-1] = 0.5 * dlo[1:]
-        step = solve_banded((1, 1), banded, -r)
+        step = _solve_tridiagonal(0.5 * dlo[1:], 0.5 * dlo + 0.5 * dhi - 1.0, 0.5 * dhi[:-1], -r)
         new = labels + step
         if new[0] <= 0 or np.any(np.diff(new) <= 0):
             new = centroid  # plain Lloyd step keeps ordering
@@ -247,15 +278,14 @@ def design_lloyd_max(bits, component_std):
 def cell_probabilities(spec, component_std):
     """Probability of each cell under a zero-mean Gaussian of given std.
 
-    Upper-half cells use the survival function so tail probabilities keep
-    full relative precision.
+    A cell on one side of zero is the difference of the Gaussian tails
+    beyond its ends, so tail cells keep full relative precision; a cell
+    across zero is what the tails on both sides leave.
     """
     z = spec.thresholds / component_std
-    lo = z[:-1]
-    hi = z[1:]
-    upper = lo >= 0
-    probs = np.where(upper, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
-    return probs
+    tail = _gaussian_tail(z)
+    lo, hi = tail[:-1], tail[1:]
+    return np.where(z[:-1] >= 0, lo - hi, np.where(z[1:] <= 0, hi - lo, 1.0 - lo - hi))
 
 
 def output_complex_variance(spec, input_complex_variance):

@@ -115,6 +115,17 @@ def sigma_lloyd_max(bits, component_std, tol=1e-12, max_iter=10_000):
     return thresholds, np.concatenate([-labels[::-1], labels])
 
 
+def ndtr_cell_probabilities(spec, component_std):
+    """Cell probabilities from scipy's Gaussian CDF, upper-half cells by its survival function.
+
+    The form quant.cell_probabilities had before it took one erfc tail per
+    threshold.
+    """
+    z = spec.thresholds / component_std
+    lo, hi = z[:-1], z[1:]
+    return np.where(lo >= 0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+
+
 def mc_gain_regression(quantize_fn, samples):
     """Bussgang gain by least-squares regression of Q(y) on y.
 
@@ -224,7 +235,7 @@ def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials
     g_ul = gain_scalar(spec_ul, y_var)
     p_conj = pilots.entries.conj()
     a_sums, b_sums = [], []
-    for chunk, size in _chunks(trials):
+    for chunk, size in _chunks(trials, m * pilots.tau):
         rng = chunk_rng(seed, PHASE_CE, chunk)
         h = complex_gaussian(rng, (size, m, k))
         z_ce = complex_gaussian(rng, (size, m, pilots.tau))

@@ -247,3 +247,25 @@ def test_peak_memory_of_a_chunk_stays_near_its_draws():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * draws_bytes, f"peak {peak / 1e6:.1f} MB, draws {draws_bytes / 1e6:.1f} MB"
+
+
+def test_oracle_chunks_keep_each_draw_within_a_gib(monkeypatch):
+    # the oracle sizes its chunks by its widest draw, the pilot noise of m*tau
+    # entries a trial
+    rows = []
+    real_chunks = mcsim._chunks
+    monkeypatch.setattr(mcsim, "_chunks", lambda trials, row: rows.append(row) or real_chunks(trials, row))
+    config = _config(m_ul=6, m_dl=6, k_users=2, tau=3, bits=1)
+    specs, stats, _ = _oracle_inputs(config)
+    validate_closed_form(config, trials=2_000, seed=1, specs=specs, stats=stats)
+    assert rows == [6 * 3]
+    # the default grid's widest validated point (ul b=1, tau=64, m=176, K=8)
+    # would draw 2.95 GB of pilot noise (3.3 GB with h) in one 16384-trial chunk
+    trials, m, tau = 100_000, 176, 64
+    sizes = [size for _, size in bussgang._chunks(trials, m * tau)]
+    assert sum(sizes) == trials
+    assert 16 * max(sizes) * m * tau <= 1 << 30
+    assert 16 * (max(sizes) + 1) * m * tau > 1 << 30
+    # the criterion-4 scenario (m 32, tau 8) keeps full chunks, and with them its random stream
+    sizes = [size for _, size in bussgang._chunks(trials, 32 * 8)]
+    assert sizes == [bussgang._CHUNK_TRIALS] * 6 + [trials - 6 * bussgang._CHUNK_TRIALS]

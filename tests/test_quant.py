@@ -1,11 +1,17 @@
 """Tests for the scalar quantizer design and application."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantmimo
+from quantmimo import quant
 from quantmimo.quant import (
     _BLOCK,
     MAX_BITS,
@@ -15,10 +21,20 @@ from quantmimo.quant import (
     output_complex_variance,
     quantize,
     rescale_labels,
+    _solve_tridiagonal,
     _unit_lloyd_max,
 )
 
-from oracles import sigma_lloyd_max, two_pass_quantize
+from oracles import ndtr_cell_probabilities, sigma_lloyd_max, two_pass_quantize
+
+
+def test_package_and_cli_import_no_scipy():
+    # a fresh interpreter, since this one has loaded scipy for the references
+    src = str(Path(quantmimo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, quantmimo, quantmimo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_one_bit_labels_are_gaussian_conditional_means():
@@ -57,8 +73,33 @@ def test_design_is_scale_equivariant():
             ref_thresholds, ref_labels = sigma_lloyd_max(bits, sigma)
             np.testing.assert_allclose(spec.labels, ref_labels, rtol=1e-10, atol=0)
             np.testing.assert_allclose(spec.thresholds, ref_thresholds, rtol=1e-10, atol=0)
-        ref_thresholds, ref_labels = sigma_lloyd_max(bits, 1.0)
-        assert _same_bits(base.labels, ref_labels) and _same_bits(base.thresholds, ref_thresholds)
+
+
+@pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+def test_newton_steps_solve_like_solve_banded(bits, monkeypatch):
+    from scipy.linalg import solve_banded
+
+    systems = []
+
+    def recording(*system):
+        systems.append(system)
+        return _solve_tridiagonal(*system)
+
+    monkeypatch.setattr(quant, "_solve_tridiagonal", recording)
+    _unit_lloyd_max.__wrapped__(bits)
+    if bits == 1:
+        # the b = 1 start is the fixed point, so its solve takes no step; its
+        # 1 x 1 Jacobian is -1 (t_0 = 0 is fixed and the tail cell is unbounded)
+        systems.append((np.empty(0), np.array([-1.0]), np.empty(0), np.array([0.3])))
+    assert systems
+    for lower, diag, upper, rhs in systems:
+        banded = np.zeros((3, diag.size))
+        banded[0, 1:], banded[1], banded[2, :-1] = upper, diag, lower
+        # fine designs' Jacobians are ill-conditioned (cond 2e6 at b = 12); the
+        # two solvers measured at most 3e-12 apart
+        np.testing.assert_allclose(
+            _solve_tridiagonal(lower, diag, upper, rhs), solve_banded((1, 1), banded, rhs), rtol=1e-10, atol=0
+        )
 
 
 def test_cached_unit_design_is_shared_and_read_only():
@@ -229,11 +270,15 @@ def test_rescale_rejects_nonpositive_target():
 
 
 def test_cell_probabilities_sum_to_one():
-    for bits in (1, 4, 10):
-        spec = design_lloyd_max(bits, 1.0)
-        probs = cell_probabilities(spec, 1.0)
-        assert np.all(probs > 0)
-        assert np.sum(probs) == pytest.approx(1.0, abs=1e-14)
+    for bits in range(1, MAX_BITS + 1):
+        for sigma in SIGMAS:
+            spec = design_lloyd_max(bits, sigma)
+            for std in (sigma, 0.5 * sigma, 3.0 * sigma):
+                probs = cell_probabilities(spec, std)
+                assert np.all(probs > 0)
+                assert np.sum(probs) == pytest.approx(1.0, abs=1e-14)
+                # against the ndtr form; narrow b = 12 cells cancel to 8e-13
+                np.testing.assert_allclose(probs, ndtr_cell_probabilities(spec, std), rtol=1e-11, atol=0)
 
 
 def test_label_perturbation_increases_mse():
