@@ -23,7 +23,7 @@ from quantmimo.rates import (
 )
 from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, envelope_from_reference, snr_linear
 from quantmimo.mcsim import ValidationReport, validate_closed_form
-from quantmimo.config import SweepConfig, load_config
+from quantmimo.config import SweepConfig
 from quantmimo.sweep import SweepRecord, run_sweep, write_csv
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command line interface for the sweep engine.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error or an
-input CSV that is missing or malformed.
+Exit codes: 0 success, 1 validation failure, 2 a configuration error (an
+unreadable --config included), an --out that cannot be written, or an input
+CSV that is missing or malformed.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from quantmimo.config import ConfigError, config_from_dict, from_text, read_config
-from quantmimo.sweep import print_cost_estimate, read_csv, run_sweep, write_csv, write_gnuplot
+from quantmimo.sweep import check_writable, read_csv, run_sweep, write_csv, write_gnuplot
 
 # each flag that sets a config key, by its argparse dest, and that key
 _FLAG_KEYS = {"bits": "bits", "bandwidth": "bandwidth_ghz", "tau": "tau", "trials": "trials", "seed": "seed"}
@@ -72,11 +73,15 @@ def main(argv=None):
 
     try:
         config = _build_config(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        check_writable(args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
-    print_cost_estimate(config)
     progress = None
     if not args.quiet:
         def progress(record):

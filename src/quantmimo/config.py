@@ -186,15 +186,6 @@ def read_config(path):
     return raw
 
 
-def load_config(path):
-    """Parse and validate a JSON sweep configuration file.
-
-    An empty file (or empty object) yields the full paper-default setup.
-    Unknown keys are rejected by name.
-    """
-    return config_from_dict(read_config(path))
-
-
 def config_from_dict(raw):
     """Validate a configuration dict and fill in the paper defaults."""
     keys = [f.metadata["key"] for f in fields(SweepConfig)]

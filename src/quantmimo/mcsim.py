@@ -254,8 +254,9 @@ def validate_closed_form(
 ):
     """Compare the closed-form SINDRs against the full-chain empirical ones.
 
-    Returns one ValidationReport per requested direction.  A tolerance
-    violation yields passed=False in the report, not an exception.
+    Returns a dict {direction: ValidationReport} with one entry per requested
+    direction ("ul" and "dl" for direction="both").  A tolerance violation
+    yields passed=False in the report, not an exception.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -310,6 +311,4 @@ def validate_closed_form(
             delta_closed=delta,
             delta_empirical=float(ce["delta"] / trials),
         )
-    if direction == "both":
-        return reports
-    return reports[direction]
+    return reports

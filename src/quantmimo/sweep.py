@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,12 +49,13 @@ class SweepRecord:
     bandwidth_hz: float
     tau: int
     m: int
-    sindr: tuple
-    sum_rate_bps: float
-    g_ce: float
-    g_phase: float
-    trace_cd: float
-    delta: float
+    # results: a skipped (infeasible) point keeps these defaults
+    sindr: tuple = field(default=(), kw_only=True)
+    sum_rate_bps: float = field(default=0.0, kw_only=True)
+    g_ce: float = field(default=0.0, kw_only=True)
+    g_phase: float = field(default=0.0, kw_only=True)
+    trace_cd: float = field(default=0.0, kw_only=True)
+    delta: float = field(default=0.0, kw_only=True)
     trials: int
     seed: int
     skipped: bool = False
@@ -69,42 +69,13 @@ def point_seed(master_seed, direction, b, bandwidth_hz, tau):
     return int(ss.generate_state(1)[0])
 
 
-def estimated_cost(config):
-    """Rough count of per-entry quantization operations for the whole sweep."""
-    total = 0
-    for direction in config.directions():
-        for bw in config.bandwidth_hz:
-            for b in config.bits:
-                try:
-                    m = config.antennas(direction, b, bw)
-                except InfeasibleConfigError:
-                    continue
-                total += config.trials * (m + max(config.tau)) * len(config.tau)
-    return total
-
-
 def run_point(config, direction, b, bandwidth_hz, tau):
     """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
     seed = point_seed(config.seed, direction, b, bandwidth_hz, tau)
     try:
         m = config.antennas(direction, b, bandwidth_hz)
     except InfeasibleConfigError:
-        return SweepRecord(
-            direction=direction,
-            b=b,
-            bandwidth_hz=bandwidth_hz,
-            tau=tau,
-            m=0,
-            sindr=(),
-            sum_rate_bps=0.0,
-            g_ce=0.0,
-            g_phase=0.0,
-            trace_cd=0.0,
-            delta=0.0,
-            trials=config.trials,
-            seed=seed,
-            skipped=True,
-        )
+        return SweepRecord(direction, b, bandwidth_hz, tau, m=0, trials=config.trials, seed=seed, skipped=True)
     rho_bs = snr_linear("ul", config.link, bandwidth_hz)
     rho_ue = snr_linear("dl", config.link, bandwidth_hz)
     sys_config = SystemConfig(
@@ -137,7 +108,7 @@ def run_point(config, direction, b, bandwidth_hz, tau):
             specs=specs,
             stats=stats,
         )
-        validation_passed = report.passed
+        validation_passed = report[direction].passed
     return SweepRecord(
         direction=direction,
         b=b,
@@ -168,6 +139,20 @@ def run_sweep(config, progress=None):
                         progress(records[-1])
     records.sort(key=lambda r: (r.direction, r.bandwidth_hz, r.tau, r.b))
     return records
+
+
+def check_writable(path):
+    """Raise the OSError that write_csv would meet at path or its .meta.
+
+    Run before a sweep so that it cannot fail only at the end; truncates
+    nothing, and a file it creates to check is removed again.
+    """
+    for target in (str(path), str(path) + ".meta"):
+        if os.path.exists(target):
+            os.close(os.open(target, os.O_WRONLY | os.O_APPEND))  # EISDIR for a directory
+        else:
+            os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(target)
 
 
 def write_csv(records, path, config=None):
@@ -237,12 +222,3 @@ def write_gnuplot(rows, out_dir):
         paths.append(path)
     return paths
 
-
-def print_cost_estimate(config, stream=sys.stderr):
-    ops = estimated_cost(config)
-    if ops > 2e9:
-        print(
-            f"estimated scale: ~{ops:.2e} quantization operations "
-            f"({config.trials} trials per point); expect a long run",
-            file=stream,
-        )

@@ -30,7 +30,7 @@ def test_default_specs_match_scenario_variances():
 def test_fine_resolution_high_snr_recovers_matched_filter_mean():
     # near-infinite resolution, negligible noise: E[v_k^H G h_k] / M -> 1
     config = _config(m_ul=32, m_dl=32, k_users=4, tau=4, bits=12, rho_bs=1e6)
-    report = validate_closed_form(config, trials=20_000, seed=0, direction="ul")
+    report = validate_closed_form(config, trials=20_000, seed=0, direction="ul")["ul"]
     desired, _ = report.moment_errors["desired_mean"]
     assert desired / 32 == pytest.approx(1.0, rel=0.01)
     assert report.sindr_closed.shape == (4,)
@@ -38,16 +38,16 @@ def test_fine_resolution_high_snr_recovers_matched_filter_mean():
 
 def test_validator_is_deterministic():
     config = _config()
-    a = validate_closed_form(config, trials=20_000, seed=3, direction="ul")
-    b = validate_closed_form(config, trials=20_000, seed=3, direction="ul")
+    a = validate_closed_form(config, trials=20_000, seed=3, direction="ul")["ul"]
+    b = validate_closed_form(config, trials=20_000, seed=3, direction="ul")["ul"]
     assert np.array_equal(a.sindr_empirical, b.sindr_empirical)
     assert np.array_equal(a.sindr_closed, b.sindr_closed)
 
 
 def test_trials_differ_across_seeds():
     config = _config()
-    a = validate_closed_form(config, trials=2_000, seed=1, direction="ul")
-    b = validate_closed_form(config, trials=2_000, seed=2, direction="ul")
+    a = validate_closed_form(config, trials=2_000, seed=1, direction="ul")["ul"]
+    b = validate_closed_form(config, trials=2_000, seed=2, direction="ul")["ul"]
     assert not np.array_equal(a.sindr_empirical, b.sindr_empirical)
     assert a.moment_errors["desired_mean"] != b.moment_errors["desired_mean"]
 
@@ -101,13 +101,13 @@ def test_residuals_vanish_for_gaussian_model_inputs_per_phase():
 
 def test_distortion_covariance_off_diagonals_vanish():
     config = _config(m_ul=8, m_dl=8, bits=2)
-    report = validate_closed_form(config, trials=30_000, seed=2, direction="ul", track_offdiag=True)
+    report = validate_closed_form(config, trials=30_000, seed=2, direction="ul", track_offdiag=True)["ul"]
     assert report.offdiag_max < 3 * report.offdiag_sigma
 
 
 def test_empirical_delta_matches_closed_form():
     config = _config(m_ul=16, m_dl=16, bits=2)
-    report = validate_closed_form(config, trials=30_000, seed=4, direction="dl")
+    report = validate_closed_form(config, trials=30_000, seed=4, direction="dl")["dl"]
     assert report.delta_empirical == pytest.approx(report.delta_closed, rel=0.01)
 
 
@@ -123,7 +123,7 @@ def test_empirical_delta_matches_closed_form():
 )
 def test_uplink_distortion_moment_error_stays_where_measured(direction, bits, error, band):
     config = _config(m_ul=32, m_dl=32, bits=bits)
-    report = validate_closed_form(config, trials=40_000, seed=1, direction=direction)
+    report = validate_closed_form(config, trials=40_000, seed=1, direction=direction)[direction]
     _, rel_error = report.moment_errors["distortion_power"]
     assert rel_error == pytest.approx(error, abs=band)
 
@@ -137,7 +137,9 @@ MOMENT_NAMES = {
 @pytest.mark.parametrize("direction", ["ul", "dl"])
 def test_report_text_is_flat_and_complete(direction):
     config = _config(m_ul=8, m_dl=8)
-    report = validate_closed_form(config, trials=10_000, seed=0, direction=direction)
+    reports = validate_closed_form(config, trials=10_000, seed=0, direction=direction)
+    assert set(reports) == {direction}
+    report = reports[direction]
     assert set(report.moment_errors) == MOMENT_NAMES[direction]
     text = report.to_text()
     for token in (f"direction {direction}", "trials 10000", "passed", "sindr_closed_0", "delta_closed", "worst_term"):

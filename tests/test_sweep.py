@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from quantmimo import sweep
+from quantmimo import cli, sweep
 from quantmimo.cli import main as cli_main
-from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, load_config
+from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, read_config
 from quantmimo.mcsim import default_specs
 from quantmimo.quant import _unit_lloyd_max
 from quantmimo.sweep import point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
@@ -149,15 +149,15 @@ def test_config_validation_rules():
     assert type(integral.envelope_count_ref) is int
 
 
-def test_load_config_round_trip(tmp_path):
+def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"direction": "dl", "bits": [2, 3], "bandwidth_ghz": [0.1, 1.0]}))
-    config = load_config(path)
+    config = config_from_dict(read_config(path))
     assert config.direction == "dl"
     assert config.bits == (2, 3)
     assert config.bandwidth_hz == (1e8, 1e9)
     (tmp_path / "empty.json").write_text("")
-    assert load_config(tmp_path / "empty.json") == SweepConfig()
+    assert config_from_dict(read_config(tmp_path / "empty.json")) == SweepConfig()
     # one implementation, also under the name the sweep module exports
     assert sweep.config_from_dict is config_from_dict
 
@@ -309,10 +309,15 @@ def test_cli_flag_overrides(tmp_path):
     assert len(rows) == 1 and rows[0]["direction"] == "ul"
 
 
-def test_cli_reports_config_errors(tmp_path):
+def test_cli_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": True}))
     assert cli_main(["run", "--config", str(bad), "--quiet"]) == 2
+    # a --config that cannot be read (here a directory): one stderr line
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ") and str(tmp_path) in err[0], err
     for raw in ({"power": 5}, {"bits": 3}):
         bad.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
@@ -340,6 +345,46 @@ def test_cli_reports_config_errors(tmp_path):
         bad.write_text(json.dumps({**tiny, **raw}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_checks_the_output_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written fails at once with exit 2, not after
+    # the sweep with a traceback, and an existing output is left as it was
+    def run_sweep(config, progress=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"direction": "ul", "bits": [10], "tau": [8], "trials": 10_000}))
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    (tmp_path / "kept.csv.meta").mkdir()
+    (tmp_path / "fresh.csv.meta").mkdir()
+    for out, named in (
+        (tmp_path / "missing" / "out.csv", tmp_path / "missing" / "out.csv"),
+        (tmp_path, tmp_path),
+        (kept, tmp_path / "kept.csv.meta"),
+        (tmp_path / "fresh.csv", tmp_path / "fresh.csv.meta"),
+    ):
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: ") and str(named) in err[0], err
+    assert kept.read_text() == "earlier output\n"
+    assert not (tmp_path / "fresh.csv").exists()
+
+
+def test_cli_validate_records_the_oracle_verdict(tmp_path, capsys, monkeypatch):
+    records = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, progress=None: records.extend(run_sweep(config)) or records)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    raw = {"direction": "ul", "bits": [10], "tau": [8], "trials": 10_000, "validate": True}
+    for tolerance, code, passed in (({}, 0, True), ({"validate_tolerance": 1e-9}, 1, False)):
+        records.clear()
+        cfg.write_text(json.dumps({**raw, **tolerance}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+        assert [r.validation_passed for r in records] == [passed]
+        assert ("validation failure" in capsys.readouterr().err) == (not passed)
 
 
 def test_cli_grid_flags_are_checked_like_the_config(tmp_path, capsys):
