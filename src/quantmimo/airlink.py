@@ -70,19 +70,25 @@ def pilot_phase_signal(channel, pilots, rho_bs, noise):
     """ADC input during the pilot phase: sqrt(rho) * H @ conj(P).T plus noise.
 
     H is M x K (or a batch ..., M, K); the result is M x tau (..., M, tau).
+    A batch goes through one 2-D product of all its rows, not one product
+    per matrix.
     """
-    return np.sqrt(rho_bs) * channel @ pilots.entries.conj().T + noise
+    scaled = np.sqrt(rho_bs) * channel
+    signal = scaled.reshape(-1, scaled.shape[-1]) @ pilots.entries.conj().T
+    return signal.reshape(*scaled.shape[:-1], pilots.tau) + noise
 
 
 def estimate_channel(rce, pilots, rho_bs):
     """Channel estimate from the quantized pilot-phase output.
 
     rce is an M x tau matrix or a batch of them (..., M, tau).  Returns
-    M x K (batched: ..., M, K); collapses to the exact channel when
-    quantization and noise are absent, by pilot orthogonality.
+    M x K (batched: ..., M, K, from one 2-D product of all rows); collapses
+    to the exact channel when quantization and noise are absent, by pilot
+    orthogonality.
     """
     rce = np.asarray(rce)
     tau = pilots.tau
     if rce.ndim < 2 or rce.shape[-1] != tau:
         raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
-    return rce @ pilots.entries / (np.sqrt(rho_bs) * tau)
+    projected = rce.reshape(-1, tau) @ pilots.entries
+    return projected.reshape(*rce.shape[:-1], pilots.k_users) / (np.sqrt(rho_bs) * tau)

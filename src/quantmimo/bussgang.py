@@ -35,7 +35,8 @@ _MAX_DRAW_BYTES = 1 << 30
 MAX_ANTENNAS = MAX_PILOT_LENGTH = _MAX_DRAW_BYTES // (16 * _CHUNK_TRIALS)
 # entries of the widest per-trial array worked through at once within a
 # chunk: 1 MB of complex entries, so that a block's arrays stay in a 2 MB
-# L2 cache
+# L2 cache.  The oracle in mcsim draws each such block from its own
+# generator, so this also sets the oracle's random stream
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -5,11 +5,15 @@ data-phase quantization -> reception, accumulates the expectation terms of
 the general SINDR ratios, and compares the resulting empirical SINDRs with
 the closed forms.
 
-The chain draws from its own PHASE_ORACLE stream, one generator per chunk
-(pilot phase, then uplink, then downlink), so it shares no random numbers
-with the Monte Carlo moments of assemble_stats that it checks.  Each
-chunk's random numbers are drawn first, in that order; the chain then runs
-over the chunk in cache-sized blocks of trials.
+The chain runs over the trials one cache-sized block at a time
+(bussgang._blocks of the m*tau pilot noise, 256 trials at m 32, tau 8), so
+its draws take about 1 MB whatever m, tau or the trial count.  Block j
+draws from its own generator, chunk_rng(seed, PHASE_ORACLE, j), in the order
+channels, pilot noise, uplink symbols and noise, downlink symbols; so the
+block size defines the oracle's stream, and the oracle shares no random
+numbers with the Monte Carlo moments of assemble_stats that it checks.
+Both directions take their channel products from one per-trial
+A = H^H Ĥ and |Ĥ|^2 of the block.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -21,6 +25,7 @@ E[v^H C_d v] also holds the distortion's dependence on the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +38,6 @@ from quantmimo.bussgang import (
     assemble_stats,
     chunk_rng,
     _blocks,
-    _chunks,
     _fsum_chunks,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
@@ -93,21 +97,19 @@ def default_specs(config):
 
 
 def _residual_sums(d, y):
-    """Sums of d conj(y) and of its squared magnitude over a chunk."""
+    """Sums of d conj(y) and of its squared magnitude over a block."""
     ry = np.conj(y)
     ry *= d
     return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
 
 
 def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise):
-    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase sums."""
+    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase residual sums."""
     y_ce = pilot_phase_signal(h, pilots, rho_bs, noise)
     d_ce = quantize(spec_ce, y_ce)
     h_hat = estimate_channel(d_ce, pilots, rho_bs)
     d_ce -= g_ce * y_ce
-    sums = _residual_sums(d_ce, y_ce)
-    sums["delta"] = np.vdot(h_hat, h_hat).real
-    return h_hat, sums
+    return h_hat, _residual_sums(d_ce, y_ce)
 
 
 def _matvec(a, x):
@@ -115,57 +117,77 @@ def _matvec(a, x):
     return np.matmul(a, x[:, :, None])[:, :, 0]
 
 
-def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, x, z_ul, track_offdiag):
-    """MRC sums of a block, each named after the UplinkMoments field it estimates."""
+class _ChannelSums(NamedTuple):
+    """Block sums of the per-trial A = H^H Ĥ (K x K) and of |Ĥ|^2, which both directions share."""
+
+    diag: np.ndarray  # sum of diag A
+    power: np.ndarray  # sum of |A|^2
+    ue_power: np.ndarray  # sum of |ĥ_k|^2, per UE
+    antenna_power: np.ndarray  # sum of the estimate powers, per antenna
+
+
+def _channel_sums(h, h_hat):
+    a = np.matmul(np.conj(h).transpose(0, 2, 1), h_hat)
+    hat_power = np.abs(h_hat) ** 2
+    return _ChannelSums(
+        np.einsum("ckk->k", a),
+        np.sum(np.abs(a) ** 2, axis=0),
+        np.sum(hat_power, axis=(0, 1)),
+        np.sum(hat_power, axis=(0, 2)),
+    )
+
+
+def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul, track_offdiag):
+    """MRC sums of a block, each named after the UplinkMoments field it estimates.
+
+    With the combiner v = g_ul·ĥ behind the ADC gain g_ul, the terms
+    g_ul·v_k^H h_i are g_ul^2·conj(A_ik).
+    """
     y_ul = _matvec(h, x)
     y_ul *= np.sqrt(rho_bs)
     y_ul += z_ul
     d_ul = quantize(spec_ul, y_ul)
     d_ul -= g_ul * y_ul
-    v = g_ul * h_hat
-    v_h = np.conj(v).transpose(0, 2, 1)
-    cross = np.matmul(v_h, h)
-    cross *= g_ul
+    g2 = g_ul**2
     sums = _residual_sums(d_ul, y_ul)
-    sums["desired_mean"] = np.einsum("ckk->k", cross)
-    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["combiner_power"] = g_ul**2 * np.sum(np.abs(v) ** 2, axis=(0, 1))
-    sums["distortion_power"] = np.sum(np.abs(_matvec(v_h, d_ul)) ** 2, axis=0)
+    sums["desired_mean"] = g2 * np.conj(channel.diag)
+    sums["signal_powers"] = g2**2 * channel.power.T
+    sums["combiner_power"] = g2**2 * channel.ue_power
+    d_h = np.matmul(np.conj(d_ul)[:, None, :], h_hat)[:, 0, :]  # d^H ĥ_k = conj(ĥ_k^H d)
+    sums["distortion_power"] = g2 * np.sum(np.abs(d_h) ** 2, axis=0)
     if track_offdiag:
         sums["offdiag"] = d_ul.T @ d_ul.conj()
         sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
     return sums
 
 
-def _downlink_block(spec_dl, g_dl, delta, h, h_hat, x):
+def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x):
     """MRT sums of a block, each named after the DownlinkMoments field it estimates, and precoder powers.
 
-    The distortion term of every UE sums ||d||^2, which is E[|h_k^H d|^2 | d]
-    for a channel independent of d.
+    With the precoder w = ĥ/sqrt(delta) behind the DAC gain g_dl, the terms
+    g_dl·h_k^H w_i are g_dl·A_ki/sqrt(delta).  The distortion term of every UE sums ||d||^2, which
+    is E[|h_k^H d|^2 | d] for a channel independent of d.
     """
-    w = h_hat / np.sqrt(delta)
-    u = _matvec(w, x)
+    u = _matvec(h_hat, x)
+    u /= np.sqrt(delta)
     d_dl = quantize(spec_dl, u)
     d_dl -= g_dl * u
-    cross = np.matmul(np.conj(h).transpose(0, 2, 1), w)
-    cross *= g_dl
-    w_power = np.abs(w) ** 2
     sums = _residual_sums(d_dl, u)
-    sums["desired_mean"] = np.einsum("ckk->k", cross)
-    sums["signal_powers"] = np.sum(np.abs(cross) ** 2, axis=0)
-    sums["distortion_power"] = np.full(h.shape[2], np.vdot(d_dl, d_dl).real)
-    sums["precoder"] = np.sum(w_power)
-    sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
+    sums["desired_mean"] = g_dl / np.sqrt(delta) * channel.diag
+    sums["signal_powers"] = g_dl**2 / delta * channel.power
+    sums["distortion_power"] = np.full(len(channel.diag), np.vdot(d_dl, d_dl).real)
+    sums["precoder"] = np.sum(channel.ue_power) / delta
+    sums["precoder_diag"] = channel.antenna_power / delta
     return sums
 
 
-def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions):
-    """Per-block moment sums of one chunk: {phase: [sums of each block]} for "ce" and each direction.
+def _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions):
+    """Moment sums of one block of size trials: {phase: {name: sum}} for "ce" and each direction.
 
-    The chunk's random numbers are drawn first, in stream order: pilot-phase
+    The block's random numbers are drawn first, in stream order: pilot-phase
     channels and noise, then the uplink's symbols and noise, then the
-    downlink's symbols.  The chain then runs one cache-sized block of trials
-    at a time.
+    downlink's symbols (each direction's only when it is requested).  Both
+    directions take their channel products from one _channel_sums.
     """
     spec_ce, spec_ul, spec_dl = specs
     m, k = config.m_ul, config.k_users
@@ -176,17 +198,14 @@ def _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, d
         z_ul = complex_gaussian(rng, (size, m))
     if "dl" in directions:
         x_dl = complex_gaussian(rng, (size, k))
-    sums = {phase: [] for phase in ("ce",) + directions}
-    for block in _blocks(size, m * config.tau):
-        h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h[block], noise[block])
-        sums["ce"].append(ce_sums)
-        if "ul" in directions:
-            ul_sums = _uplink_block(
-                config.rho_bs, spec_ul, stats.g_ul, h[block], h_hat, x_ul[block], z_ul[block], track_offdiag
-            )
-            sums["ul"].append(ul_sums)
-        if "dl" in directions:
-            sums["dl"].append(_downlink_block(spec_dl, stats.g_dl, delta, h[block], h_hat, x_dl[block]))
+    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, noise)
+    channel = _channel_sums(h, h_hat)
+    ce_sums["delta"] = np.sum(channel.ue_power)
+    sums = {"ce": ce_sums}
+    if "ul" in directions:
+        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x_ul, z_ul, track_offdiag)
+    if "dl" in directions:
+        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, x_dl)
     return sums
 
 
@@ -279,11 +298,12 @@ def validate_closed_form(
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
     block_sums = {phase: [] for phase in ("ce",) + directions}
-    for chunk, size in _chunks(trials, m * tau):  # the pilot noise is the widest draw
-        rng = chunk_rng(seed, PHASE_ORACLE, chunk)
-        chunk_sums = _chunk_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
-        for phase, sums in chunk_sums.items():
-            block_sums[phase] += sums
+    for index, block in enumerate(_blocks(trials, m * tau)):  # the pilot noise is the widest draw
+        rng = chunk_rng(seed, PHASE_ORACLE, index)
+        size = block.stop - block.start
+        sums = _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
+        for phase, phase_sums in sums.items():
+            block_sums[phase].append(phase_sums)
 
     ce = _totals(block_sums["ce"])
     ce_residual = _residual(ce, trials * m * tau)

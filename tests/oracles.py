@@ -4,10 +4,10 @@ These deliberately avoid the package's own algorithms: the quantizer oracle
 runs plain Lloyd iteration on a dense probability grid, with no Newton
 acceleration, no closed-form Gaussian moments, and no shared code paths.
 The kernel references keep the plain forms (complex Gaussian draws from two
-full-size arrays, two-pass quantize, einsum chunk kernels, full-array pilot
-projections) that the package's faster forms must reproduce, and the
-Lloyd-Max Newton solver that carries sigma through every step, which the
-package's scaled unit-sigma design must match.
+full-size arrays, two-pass quantize, the oracle's block sums in einsum form,
+full-array pilot projections) that the package's faster forms must
+reproduce, and the Lloyd-Max Newton solver that carries sigma through every
+step, which the package's scaled unit-sigma design must match.
 """
 
 import math
@@ -173,11 +173,25 @@ def _einsum_residual_sums(d, y):
     return {"resid": np.sum(ry), "resid_sq": np.sum(np.abs(ry) ** 2)}
 
 
-def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
-    """Index-notation reference for mcsim._uplink_block over a whole chunk.
+def einsum_pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise):
+    """Index-notation reference for the oracle's pilot phase over one block.
 
-    Draws the chunk's uplink random numbers from rng, as the oracle does
-    after the pilot phase.
+    Returns the channel estimates and the block's residual and estimate
+    power (delta) sums.
+    """
+    y_ce = np.sqrt(rho_bs) * np.einsum("cmk,tk->cmt", h, pilots.entries.conj()) + noise
+    q = two_pass_quantize(spec_ce, y_ce)
+    h_hat = np.einsum("cmt,tk->cmk", q, pilots.entries) / (np.sqrt(rho_bs) * pilots.tau)
+    sums = _einsum_residual_sums(q - g_ce * y_ce, y_ce)
+    sums["delta"] = np.sum(np.abs(h_hat) ** 2)
+    return h_hat, sums
+
+
+def einsum_uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
+    """Index-notation reference for the oracle's uplink sums over one block.
+
+    Draws the block's uplink random numbers from rng, as the oracle does
+    after the pilot phase, and forms each product from the combiner itself.
     """
     size, m, k = h.shape
     x = complex_gaussian(rng, (size, k))
@@ -197,11 +211,12 @@ def einsum_uplink_chunk(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
     return sums
 
 
-def einsum_downlink_chunk(spec_dl, g_dl, delta, h, h_hat, rng):
-    """Index-notation reference for mcsim._downlink_block over a whole chunk.
+def einsum_downlink_block(spec_dl, g_dl, delta, h, h_hat, rng):
+    """Index-notation reference for the oracle's downlink sums over one block.
 
-    Draws the chunk's downlink random numbers from rng; every UE's
-    distortion term is the total distortion power ||d||^2 of the chunk.
+    Draws the block's downlink random numbers from rng and forms each
+    product from the precoder itself; every UE's distortion term is the
+    total distortion power ||d||^2 of the block.
     """
     size, _, k = h.shape
     w = h_hat / np.sqrt(delta)

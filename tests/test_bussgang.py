@@ -139,6 +139,20 @@ def test_block_size_does_not_change_the_estimates(monkeypatch):
     assert np.allclose(a_k, a_k_whole, rtol=1e-12, atol=0)
 
 
+def test_chunks_keep_each_draw_within_a_gib():
+    # a chunk is sized by its widest draw: rows of 176*64 complex entries
+    # (m*tau at the default grid's widest point) would take 2.95 GB in one
+    # 16384-trial chunk
+    trials, m, tau = 100_000, 176, 64
+    sizes = [size for _, size in bussgang._chunks(trials, m * tau)]
+    assert sum(sizes) == trials
+    assert 16 * max(sizes) * m * tau <= 1 << 30
+    assert 16 * (max(sizes) + 1) * m * tau > 1 << 30
+    # a row of 256 entries keeps full chunks, and with them its random stream
+    sizes = [size for _, size in bussgang._chunks(trials, 32 * 8)]
+    assert sizes == [bussgang._CHUNK_TRIALS] * 6 + [trials - 6 * bussgang._CHUNK_TRIALS]
+
+
 def test_ce_projection_rejects_mismatched_quantizer():
     config, _ = _scenario()
     wrong = rescale_labels(design_lloyd_max(2, 1.0), 2.0)  # designed for variance 2, not rho*K+1
