@@ -76,9 +76,11 @@ def _fsum_chunks(parts):
     """Element-wise total of per-block sums, exactly rounded by math.fsum.
 
     Blocks are combined in chunk and block order, so the total does not
-    depend on how the chunks were scheduled.
+    depend on how the chunks were scheduled.  parts is a list of equal-shape
+    sums, or an array of them stacked along its first axis, which is summed
+    without a copy.
     """
-    parts = np.stack(parts)
+    parts = np.asarray(parts)
     flat = parts.reshape(len(parts), -1).T
     if np.iscomplexobj(flat):
         out = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat])

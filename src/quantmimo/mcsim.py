@@ -13,7 +13,10 @@ channels, pilot noise, uplink symbols and noise, downlink symbols; so the
 block size defines the oracle's stream, and the oracle shares no random
 numbers with the Monte Carlo moments of assemble_stats that it checks.
 Both directions take their channel products from one per-trial
-A = H^H Ĥ and |Ĥ|^2 of the block.
+A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums are kept as one row
+of a float64 table per phase ("ce", "ul", "dl"; 103 floats, 824 bytes, a
+block at K 4, m 32), whose columns math.fsum totals at the end and whose
+rows give each moment's batch-means standard error.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -55,6 +58,7 @@ class ValidationReport:
     sindr_empirical: np.ndarray
     sindr_rel_error: np.ndarray
     moment_errors: dict
+    moment_stderr: dict          # moment -> batch-means standard error of its empirical value
     bussgang_residual: dict      # phase -> (|mean d conj(y)|, MC standard error)
     offdiag_max: float | None
     offdiag_sigma: float | None
@@ -75,7 +79,7 @@ class ValidationReport:
             lines.append(f"sindr_empirical_{k} {self.sindr_empirical[k]:.9g}")
             lines.append(f"sindr_rel_error_{k} {self.sindr_rel_error[k]:.6g}")
         for name, (value, err) in self.moment_errors.items():
-            lines.append(f"moment_{name} {value:.9g} rel_error {err:.6g}")
+            lines.append(f"moment_{name} {value:.9g} rel_error {err:.6g} stderr {self.moment_stderr[name]:.6g}")
         for phase, (mag, sigma) in self.bussgang_residual.items():
             lines.append(f"residual_{phase} {mag:.6g} sigma {sigma:.6g}")
         if self.offdiag_max is not None:
@@ -209,9 +213,61 @@ def _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, d
     return sums
 
 
-def _totals(block_sums):
-    """Exactly rounded totals of a list of per-block {name: sum} dicts."""
-    return {name: _fsum_chunks([s[name] for s in block_sums]) for name in block_sums[0]}
+class _BlockTable:
+    """One phase's block sums, one float64 row per block.
+
+    The layout, taken from the first block's {name: sum} dict, gives each
+    name its columns, shape and whether it is complex (stored as real and
+    imaginary pairs).  At K 4, m 32 a row holds 4 floats for "ce", 35 for
+    "ul" and 64 for "dl".
+    """
+
+    def __init__(self, first, n_blocks):
+        self.layout = {}
+        width = 0
+        for name, value in first.items():
+            value = np.asarray(value)
+            is_complex = np.iscomplexobj(value)
+            size = value.size * (1 + is_complex)
+            self.layout[name] = (slice(width, width + size), value.shape, is_complex)
+            width += size
+        self.rows = np.empty((n_blocks, width))
+
+    def store(self, index, sums):
+        row = self.rows[index]
+        for name, (cols, _, is_complex) in self.layout.items():
+            flat = np.ravel(sums[name])
+            row[cols] = flat.view(np.float64) if is_complex else flat
+
+    def _unpack(self, flat, name):
+        """name's values, shaped (..., *shape), from the columns of flat."""
+        cols, shape, is_complex = self.layout[name]
+        part = flat[..., cols]
+        return (part.view(np.complex128) if is_complex else part).reshape(flat.shape[:-1] + shape)
+
+    def totals(self):
+        """{name: total over the blocks}, each column exactly rounded by math.fsum."""
+        flat = _fsum_chunks(self.rows)
+        return {name: self._unpack(flat, name) for name in self.layout}
+
+    def blocks(self, name):
+        """name's sums, one per block, as an array of shape (blocks, *shape)."""
+        return self._unpack(self.rows, name)
+
+
+def _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
+    """Trials per block, and {phase: _BlockTable} of the block sums of "ce" and each direction."""
+    blocks = _blocks(trials, config.m_ul * config.tau)  # the pilot noise is the widest draw
+    tables = {}
+    for index, block in enumerate(blocks):
+        rng = chunk_rng(seed, PHASE_ORACLE, index)
+        size = block.stop - block.start
+        sums = _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
+        if not tables:
+            tables = {phase: _BlockTable(phase_sums, len(blocks)) for phase, phase_sums in sums.items()}
+        for phase, phase_sums in sums.items():
+            tables[phase].store(index, phase_sums)
+    return np.array([block.stop - block.start for block in blocks]), tables
 
 
 def _residual(totals, n_samples):
@@ -221,31 +277,40 @@ def _residual(totals, n_samples):
     return abs(complex(mean)), np.sqrt(var / n_samples)
 
 
-def _report(direction, closed, mean, checks, tolerance, **report_fields):
+def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_fields):
     """ValidationReport of one direction from its per-UE closed-form moments and the trial means.
 
     A UE's empirical moments are its closed-form ones with every simulated
     field (each field that mean names, indexed by UE) set to its mean.  Each
     such field is paired with its closed form, the signal powers as cross
-    and self powers, ahead of the further {name: (empirical, closed)} checks;
-    moment errors are relative to the closed-form mean.
+    and self powers, ahead of the further {moment: (field, closed)} checks;
+    moment errors are relative to the closed-form mean.  A moment's value v
+    is the mean of the real part of its entries; its standard error is
+    sqrt(sum_j (r_j - n_j v)^2) / N over the table's blocks, with r_j the
+    same reduction of block j's sums, n_j its trials and N their total.
     """
     names = [f.name for f in fields(closed[0]) if f.name in mean]
     emp = [replace(c, **{name: mean[name][ue] for name in names}) for ue, c in enumerate(closed)]
     cross = ~np.eye(len(closed), dtype=bool)
-    pairs = {}
+    diag = np.arange(len(closed))
+    pairs = {}  # moment -> (field, index of its entries, closed form of those entries)
     for name in names:
         closed_form = np.array([getattr(c, name) for c in closed])
         if name == "signal_powers":
-            pairs["cross_power"] = (mean[name][cross], closed_form[cross])
-            pairs["self_power"] = (np.diagonal(mean[name]), np.diagonal(closed_form))
+            pairs["cross_power"] = (name, np.s_[..., cross], closed_form[cross])
+            pairs["self_power"] = (name, np.s_[..., diag, diag], np.diagonal(closed_form))
         else:
-            pairs[name] = (mean[name], closed_form)
-    moment_errors = {}
-    for name, (empirical, closed_form) in {**pairs, **checks}.items():
+            pairs[name] = (name, np.s_[...], closed_form)
+    checks = {name: (field, np.s_[...], closed_form) for name, (field, closed_form) in checks.items()}
+    moment_errors, moment_stderr = {}, {}
+    for name, (field, entries, closed_form) in {**pairs, **checks}.items():
+        empirical = mean[field][entries]
         reference = np.mean(closed_form)
         error = abs(np.mean(empirical) - reference) / reference
-        moment_errors[name] = (float(np.mean(np.real(empirical))), float(error))
+        value = float(np.mean(np.real(empirical)))
+        moment_errors[name] = (value, float(error))
+        per_block = np.real(table.blocks(field)[entries]).reshape(len(sizes), -1).mean(axis=1)
+        moment_stderr[name] = float(np.sqrt(np.sum((per_block - sizes * value) ** 2)) / np.sum(sizes))
     emp = np.array([rates.sindr_from_moments(x) for x in emp])
     closed = np.array([rates.sindr_from_moments(x) for x in closed])
     rel = np.abs(emp - closed) / emp
@@ -256,6 +321,7 @@ def _report(direction, closed, mean, checks, tolerance, **report_fields):
         sindr_empirical=emp,
         sindr_rel_error=rel,
         moment_errors=moment_errors,
+        moment_stderr=moment_stderr,
         passed=bool(np.all(rel <= tolerance)),
         **report_fields,
     )
@@ -277,6 +343,8 @@ def validate_closed_form(
     direction ("ul" and "dl" for direction="both").  A tolerance violation
     yields passed=False in the report, not an exception.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if config.m_ul != config.m_dl:
@@ -297,23 +365,16 @@ def validate_closed_form(
     pilots = dft_pilots(tau, k)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
-    block_sums = {phase: [] for phase in ("ce",) + directions}
-    for index, block in enumerate(_blocks(trials, m * tau)):  # the pilot noise is the widest draw
-        rng = chunk_rng(seed, PHASE_ORACLE, index)
-        size = block.stop - block.start
-        sums = _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
-        for phase, phase_sums in sums.items():
-            block_sums[phase].append(phase_sums)
-
-    ce = _totals(block_sums["ce"])
+    sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions)
+    ce = tables["ce"].totals()
     ce_residual = _residual(ce, trials * m * tau)
     reports = {}
     for d in directions:
-        totals = _totals(block_sums[d])
+        totals = tables[d].totals()
         mean = {name: total / trials for name, total in totals.items()}
         checks, off_max, off_sigma = {}, None, None
         if d == "dl":
-            checks = {"precoder_frobenius": (mean["precoder"], 1.0), "precoder_diag": (mean["precoder_diag"], 1.0 / m)}
+            checks = {"precoder_frobenius": ("precoder", 1.0), "precoder_diag": ("precoder_diag", 1.0 / m)}
         elif track_offdiag:
             off_max = float(np.max(np.abs(mean["offdiag"][~np.eye(m, dtype=bool)])))
             off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
@@ -321,6 +382,8 @@ def validate_closed_form(
             d,
             [moments[d](inputs[d], ue) for ue in range(k)],
             mean,
+            tables[d],
+            sizes,
             checks,
             tolerance,
             trials=trials,

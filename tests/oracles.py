@@ -6,8 +6,10 @@ acceleration, no closed-form Gaussian moments, and no shared code paths.
 The kernel references keep the plain forms (complex Gaussian draws from two
 full-size arrays, two-pass quantize, the oracle's block sums in einsum form,
 full-array pilot projections) that the package's faster forms must
-reproduce, and the Lloyd-Max Newton solver that carries sigma through every
-step, which the package's scaled unit-sigma design must match.
+reproduce, the oracle's list of per-block sum dicts, whose totals its
+block tables must equal exactly, and the Lloyd-Max Newton solver that
+carries sigma through every step, which the package's scaled unit-sigma
+design must match.
 """
 
 import math
@@ -16,8 +18,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
+from quantmimo import mcsim
 from quantmimo.airlink import complex_gaussian
-from quantmimo.bussgang import PHASE_CE, _chunks, chunk_rng, gain_scalar
+from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, _blocks, _chunks, _fsum_chunks, chunk_rng, gain_scalar
 from quantmimo.quant import quantize
 
 
@@ -232,6 +235,26 @@ def einsum_downlink_block(spec_dl, g_dl, delta, h, h_hat, rng):
     sums["precoder"] = np.sum(w_power)
     sums["precoder_diag"] = np.sum(w_power, axis=(0, 2))
     return sums
+
+
+def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
+    """The oracle's totals {phase: {name: total}} from a list of per-block {name: sum} dicts per phase.
+
+    The accumulation mcsim.validate_closed_form had before it kept the block
+    sums as rows of one float table per phase: every block's dicts are kept
+    to the end, then each name's sums are totalled by _fsum_chunks.
+    """
+    block_sums = {}
+    for index, block in enumerate(_blocks(trials, config.m_ul * config.tau)):
+        rng = chunk_rng(seed, PHASE_ORACLE, index)
+        size = block.stop - block.start
+        sums = mcsim._block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
+        for phase, phase_sums in sums.items():
+            block_sums.setdefault(phase, []).append(phase_sums)
+    return {
+        phase: {name: _fsum_chunks([s[name] for s in phase_sums]) for name in phase_sums[0]}
+        for phase, phase_sums in block_sums.items()
+    }
 
 
 def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):

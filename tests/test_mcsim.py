@@ -12,7 +12,7 @@ from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import snr_linear
 
-from oracles import einsum_downlink_block, einsum_pilot_phase, einsum_uplink_block
+from oracles import dict_accumulated_totals, einsum_downlink_block, einsum_pilot_phase, einsum_uplink_block
 
 
 def _config(**overrides):
@@ -148,12 +148,15 @@ def test_report_text_is_flat_and_complete(direction):
         assert token in text
     for name in MOMENT_NAMES[direction]:
         assert f"moment_{name} " in text
+        assert f" stderr {report.moment_stderr[name]:.6g}" in text
 
 
 def test_validator_input_checks():
     config = _config()
-    with pytest.raises(ValueError):
-        validate_closed_form(config, trials=0)
+    for trials in (0, 2e4, 256.0, True, "256", None):
+        with pytest.raises(ValueError, match="trials"):
+            validate_closed_form(config, trials=trials)
+    assert validate_closed_form(config, trials=np.int64(300), direction="ul")["ul"].trials == 300
     mismatched = SystemConfig(m_ul=8, m_dl=16, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
     with pytest.raises(ValueError):
         validate_closed_form(mismatched, trials=10_000)
@@ -202,6 +205,31 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
             assert np.allclose(got[phase][name], value, rtol=1e-12, atol=0), (phase, name)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("direction", ["both", "dl"])
+def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
+    # the table rows, totalled per column, give exactly the totals of the
+    # per-block {name: sum} dicts, over 2.5 blocks so that the short last
+    # block counts too (criterion-4 scenario, off-diagonals tracked)
+    config = _config(m_ul=32, m_dl=32, bits=bits)
+    specs, stats, delta = _oracle_inputs(config)
+    pilots = dft_pilots(config.tau, config.k_users)
+    trials = 5 * (bussgang._BLOCK_ENTRIES // (config.m_ul * config.tau)) // 2
+    directions = ("ul", "dl") if direction == "both" else (direction,)
+    args = (config, specs, stats, delta, pilots, trials, 7, True, directions)
+
+    sizes, tables = mcsim._block_tables(*args)
+    want = dict_accumulated_totals(*args)
+    assert sizes.tolist() == [256, 256, 128]
+    assert tables.keys() == want.keys()
+    for phase, totals in want.items():
+        got = tables[phase].totals()
+        assert got.keys() == totals.keys(), phase
+        for name, total in totals.items():
+            assert got[name].dtype == total.dtype and got[name].shape == total.shape, (phase, name)
+            assert np.all(got[name] == total), (phase, name)
+
+
 @pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's m*tau
 def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entries):
     # block j draws from generator j of the oracle's own phase, in stream
@@ -239,9 +267,18 @@ def _widest_validate_point():
     return SystemConfig(m, m, grid.k_users, 64, 1, rho_bs, rho_ue)
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # tracemalloc peaks of the oracle (specs and stats given), measured with
-# numpy 2.4: 5.6 MB at the criterion-4 scenario over 16384 trials, and
-# 4.6 MB at the widest --validate point over 2000 trials.  Drawing whole
+# numpy 2.4: 5.5 MB at the criterion-4 scenario over 16384 trials, and
+# 4.2 MB at the widest --validate point over 2000 trials.  Drawing whole
 # 16384-trial chunks first, the oracle peaked at 115 MB and 415 MB there.
 @pytest.mark.parametrize(
     "config,direction,trials",
@@ -253,10 +290,50 @@ def _widest_validate_point():
 )
 def test_peak_memory_of_the_oracle_stays_at_block_scale(config, direction, trials):
     specs, stats, _ = _oracle_inputs(config)
-    tracemalloc.start()
-    try:
-        validate_closed_form(config, trials=trials, seed=1, direction=direction, specs=specs, stats=stats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(
+        lambda: validate_closed_form(config, trials=trials, seed=1, direction=direction, specs=specs, stats=stats)
+    )
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
+    # with every trial its own block, twice the blocks may raise the peak by
+    # little more than the added rows of block sums (103 floats a block at
+    # K 4, m 32); per-block dicts of small arrays took about 2.6 KB a block
+    config = _config(m_ul=32, m_dl=32, bits=2)
+    specs, stats, delta = _oracle_inputs(config)
+    monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m_ul * config.tau)
+    pilots = dft_pilots(config.tau, config.k_users)
+    one = mcsim._block_sums(config, specs, stats, delta, pilots, chunk_rng(1, PHASE_ORACLE, 0), 1, False, ("ul", "dl"))
+    row_bytes = 8 * sum(np.size(v) * (1 + np.iscomplexobj(v)) for sums in one.values() for v in sums.values())
+    assert row_bytes == 8 * 103
+
+    blocks = 1_000
+    peak = {
+        n: _traced_peak(lambda: validate_closed_form(config, trials=n, seed=1, specs=specs, stats=stats))
+        for n in (blocks, 2 * blocks)
+    }
+    growth = peak[2 * blocks] - peak[blocks]
+    assert growth <= 1.25 * blocks * row_bytes, f"{growth / blocks:.0f} B per block against {row_bytes} B rows"
+
+
+# Over seeds 0-9 at 2e4 trials the seed-to-seed SD of each moment was
+# 0.87-1.20 times its median reported standard error (0.94-1.14 over seeds
+# 0-39).  The band is about the 99% range of a 10-seed SD over its true
+# value (chi-square with 9 degrees of freedom: 0.44-1.62); a standard error
+# that drops the block sizes (16 times off) or is half the true one falls out.
+def test_moment_standard_errors_match_the_spread_over_seeds():
+    config = _config(m_ul=32, m_dl=32, bits=2)
+    specs, stats, _ = _oracle_inputs(config)
+    values, stderrs = {}, {}
+    for seed in range(10):
+        reports = validate_closed_form(config, trials=20_000, seed=seed, specs=specs, stats=stats)
+        for direction, report in reports.items():
+            assert report.moment_stderr.keys() == report.moment_errors.keys()
+            for name, (value, _) in report.moment_errors.items():
+                values.setdefault((direction, name), []).append(value)
+                stderrs.setdefault((direction, name), []).append(report.moment_stderr[name])
+    assert len(values) == len(MOMENT_NAMES["ul"]) + len(MOMENT_NAMES["dl"])
+    for key, spread in values.items():
+        ratio = np.std(spread, ddof=1) / np.median(stderrs[key])
+        assert 0.45 <= ratio <= 1.6, (key, ratio)
