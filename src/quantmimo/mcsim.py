@@ -278,26 +278,27 @@ def _residual(totals, n_samples):
 
 
 def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_fields):
-    """ValidationReport of one direction from its per-UE closed-form moments and the trial means.
+    """ValidationReport of one direction from its closed-form moments of all K UEs and the trial means.
 
-    A UE's empirical moments are its closed-form ones with every simulated
-    field (each field that mean names, indexed by UE) set to its mean.  Each
-    such field is paired with its closed form, the signal powers as cross
+    The empirical moments are the closed-form ones with every simulated
+    field (each field that mean names) set to its mean.  Each such field is
+    paired with its closed form, the signal powers as cross (none at K = 1)
     and self powers, ahead of the further {moment: (field, closed)} checks;
     moment errors are relative to the closed-form mean.  A moment's value v
     is the mean of the real part of its entries; its standard error is
     sqrt(sum_j (r_j - n_j v)^2) / N over the table's blocks, with r_j the
     same reduction of block j's sums, n_j its trials and N their total.
     """
-    names = [f.name for f in fields(closed[0]) if f.name in mean]
-    emp = [replace(c, **{name: mean[name][ue] for name in names}) for ue, c in enumerate(closed)]
-    cross = ~np.eye(len(closed), dtype=bool)
-    diag = np.arange(len(closed))
+    names = [f.name for f in fields(closed) if f.name in mean]
+    emp = replace(closed, **{name: mean[name] for name in names})
+    cross = ~np.eye(len(closed.desired_mean), dtype=bool)
+    diag = np.arange(len(closed.desired_mean))
     pairs = {}  # moment -> (field, index of its entries, closed form of those entries)
     for name in names:
-        closed_form = np.array([getattr(c, name) for c in closed])
+        closed_form = getattr(closed, name)
         if name == "signal_powers":
-            pairs["cross_power"] = (name, np.s_[..., cross], closed_form[cross])
+            if len(diag) > 1:
+                pairs["cross_power"] = (name, np.s_[..., cross], closed_form[cross])
             pairs["self_power"] = (name, np.s_[..., diag, diag], np.diagonal(closed_form))
         else:
             pairs[name] = (name, np.s_[...], closed_form)
@@ -311,8 +312,8 @@ def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_f
         moment_errors[name] = (value, float(error))
         per_block = np.real(table.blocks(field)[entries]).reshape(len(sizes), -1).mean(axis=1)
         moment_stderr[name] = float(np.sqrt(np.sum((per_block - sizes * value) ** 2)) / np.sum(sizes))
-    emp = np.array([rates.sindr_from_moments(x) for x in emp])
-    closed = np.array([rates.sindr_from_moments(x) for x in closed])
+    emp = rates.sindr_from_moments(emp)
+    closed = rates.sindr_from_moments(closed)
     rel = np.abs(emp - closed) / emp
     return ValidationReport(
         direction=direction,
@@ -380,7 +381,7 @@ def validate_closed_form(
             off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
         reports[d] = _report(
             d,
-            [moments[d](inputs[d], ue) for ue in range(k)],
+            moments[d](inputs[d]),
             mean,
             tables[d],
             sizes,

@@ -1,10 +1,11 @@
 """Effective SINDRs and ergodic achievable sum rates for MRC/MRT.
 
 One general SINDR ratio is assembled from expectation terms (UplinkMoments,
-DownlinkMoments).  The closed-form terms are built here from the scalar
+DownlinkMoments), which hold all K UEs at once: one entry, or one row of
+signal powers, per UE.  The closed-form terms are built here from the scalar
 Bussgang gains and per-antenna distortion moments of BussgangStats, scaled
 to the antenna count m; the Monte Carlo validator pairs its empirical terms
-with the same dataclasses.
+with the same dataclasses.  sindr_from_moments returns the K SINDRs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from quantmimo.bussgang import BussgangStats
 RESIDUAL_TOL = 1e-9  # the negative interference residual sindr_from_moments tolerates, relative
 
 
+def _check_users(inputs):
+    """Reject a pilot shorter than K or pilot projections a_k not of shape (K,)."""
+    if inputs.tau < inputs.k_users:
+        raise ValueError(f"tau = {inputs.tau} must be >= k_users = {inputs.k_users}")
+    if np.shape(inputs.stats.a_k) != (inputs.k_users,):
+        raise ValueError(f"stats.a_k has shape {np.shape(inputs.stats.a_k)}, expected ({inputs.k_users},)")
+
+
 @dataclass(frozen=True)
 class SindrInputsUL:
     m: int
@@ -29,6 +38,7 @@ class SindrInputsUL:
     def __post_init__(self):
         if min(self.m, self.k_users, self.tau) < 1 or self.rho_bs <= 0:
             raise ValueError("all uplink SINDR inputs must be positive")
+        _check_users(self)
 
 
 @dataclass(frozen=True)
@@ -43,27 +53,28 @@ class SindrInputsDL:
     def __post_init__(self):
         if min(self.m, self.k_users, self.tau) < 1 or self.rho_bs <= 0 or self.rho_ue <= 0:
             raise ValueError("all downlink SINDR inputs must be positive")
+        _check_users(self)
 
 
 @dataclass(frozen=True)
 class UplinkMoments:
-    """Expectation terms of the general uplink SINDR for one UE."""
+    """Expectation terms of the general uplink SINDR, one entry per UE k."""
 
     rho_bs: float
-    desired_mean: complex              # E[v_k^H G h_k]
-    signal_powers: np.ndarray          # E[|v_k^H G h_i|^2], i = 1..K
-    combiner_power: float              # E[||G v_k||^2]
-    distortion_power: float            # E[v_k^H C_d v_k]
+    desired_mean: np.ndarray           # E[v_k^H G h_k], (K,)
+    signal_powers: np.ndarray          # E[|v_k^H G h_i|^2], (K, K): row k over i
+    combiner_power: np.ndarray         # E[||G v_k||^2], (K,)
+    distortion_power: np.ndarray       # E[v_k^H C_d v_k], (K,)
 
 
 @dataclass(frozen=True)
 class DownlinkMoments:
-    """Expectation terms of the general downlink SINDR for one UE."""
+    """Expectation terms of the general downlink SINDR, one entry per UE k."""
 
     rho_ue: float
-    desired_mean: complex              # E[h_k^H G w_k]
-    signal_powers: np.ndarray          # E[|h_k^H G w_i|^2], i = 1..K
-    distortion_power: float            # E[h_k^H C_d h_k]
+    desired_mean: np.ndarray           # E[h_k^H G w_k], (K,)
+    signal_powers: np.ndarray          # E[|h_k^H G w_i|^2], (K, K): row k over i
+    distortion_power: np.ndarray       # E[h_k^H C_d h_k], (K,)
 
 
 def _check_finite(name, terms):
@@ -87,57 +98,57 @@ def mrt_normalization(inputs):
     return float(np.sum(_estimate_powers(inputs)))
 
 
-def moments_ul_mrc(inputs, ue=0):
-    """Closed-form uplink expectation terms of UE ue with imperfect CSI and MRC."""
-    s, m = inputs.stats, inputs.m
-    estimate_power = _estimate_powers(inputs)[ue]
+def moments_ul_mrc(inputs):
+    """Closed-form uplink expectation terms of every UE with imperfect CSI and MRC."""
+    s, m, k = inputs.stats, inputs.m, inputs.k_users
     desired = s.g_ce * s.g_ul**2 * m
+    estimate_power = _estimate_powers(inputs)
     combiner = s.g_ul**4 * estimate_power
-    powers = np.full(inputs.k_users, combiner)
-    powers[ue] += desired**2
+    powers = np.repeat(combiner[:, None], k, axis=1)
+    powers[np.diag_indices(k)] += desired**2
     return UplinkMoments(
         rho_bs=inputs.rho_bs,
-        desired_mean=desired,
+        desired_mean=np.full(k, desired),
         signal_powers=powers,
         combiner_power=combiner,
         distortion_power=s.g_ul**2 * s.cd_ul * estimate_power,
     )
 
 
-def moments_dl_mrt(inputs, ue=0):
-    """Closed-form downlink expectation terms of UE ue with imperfect CSI and MRT.
+def moments_dl_mrt(inputs):
+    """Closed-form downlink expectation terms of every UE with imperfect CSI and MRT.
 
-    The precoder of UE i carries A_i, so every signal power has its own.
+    The precoder of UE i carries A_i, so every column of signal powers has its own.
     """
-    s, m = inputs.stats, inputs.m
+    s, m, k = inputs.stats, inputs.m, inputs.k_users
     delta = mrt_normalization(inputs)
     desired = s.g_ce * s.g_dl * m / np.sqrt(delta)
-    powers = s.g_dl**2 * _estimate_powers(inputs) / delta
-    powers[ue] += desired**2
+    powers = np.tile(s.g_dl**2 * _estimate_powers(inputs) / delta, (k, 1))
+    powers[np.diag_indices(k)] += desired**2
     return DownlinkMoments(
         rho_ue=inputs.rho_ue,
-        desired_mean=desired,
+        desired_mean=np.full(k, desired),
         signal_powers=powers,
-        distortion_power=m * s.cd_dl,
+        distortion_power=np.full(k, m * s.cd_dl),
     )
 
 
 def sindr_ul_mrc(inputs, ue=0):
-    """Closed-form uplink SINDR with imperfect CSI and MRC."""
-    return sindr_from_moments(moments_ul_mrc(inputs, ue))
+    """Closed-form uplink SINDR of UE ue with imperfect CSI and MRC."""
+    return sindr_from_moments(moments_ul_mrc(inputs))[ue]
 
 
 def sindr_dl_mrt(inputs, ue=0):
-    """Closed-form downlink SINDR with imperfect CSI and MRT."""
-    return sindr_from_moments(moments_dl_mrt(inputs, ue))
+    """Closed-form downlink SINDR of UE ue with imperfect CSI and MRT."""
+    return sindr_from_moments(moments_dl_mrt(inputs))[ue]
 
 
 def sindr_from_moments(moments):
-    """Assemble the general SINDR ratio from expectation terms.
+    """Assemble the general SINDR ratio of every UE from expectation terms: an array of K SINDRs.
 
-    The interference term is the total signal power minus the coherent
+    A UE's interference term is its total signal power minus its coherent
     desired power; a residual more negative than RESIDUAL_TOL times the total
-    is a moment-estimation failure and is rejected.
+    is a moment-estimation failure and is rejected, naming the first such UE.
     """
     if isinstance(moments, UplinkMoments):
         rho = moments.rho_bs
@@ -147,15 +158,16 @@ def sindr_from_moments(moments):
         noise_and_dist = rho * moments.distortion_power + 1.0
     else:
         raise TypeError(f"unsupported moment set {type(moments).__name__}")
-    desired = abs(moments.desired_mean) ** 2
-    total = float(np.sum(moments.signal_powers))
+    desired = np.abs(moments.desired_mean) ** 2
+    total = np.sum(moments.signal_powers, axis=1)
     interference = rho * (total - desired)
-    if interference < -RESIDUAL_TOL * max(rho * total, 1.0):
+    negative = interference < -RESIDUAL_TOL * np.maximum(rho * total, 1.0)
+    if np.any(negative):
         raise ValueError(
-            f"negative interference residual {interference:.3e}: "
+            f"UE {np.argmax(negative)}: negative interference residual {interference[negative][0]:.3e}: "
             "signal powers are inconsistent with the desired mean"
         )
-    den = max(interference, 0.0) + noise_and_dist
+    den = np.maximum(interference, 0.0) + noise_and_dist
     _check_finite("sindr_from_moments", {"num": rho * desired, "den": den})
     return rho * desired / den
 

@@ -91,12 +91,13 @@ def run_point(config, direction, b, bandwidth_hz, tau):
     stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
     if direction == "ul":
         inputs = rates.SindrInputsUL(m, config.k_users, tau, rho_bs, stats)
-        sindr = tuple(rates.sindr_ul_mrc(inputs, ue=kk) for kk in range(config.k_users))
+        moments = rates.moments_ul_mrc(inputs)
         g_phase, cd = stats.g_ul, stats.cd_ul
     else:
         inputs = rates.SindrInputsDL(m, config.k_users, tau, rho_bs, rho_ue, stats)
-        sindr = tuple(rates.sindr_dl_mrt(inputs, ue=kk) for kk in range(config.k_users))
+        moments = rates.moments_dl_mrt(inputs)
         g_phase, cd = stats.g_dl, stats.cd_dl
+    sindr = tuple(rates.sindr_from_moments(moments))
     validation_passed = None
     if config.validate:
         report = validate_closed_form(

@@ -136,19 +136,24 @@ MOMENT_NAMES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [4, 1])
 @pytest.mark.parametrize("direction", ["ul", "dl"])
-def test_report_text_is_flat_and_complete(direction):
-    config = _config(m_ul=8, m_dl=8)
+def test_report_text_is_flat_and_complete(direction, k):
+    config = _config(m_ul=8, m_dl=8, k_users=k, tau=8 if k > 1 else 1)
     reports = validate_closed_form(config, trials=10_000, seed=0, direction=direction)
     assert set(reports) == {direction}
     report = reports[direction]
-    assert set(report.moment_errors) == MOMENT_NAMES[direction]
+    names = MOMENT_NAMES[direction] - ({"cross_power"} if k == 1 else set())  # one UE has no cross power
+    assert set(report.moment_errors) == names
     text = report.to_text()
     for token in (f"direction {direction}", "trials 10000", "passed", "sindr_closed_0", "delta_closed", "worst_term"):
         assert token in text
-    for name in MOMENT_NAMES[direction]:
+    for name in names:
         assert f"moment_{name} " in text
         assert f" stderr {report.moment_stderr[name]:.6g}" in text
+        assert np.all(np.isfinite([*report.moment_errors[name], report.moment_stderr[name]])), name
+    assert "nan" not in text
 
 
 def test_validator_input_checks():

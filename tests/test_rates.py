@@ -1,6 +1,6 @@
 """Tests for the closed-form SINDRs and sum rates."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -116,31 +116,55 @@ def _stats_at(tau, rho_ue):
     return assemble_stats(config, spec, spec, dac, trials=20_000, seed=1)
 
 
-def _assert_same_moments(got, expected):
+def _direct_stats(k, seed):
+    """Stats built directly, nothing sampled: positive a_k, gains in (0, 1], positive distortion powers."""
+    rng = np.random.default_rng(seed)
+    g_ce, g_ul, g_dl = rng.uniform(0.5, 1.0, 3)
+    cd_ul, cd_dl = rng.uniform(0.01, 0.5, 2)
+    return BussgangStats(g_ce=g_ce, g_ul=g_ul, g_dl=g_dl, cd_ul=cd_ul, cd_dl=cd_dl, a_k=rng.uniform(0.1, 2.0, k))
+
+
+def _per_ue_sindr(moments):
+    """The SINDR ratio of one UE's scalar moments, written out."""
+    desired = abs(moments.desired_mean) ** 2
+    if isinstance(moments, UplinkMoments):
+        rho, noise = moments.rho_bs, moments.combiner_power + moments.distortion_power
+    else:
+        rho, noise = moments.rho_ue, moments.rho_ue * moments.distortion_power + 1.0
+    return rho * desired / (rho * (np.sum(moments.signal_powers) - desired) + noise)
+
+
+def _assert_row_is_per_ue_reference(vector, ue, expected):
+    # row ue of the all-UE moments equals the per-UE reference, and so does its SINDR
     for f in fields(expected):
-        assert np.allclose(getattr(got, f.name), getattr(expected, f.name), rtol=1e-12, atol=0), f.name
+        got = getattr(vector, f.name)
+        got = got if np.ndim(got) == 0 else got[ue]
+        assert np.allclose(got, getattr(expected, f.name), rtol=1e-12, atol=0), f.name
+    assert sindr_from_moments(vector)[ue] == pytest.approx(_per_ue_sindr(expected), rel=1e-12)
 
 
-def test_moment_substitution_reproduces_uplink_closed_form():
-    m, k, rho = 32, 4, 1.0
-    for tau in (8, 16):
-        stats = _stats_at(tau, 1.0)
-        inputs = SindrInputsUL(m, k, tau, rho, stats)
-        for ue in range(k):
-            moments = _closed_form_ul_moments(m, k, tau, rho, stats, ue)
-            _assert_same_moments(moments_ul_mrc(inputs, ue), moments)
-            assert sindr_from_moments(moments) == pytest.approx(sindr_ul_mrc(inputs, ue), rel=1e-12)
+_SCENARIOS = pytest.mark.parametrize(
+    "k,tau,rho,m",
+    [(k, tau, rho, m) for k in (1, 2, 4, 8) for tau in (k, 64) for rho in (0.01, 1.0, 125.9) for m in (1, 16, 176)],
+)
 
 
-def test_moment_substitution_reproduces_downlink_closed_form():
-    m, k = 32, 4
-    for tau in (8, 16):
-        stats = _stats_at(tau, 2.0)
-        inputs = SindrInputsDL(m, k, tau, 1.0, 2.0, stats)
-        for ue in range(k):
-            moments = _closed_form_dl_moments(m, k, tau, 1.0, 2.0, stats, ue)
-            _assert_same_moments(moments_dl_mrt(inputs, ue), moments)
-            assert sindr_from_moments(moments) == pytest.approx(sindr_dl_mrt(inputs, ue), rel=1e-12)
+@_SCENARIOS
+def test_moment_substitution_reproduces_uplink_closed_form(k, tau, rho, m):
+    stats = _direct_stats(k, seed=k * tau)
+    moments = moments_ul_mrc(SindrInputsUL(m, k, tau, rho, stats))
+    assert moments.signal_powers.shape == (k, k)
+    for ue in range(k):
+        _assert_row_is_per_ue_reference(moments, ue, _closed_form_ul_moments(m, k, tau, rho, stats, ue))
+
+
+@_SCENARIOS
+def test_moment_substitution_reproduces_downlink_closed_form(k, tau, rho, m):
+    stats = _direct_stats(k, seed=k * tau)
+    moments = moments_dl_mrt(SindrInputsDL(m, k, tau, rho, 2.0, stats))
+    assert moments.signal_powers.shape == (k, k)
+    for ue in range(k):
+        _assert_row_is_per_ue_reference(moments, ue, _closed_form_dl_moments(m, k, tau, rho, 2.0, stats, ue))
 
 
 def test_mrt_normalization_matches_closed_form():
@@ -181,12 +205,12 @@ def test_sindr_invariant_to_uplink_label_rescaling():
 def test_sindr_from_moments_rejects_inconsistent_powers():
     moments = UplinkMoments(
         rho_bs=1.0,
-        desired_mean=10.0,
-        signal_powers=np.array([1.0, 1.0]),  # far below |desired|^2
-        combiner_power=1.0,
-        distortion_power=0.0,
+        desired_mean=np.full(3, 10.0),
+        signal_powers=np.array([[100.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 100.0]]),  # row 1 far below |desired|^2
+        combiner_power=np.ones(3),
+        distortion_power=np.zeros(3),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="UE 1: negative interference"):
         sindr_from_moments(moments)
 
 
@@ -201,6 +225,15 @@ def test_input_validation():
         SindrInputsUL(0, 2, 4, 1.0, stats)
     with pytest.raises(ValueError):
         SindrInputsDL(4, 2, 4, 1.0, 0.0, stats)
+    for a_k in (np.ones(2), np.ones(1), np.ones((4, 1))):  # pilot projections of fewer or broadcast UEs
+        with pytest.raises(ValueError, match="a_k"):
+            SindrInputsDL(32, 4, 8, 1.0, 1.0, replace(_ideal_stats(4), a_k=a_k))
+        with pytest.raises(ValueError, match="a_k"):
+            SindrInputsUL(32, 4, 8, 1.0, replace(_ideal_stats(4), a_k=a_k))
+    with pytest.raises(ValueError, match="tau"):  # a pilot shorter than K
+        SindrInputsUL(32, 4, 2, 1.0, _ideal_stats(4))
+    with pytest.raises(ValueError, match="tau"):
+        SindrInputsDL(32, 4, 2, 1.0, 1.0, _ideal_stats(4))
 
 
 def test_sum_rate_reference_values():
