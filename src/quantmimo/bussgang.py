@@ -5,6 +5,13 @@ scaled identity, so the Bussgang matrix collapses to a scalar gain and the
 distortion covariances to per-entry powers.  The pilot-phase distortion is
 correlated across pilot symbols, so its pilot projections A_k are estimated
 by simulation.
+
+Every Monte Carlo estimate walks its trials one cache-sized block at a time
+(_blocks: at most 2^16 entries, 1 MB, of the widest per-trial array).  Block
+j of a phase draws from its own generator, block_rng(seed, phase, j), so the
+block size defines the random stream; the per-block sums are totalled
+exactly by math.fsum.  The full-chain oracle in mcsim walks its trials the
+same way.
 """
 
 from __future__ import annotations
@@ -20,65 +27,43 @@ from quantmimo.quant import quantize
 DEFAULT_TRIALS = 100_000
 MIN_TRIALS = 10_000
 
-# phase tags for seed derivation; one independent stream per (phase, chunk)
+# phase tags for seed derivation; one independent stream per (phase, block)
 PHASE_CE = 0
 PHASE_UL = 1
 PHASE_DL = 2
 PHASE_ORACLE = 3  # the full-chain validator, apart from the estimates it checks
 
-_CHUNK_TRIALS = 1 << 14
-# the most bytes one Gaussian draw of a chunk may take, 16 bytes an entry
-_MAX_DRAW_BYTES = 1 << 30
-# the most antennas and pilot symbols a point may have: distortion_trace
-# draws a (size, m) and ce_distortion_projections a (size, tau) complex
-# array at once, and up to these counts a chunk keeps _CHUNK_TRIALS trials
-MAX_ANTENNAS = MAX_PILOT_LENGTH = _MAX_DRAW_BYTES // (16 * _CHUNK_TRIALS)
-# entries of the widest per-trial array worked through at once within a
-# chunk: 1 MB of complex entries, so that a block's arrays stay in a 2 MB
-# L2 cache.  The oracle in mcsim draws each such block from its own
-# generator, so this also sets the oracle's random stream
+# the most antennas and pilot symbols a point may have, so that one trial's
+# widest draw, the oracle's m x tau complex pilot noise, stays within 256 MiB
+MAX_ANTENNAS = MAX_PILOT_LENGTH = 4096
+# entries of the widest per-trial array a block holds: 1 MB of complex
+# entries, so that a block's arrays stay in a 2 MB L2 cache.  Every Monte
+# Carlo estimate draws each block from its own generator, so this also sets
+# the estimates' random streams
 _BLOCK_ENTRIES = 1 << 16
 
 
-def chunk_rng(seed, phase, chunk):
-    """Deterministic per-(phase, chunk) generator, independent of run order."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, chunk)))
+def block_rng(seed, phase, block):
+    """Deterministic per-(phase, block) generator, independent of run order."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, block)))
 
 
-def _chunks(trials, row_entries):
-    """(chunk index, trials in it) of chunks that cover trials, in order.
-
-    A chunk holds _CHUNK_TRIALS trials, or fewer where its widest draw, of
-    row_entries complex entries per trial, would pass _MAX_DRAW_BYTES; at
-    least one.
-    """
-    step = max(1, min(_CHUNK_TRIALS, _MAX_DRAW_BYTES // (16 * row_entries)))
-    start = 0
-    chunk = 0
-    while start < trials:
-        size = min(step, trials - start)
-        yield chunk, size
-        start += size
-        chunk += 1
-
-
-def _blocks(size, row_entries):
-    """Slices of whole trials that cover a chunk of size trials, in order.
+def _blocks(trials, row_entries):
+    """Trial counts of the blocks that cover trials, in order.
 
     A block holds at most _BLOCK_ENTRIES entries of the widest per-trial
     array, which has row_entries entries per trial, and at least one trial.
     """
     step = max(1, _BLOCK_ENTRIES // row_entries)
-    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+    return [min(step, trials - start) for start in range(0, trials, step)]
 
 
-def _fsum_chunks(parts):
+def _fsum_blocks(parts):
     """Element-wise total of per-block sums, exactly rounded by math.fsum.
 
-    Blocks are combined in chunk and block order, so the total does not
-    depend on how the chunks were scheduled.  parts is a list of equal-shape
-    sums, or an array of them stacked along its first axis, which is summed
-    without a copy.
+    Blocks are combined in block order, so the total does not depend on how
+    they were scheduled.  parts is a list of equal-shape sums, or an array
+    of them stacked along its first axis, which is summed without a copy.
     """
     parts = np.asarray(parts)
     flat = parts.reshape(len(parts), -1).T
@@ -174,15 +159,14 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     if trials < MIN_TRIALS:
         raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
     gain = gain_scalar(spec, complex_variance)
-    block_sums = []
-    for chunk, size in _chunks(trials, dim):
-        y_chunk = complex_gaussian(chunk_rng(seed, PHASE_UL, chunk), (size, dim), complex_variance)
-        for block in _blocks(size, dim):
-            y = y_chunk[block]
-            d = quantize(spec, y)
-            d -= gain * y
-            block_sums.append(np.sum(np.abs(d) ** 2))
-    return float(dim * _fsum_chunks(block_sums) / (trials * dim))
+    sizes = _blocks(trials, dim)
+    block_sums = np.empty(len(sizes))
+    for j, size in enumerate(sizes):
+        y = complex_gaussian(block_rng(seed, PHASE_UL, j), (size, dim), complex_variance)
+        d = quantize(spec, y)
+        d -= gain * y
+        block_sums[j] = np.sum(np.abs(d) ** 2)
+    return float(_fsum_blocks(block_sums) / trials)
 
 
 def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
@@ -201,18 +185,18 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
             f"pilot phase requires {expected_var:.6g}"
         )
     gain = gain_scalar(spec, expected_var)
-    block_sums = []
-    for chunk, size in _chunks(trials, pilots.tau):
-        rng = chunk_rng(seed, PHASE_CE, chunk)
+    sizes = _blocks(trials, pilots.tau)
+    block_sums = np.empty((len(sizes), k))
+    for j, size in enumerate(sizes):
+        rng = block_rng(seed, PHASE_CE, j)
         h = complex_gaussian(rng, (size, k))
         noise = complex_gaussian(rng, (size, pilots.tau))
-        for block in _blocks(size, pilots.tau):
-            y = pilot_phase_signal(h[block], pilots, rho_bs, noise[block])
-            d = quantize(spec, y)
-            d -= gain * y
-            u = d @ pilots.entries
-            block_sums.append(np.sum(np.abs(u) ** 2, axis=0))
-    return _fsum_chunks(block_sums) / trials
+        y = pilot_phase_signal(h, pilots, rho_bs, noise)
+        d = quantize(spec, y)
+        d -= gain * y
+        u = d @ pilots.entries
+        block_sums[j] = np.sum(np.abs(u) ** 2, axis=0)
+    return _fsum_blocks(block_sums) / trials
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):

@@ -8,15 +8,16 @@ the closed forms.
 The chain runs over the trials one cache-sized block at a time
 (bussgang._blocks of the m*tau pilot noise, 256 trials at m 32, tau 8), so
 its draws take about 1 MB whatever m, tau or the trial count.  Block j
-draws from its own generator, chunk_rng(seed, PHASE_ORACLE, j), in the order
+draws from its own generator, block_rng(seed, PHASE_ORACLE, j), in the order
 channels, pilot noise, uplink symbols and noise, downlink symbols; so the
 block size defines the oracle's stream, and the oracle shares no random
 numbers with the Monte Carlo moments of assemble_stats that it checks.
 Both directions take their channel products from one per-trial
-A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums are kept as one row
-of a float64 table per phase ("ce", "ul", "dl"; 103 floats, 824 bytes, a
-block at K 4, m 32), whose columns math.fsum totals at the end and whose
-rows give each moment's batch-means standard error.
+A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums go into one
+preallocated (blocks, *shape) array per moment name and phase ("ce", "ul",
+"dl"; 103 floats, 824 bytes, a block at K 4, m 32), which math.fsum totals
+at the end and whose per-block entries give each moment's batch-means
+standard error.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -39,9 +40,9 @@ from quantmimo.bussgang import (
     MIN_TRIALS,
     PHASE_ORACLE,
     assemble_stats,
-    chunk_rng,
+    block_rng,
     _blocks,
-    _fsum_chunks,
+    _fsum_blocks,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
@@ -213,61 +214,24 @@ def _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, d
     return sums
 
 
-class _BlockTable:
-    """One phase's block sums, one float64 row per block.
-
-    The layout, taken from the first block's {name: sum} dict, gives each
-    name its columns, shape and whether it is complex (stored as real and
-    imaginary pairs).  At K 4, m 32 a row holds 4 floats for "ce", 35 for
-    "ul" and 64 for "dl".
-    """
-
-    def __init__(self, first, n_blocks):
-        self.layout = {}
-        width = 0
-        for name, value in first.items():
-            value = np.asarray(value)
-            is_complex = np.iscomplexobj(value)
-            size = value.size * (1 + is_complex)
-            self.layout[name] = (slice(width, width + size), value.shape, is_complex)
-            width += size
-        self.rows = np.empty((n_blocks, width))
-
-    def store(self, index, sums):
-        row = self.rows[index]
-        for name, (cols, _, is_complex) in self.layout.items():
-            flat = np.ravel(sums[name])
-            row[cols] = flat.view(np.float64) if is_complex else flat
-
-    def _unpack(self, flat, name):
-        """name's values, shaped (..., *shape), from the columns of flat."""
-        cols, shape, is_complex = self.layout[name]
-        part = flat[..., cols]
-        return (part.view(np.complex128) if is_complex else part).reshape(flat.shape[:-1] + shape)
-
-    def totals(self):
-        """{name: total over the blocks}, each column exactly rounded by math.fsum."""
-        flat = _fsum_chunks(self.rows)
-        return {name: self._unpack(flat, name) for name in self.layout}
-
-    def blocks(self, name):
-        """name's sums, one per block, as an array of shape (blocks, *shape)."""
-        return self._unpack(self.rows, name)
-
-
 def _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
-    """Trials per block, and {phase: _BlockTable} of the block sums of "ce" and each direction."""
-    blocks = _blocks(trials, config.m_ul * config.tau)  # the pilot noise is the widest draw
+    """Trials per block, and {phase: {name: sums}} of "ce" and each direction.
+
+    Each name's sums are one preallocated array of shape (blocks, *shape),
+    whose row j holds block j's sum.
+    """
+    sizes = _blocks(trials, config.m_ul * config.tau)  # the pilot noise is the widest draw
     tables = {}
-    for index, block in enumerate(blocks):
-        rng = chunk_rng(seed, PHASE_ORACLE, index)
-        size = block.stop - block.start
+    for j, size in enumerate(sizes):
+        rng = block_rng(seed, PHASE_ORACLE, j)
         sums = _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
-        if not tables:
-            tables = {phase: _BlockTable(phase_sums, len(blocks)) for phase, phase_sums in sums.items()}
         for phase, phase_sums in sums.items():
-            tables[phase].store(index, phase_sums)
-    return np.array([block.stop - block.start for block in blocks]), tables
+            table = tables.setdefault(phase, {})
+            for name, value in phase_sums.items():
+                if j == 0:
+                    table[name] = np.empty((len(sizes),) + np.shape(value), np.result_type(value))
+                table[name][j] = value
+    return np.array(sizes), tables
 
 
 def _residual(totals, n_samples):
@@ -286,8 +250,9 @@ def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_f
     and self powers, ahead of the further {moment: (field, closed)} checks;
     moment errors are relative to the closed-form mean.  A moment's value v
     is the mean of the real part of its entries; its standard error is
-    sqrt(sum_j (r_j - n_j v)^2) / N over the table's blocks, with r_j the
-    same reduction of block j's sums, n_j its trials and N their total.
+    sqrt(sum_j (r_j - n_j v)^2) / N over the blocks of table, the
+    direction's {name: per-block sums}, with r_j the same reduction of
+    block j's sums, n_j its trials and N their total.
     """
     names = [f.name for f in fields(closed) if f.name in mean]
     emp = replace(closed, **{name: mean[name] for name in names})
@@ -310,7 +275,7 @@ def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_f
         error = abs(np.mean(empirical) - reference) / reference
         value = float(np.mean(np.real(empirical)))
         moment_errors[name] = (value, float(error))
-        per_block = np.real(table.blocks(field)[entries]).reshape(len(sizes), -1).mean(axis=1)
+        per_block = np.real(table[field][entries]).reshape(len(sizes), -1).mean(axis=1)
         moment_stderr[name] = float(np.sqrt(np.sum((per_block - sizes * value) ** 2)) / np.sum(sizes))
     emp = rates.sindr_from_moments(emp)
     closed = rates.sindr_from_moments(closed)
@@ -367,12 +332,11 @@ def validate_closed_form(
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
     sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions)
-    ce = tables["ce"].totals()
-    ce_residual = _residual(ce, trials * m * tau)
+    totals = {phase: {name: _fsum_blocks(sums) for name, sums in table.items()} for phase, table in tables.items()}
+    ce_residual = _residual(totals["ce"], trials * m * tau)
     reports = {}
     for d in directions:
-        totals = tables[d].totals()
-        mean = {name: total / trials for name, total in totals.items()}
+        mean = {name: total / trials for name, total in totals[d].items()}
         checks, off_max, off_sigma = {}, None, None
         if d == "dl":
             checks = {"precoder_frobenius": ("precoder", 1.0), "precoder_diag": ("precoder_diag", 1.0 / m)}
@@ -389,10 +353,10 @@ def validate_closed_form(
             tolerance,
             trials=trials,
             seed=seed,
-            bussgang_residual={"ce": ce_residual, d: _residual(totals, trials * m)},
+            bussgang_residual={"ce": ce_residual, d: _residual(totals[d], trials * m)},
             offdiag_max=off_max,
             offdiag_sigma=off_sigma,
             delta_closed=delta,
-            delta_empirical=float(ce["delta"] / trials),
+            delta_empirical=float(totals["ce"]["delta"] / trials),
         )
     return reports

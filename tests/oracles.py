@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from quantmimo import mcsim
 from quantmimo.airlink import complex_gaussian
-from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, _blocks, _chunks, _fsum_chunks, chunk_rng, gain_scalar
+from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, _blocks, _fsum_blocks, block_rng, gain_scalar
 from quantmimo.quant import quantize
 
 
@@ -241,18 +241,17 @@ def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, t
     """The oracle's totals {phase: {name: total}} from a list of per-block {name: sum} dicts per phase.
 
     The accumulation mcsim.validate_closed_form had before it kept the block
-    sums as rows of one float table per phase: every block's dicts are kept
-    to the end, then each name's sums are totalled by _fsum_chunks.
+    sums in preallocated arrays: every block's dicts are kept to the end,
+    then each name's sums are totalled by _fsum_blocks.
     """
     block_sums = {}
-    for index, block in enumerate(_blocks(trials, config.m_ul * config.tau)):
-        rng = chunk_rng(seed, PHASE_ORACLE, index)
-        size = block.stop - block.start
+    for j, size in enumerate(_blocks(trials, config.m_ul * config.tau)):
+        rng = block_rng(seed, PHASE_ORACLE, j)
         sums = mcsim._block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
         for phase, phase_sums in sums.items():
             block_sums.setdefault(phase, []).append(phase_sums)
     return {
-        phase: {name: _fsum_chunks([s[name] for s in phase_sums]) for name in phase_sums[0]}
+        phase: {name: _fsum_blocks([s[name] for s in phase_sums]) for name in phase_sums[0]}
         for phase, phase_sums in block_sums.items()
     }
 
@@ -273,8 +272,8 @@ def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials
     g_ul = gain_scalar(spec_ul, y_var)
     p_conj = pilots.entries.conj()
     a_sums, b_sums = [], []
-    for chunk, size in _chunks(trials, m * pilots.tau):
-        rng = chunk_rng(seed, PHASE_CE, chunk)
+    for j, size in enumerate(_blocks(trials, m * pilots.tau)):
+        rng = block_rng(seed, PHASE_CE, j)
         h = complex_gaussian(rng, (size, m, k))
         z_ce = complex_gaussian(rng, (size, m, pilots.tau))
         y_ce = np.sqrt(rho_bs) * h @ p_conj.T + z_ce

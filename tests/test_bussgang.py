@@ -1,20 +1,27 @@
 """Tests for the linearization gains and distortion-moment estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quantmimo import bussgang
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import (
+    PHASE_CE,
+    PHASE_UL,
     BussgangStats,
     SystemConfig,
     assemble_stats,
+    block_rng,
     ce_distortion_projections,
-    chunk_rng,
     distortion_trace,
     gain_scalar,
 )
+from quantmimo.config import SweepConfig
+from quantmimo.mcsim import default_specs
 from quantmimo.quant import QuantizerSpec, design_lloyd_max, quantize, rescale_labels
+from quantmimo.syspower import snr_linear
 
 from oracles import ce_distortion_projections_direct, mc_gain_regression
 
@@ -92,11 +99,11 @@ def test_chunked_estimates_are_deterministic():
     assert a != distortion_trace(spec, 2.0, dim=2, trials=20_000, seed=4)
 
 
-def test_chunk_rng_streams_are_phase_and_chunk_specific():
+def test_block_rng_streams_are_phase_and_block_specific():
     draws = {
-        (phase, chunk): chunk_rng(123, phase, chunk).standard_normal(4).tobytes()
+        (phase, block): block_rng(123, phase, block).standard_normal(4).tobytes()
         for phase in (0, 1, 2)
-        for chunk in (0, 1)
+        for block in (0, 1)
     }
     assert len(set(draws.values())) == len(draws)
 
@@ -121,36 +128,58 @@ def test_ce_projection_row_shortcut_agrees_with_direct_estimator():
     assert np.allclose(cd * a_fast, b_dir, rtol=0.06)
 
 
-def test_block_size_does_not_change_the_estimates(monkeypatch):
+@pytest.mark.parametrize("block_entries", [None, 6])  # 6: fewer than one trial's 8 entries
+def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_entries):
+    # block j of each estimator draws from generator j of the estimator's
+    # phase, and no draw is wider than a block (or one trial, where a trial
+    # is wider); the block size thus defines each estimator's stream
     config, spec = _scenario(m=8)
-    pilots = dft_pilots(config.tau, config.k_users)
-    trials = bussgang._CHUNK_TRIALS + 1_500  # two chunks
+    m, k, tau = config.m_ul, config.k_users, config.tau  # 8, 4, 8
+    pilots = dft_pilots(tau, k)
+    monkeypatch.setattr(bussgang, "MIN_TRIALS", 1)  # one-trial blocks, without 10^4 of them
+    if block_entries is not None:
+        monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_entries)
+    per_block = max(1, bussgang._BLOCK_ENTRIES // 8)
+    sizes = [per_block, per_block, per_block // 2 or 1]  # 2.5 blocks, or 3 one-trial blocks
+    calls = []  # (generator key, [shapes drawn from it])
+    real_rng, real_draw = bussgang.block_rng, bussgang.complex_gaussian
+    monkeypatch.setattr(bussgang, "block_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
+    monkeypatch.setattr(
+        bussgang, "complex_gaussian", lambda g, shape, *var: calls[-1][1].append(shape) or real_draw(g, shape, *var)
+    )
+    estimators = {
+        PHASE_UL: (lambda: distortion_trace(spec, config.y_var_ul, m, sum(sizes), 6), lambda n: [(n, m)]),
+        PHASE_CE: (
+            lambda: ce_distortion_projections(spec, pilots, config.rho_bs, sum(sizes), 6),
+            lambda n: [(n, k), (n, tau)],
+        ),
+    }
+    for phase, (run, shapes) in estimators.items():
+        calls.clear()
+        run()
+        assert [key for key, _ in calls] == [(6, phase, j) for j in range(len(sizes))]
+        assert [drawn for _, drawn in calls] == [shapes(n) for n in sizes]
+        widest = max(int(np.prod(shape)) for _, drawn in calls for shape in drawn)
+        assert widest <= max(bussgang._BLOCK_ENTRIES, 8)
 
-    def run(block_trials):
-        # both estimators' widest per-trial rows have 8 entries (dim, tau)
-        monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_trials * 8)
-        return (
-            distortion_trace(spec, config.y_var_ul, config.m_ul, trials, 5),
-            ce_distortion_projections(spec, pilots, config.rho_bs, trials, 5),
-        )
 
-    (trace, a_k), (trace_whole, a_k_whole) = run(700), run(bussgang._CHUNK_TRIALS)  # 700: ragged last block
-    assert trace == pytest.approx(trace_whole, rel=1e-12, abs=0)
-    assert np.allclose(a_k, a_k_whole, rtol=1e-12, atol=0)
-
-
-def test_chunks_keep_each_draw_within_a_gib():
-    # a chunk is sized by its widest draw: rows of 176*64 complex entries
-    # (m*tau at the default grid's widest point) would take 2.95 GB in one
-    # 16384-trial chunk
-    trials, m, tau = 100_000, 176, 64
-    sizes = [size for _, size in bussgang._chunks(trials, m * tau)]
-    assert sum(sizes) == trials
-    assert 16 * max(sizes) * m * tau <= 1 << 30
-    assert 16 * (max(sizes) + 1) * m * tau > 1 << 30
-    # a row of 256 entries keeps full chunks, and with them its random stream
-    sizes = [size for _, size in bussgang._chunks(trials, 32 * 8)]
-    assert sizes == [bussgang._CHUNK_TRIALS] * 6 + [trials - 6 * bussgang._CHUNK_TRIALS]
+# tracemalloc peak of assemble_stats at the default grid's widest point (ul
+# b=1, B 0.1 GHz, tau 64: m 176, K 8) over the default 1e5 trials.  Drawing
+# whole 16384-trial chunks first, it peaked at 93.6 MB there.
+def test_peak_memory_of_assemble_stats_stays_at_block_scale():
+    grid = SweepConfig()
+    m = grid.antennas("ul", 1, 1e8)
+    rho_bs, rho_ue = (snr_linear(direction, grid.link, 1e8) for direction in ("ul", "dl"))
+    config = SystemConfig(m, m, grid.k_users, 64, 1, rho_bs, rho_ue)
+    assert (m, config.k_users) == (176, 8)
+    specs = default_specs(config)
+    tracemalloc.start()
+    try:
+        assemble_stats(config, *specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_ce_projection_rejects_mismatched_quantizer():

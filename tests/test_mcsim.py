@@ -7,7 +7,7 @@ import pytest
 
 from quantmimo import bussgang, mcsim, rates
 from quantmimo.airlink import complex_gaussian, dft_pilots
-from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, chunk_rng
+from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, block_rng
 from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import snr_linear
@@ -189,10 +189,10 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
     pilots = dft_pilots(tau, k)
     size = bussgang._BLOCK_ENTRIES // (m * tau)  # one full block
 
-    rng = chunk_rng(5, PHASE_ORACLE, 0)
+    rng = block_rng(5, PHASE_ORACLE, 0)
     got = mcsim._block_sums(config, specs, stats, delta, pilots, rng, size, True, ("ul", "dl"))
 
-    ref_rng = chunk_rng(5, PHASE_ORACLE, 0)
+    ref_rng = block_rng(5, PHASE_ORACLE, 0)
     h = complex_gaussian(ref_rng, (size, m, k))
     noise = complex_gaussian(ref_rng, (size, m, tau))
     h_hat, ce = einsum_pilot_phase(config.rho_bs, specs[0], stats.g_ce, pilots, h, noise)
@@ -213,9 +213,9 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
 @pytest.mark.parametrize("bits", [1, 2, 3])
 @pytest.mark.parametrize("direction", ["both", "dl"])
 def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
-    # the table rows, totalled per column, give exactly the totals of the
-    # per-block {name: sum} dicts, over 2.5 blocks so that the short last
-    # block counts too (criterion-4 scenario, off-diagonals tracked)
+    # each name's per-block sums, totalled by _fsum_blocks, give exactly the
+    # totals of the per-block {name: sum} dicts, over 2.5 blocks so that the
+    # short last block counts too (criterion-4 scenario, off-diagonals tracked)
     config = _config(m_ul=32, m_dl=32, bits=bits)
     specs, stats, delta = _oracle_inputs(config)
     pilots = dft_pilots(config.tau, config.k_users)
@@ -228,7 +228,7 @@ def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
     assert sizes.tolist() == [256, 256, 128]
     assert tables.keys() == want.keys()
     for phase, totals in want.items():
-        got = tables[phase].totals()
+        got = {name: bussgang._fsum_blocks(sums) for name, sums in tables[phase].items()}
         assert got.keys() == totals.keys(), phase
         for name, total in totals.items():
             assert got[name].dtype == total.dtype and got[name].shape == total.shape, (phase, name)
@@ -248,8 +248,8 @@ def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entri
     per_block = max(1, bussgang._BLOCK_ENTRIES // (m * tau))
     sizes = [per_block, per_block, per_block // 2 or 1]  # 2.5 blocks, or 3 one-trial blocks
     calls = []  # (generator key, [shapes drawn from it])
-    real_rng, real_draw = mcsim.chunk_rng, mcsim.complex_gaussian
-    monkeypatch.setattr(mcsim, "chunk_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
+    real_rng, real_draw = mcsim.block_rng, mcsim.complex_gaussian
+    monkeypatch.setattr(mcsim, "block_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
     monkeypatch.setattr(mcsim, "complex_gaussian", lambda g, shape: calls[-1][1].append(shape) or real_draw(g, shape))
     order = {
         "both": lambda n: [(n, m, k), (n, m, tau), (n, k), (n, m), (n, k)],
@@ -288,7 +288,7 @@ def _traced_peak(run):
 @pytest.mark.parametrize(
     "config,direction,trials",
     [
-        (_config(m_ul=32, m_dl=32, bits=2), "both", bussgang._CHUNK_TRIALS),
+        (_config(m_ul=32, m_dl=32, bits=2), "both", 16_384),
         (_widest_validate_point(), "ul", 2_000),
     ],
     ids=["criterion_4", "widest_validate"],
@@ -309,7 +309,7 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     specs, stats, delta = _oracle_inputs(config)
     monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m_ul * config.tau)
     pilots = dft_pilots(config.tau, config.k_users)
-    one = mcsim._block_sums(config, specs, stats, delta, pilots, chunk_rng(1, PHASE_ORACLE, 0), 1, False, ("ul", "dl"))
+    one = mcsim._block_sums(config, specs, stats, delta, pilots, block_rng(1, PHASE_ORACLE, 0), 1, False, ("ul", "dl"))
     row_bytes = 8 * sum(np.size(v) * (1 + np.iscomplexobj(v)) for sums in one.values() for v in sums.values())
     assert row_bytes == 8 * 103
 

@@ -116,7 +116,7 @@ def test_config_validation_rules():
         *[("bandwidth_ghz_ref", {"envelope": {"bandwidth_ghz_ref": v}}) for v in (-0.1, 0, nan, True, "0.1", 1e300)],
         ("count_ref", {"envelope": {"count_ref": 0}}),
         ("bits_ref", {"envelope": {"bits_ref": 0}}),
-        # a pilot length whose chunk of pilot-phase noise would not fit in 1 GiB
+        # a pilot length above MAX_PILOT_LENGTH (4096)
         ("tau", {"tau": [1_000_000], "k_users": 8}),
         # envelopes that supply more antennas than a point's arrays can hold (or infinitely many)
         *[("envelope", {"envelope": envelope}) for envelope in BIG_ENVELOPES],
