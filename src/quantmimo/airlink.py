@@ -45,17 +45,18 @@ def dft_pilots(tau, k_users):
     return PilotMatrix(tau=tau, k_users=k_users, entries=entries)
 
 
-def complex_gaussian(rng, shape, complex_variance=1.0):
+def complex_gaussian(rng, shape, complex_variance=1.0, out=None):
     """Circularly symmetric complex Gaussian samples, variance per entry.
 
     All real parts are drawn before all imaginary parts.  The draws go
     through one cache-sized buffer and are scaled on their way into the
-    preallocated result, so no full-size temporary is made; the values and
-    the generator's final state are those of
+    result, so no full-size temporary is made; the values and the
+    generator's final state are those of
     scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).
+    The result is written into out when it is given.
     """
     scale = np.sqrt(complex_variance / 2.0)
-    z = np.empty(shape, dtype=complex)
+    z = _checked_out(out, shape)
     flat = z.reshape(-1)
     buf = np.empty(min(flat.size, _DRAW_BUFFER))
     for part in (flat.real, flat.imag):
@@ -66,29 +67,54 @@ def complex_gaussian(rng, shape, complex_variance=1.0):
     return z
 
 
-def pilot_phase_signal(channel, pilots, rho_bs, noise):
+def pilot_phase_signal(channel, pilots, rho_bs, noise, out=None):
     """ADC input during the pilot phase: sqrt(rho) * H @ conj(P).T plus noise.
 
     H is M x K (or a batch ..., M, K); the result is M x tau (..., M, tau).
     A batch goes through one 2-D product of all its rows, not one product
-    per matrix.
+    per matrix, formed in the result, which is out when it is given; out
+    must not overlap the noise.
     """
     scaled = np.sqrt(rho_bs) * channel
-    signal = scaled.reshape(-1, scaled.shape[-1]) @ pilots.entries.conj().T
-    return signal.reshape(*scaled.shape[:-1], pilots.tau) + noise
+    y = _checked_out(out, (*scaled.shape[:-1], pilots.tau), noise)
+    np.matmul(scaled.reshape(-1, scaled.shape[-1]), pilots.entries.conj().T, out=y.reshape(-1, pilots.tau))
+    y += noise
+    return y
 
 
-def estimate_channel(rce, pilots, rho_bs):
+def estimate_channel(rce, pilots, rho_bs, out=None):
     """Channel estimate from the quantized pilot-phase output.
 
     rce is an M x tau matrix or a batch of them (..., M, tau).  Returns
-    M x K (batched: ..., M, K, from one 2-D product of all rows); collapses
-    to the exact channel when quantization and noise are absent, by pilot
-    orthogonality.
+    M x K (batched: ..., M, K, from one 2-D product of all rows), written
+    into out when it is given; collapses to the exact channel when
+    quantization and noise are absent, by pilot orthogonality.
     """
     rce = np.asarray(rce)
-    tau = pilots.tau
+    tau, k = pilots.tau, pilots.k_users
     if rce.ndim < 2 or rce.shape[-1] != tau:
         raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
-    projected = rce.reshape(-1, tau) @ pilots.entries
-    return projected.reshape(*rce.shape[:-1], pilots.k_users) / (np.sqrt(rho_bs) * tau)
+    h_hat = _checked_out(out, (*rce.shape[:-1], k))
+    np.matmul(rce.reshape(-1, tau), pilots.entries, out=h_hat.reshape(-1, k))
+    h_hat /= np.sqrt(rho_bs) * tau
+    return h_hat
+
+
+def _checked_out(out, shape, *inputs):
+    """A new complex128 array of shape, or out once it is checked to be one.
+
+    out must be C-contiguous, so that its flat and reshaped views write
+    into it rather than into a copy, and must not overlap the inputs, which
+    its function still reads after it has begun to write.
+    """
+    if out is None:
+        return np.empty(shape, dtype=complex)
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        got = type(out).__name__
+        if isinstance(out, np.ndarray):
+            got = f"{'' if out.flags.c_contiguous else 'non-contiguous '}{out.dtype} array of shape {out.shape}"
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}, got {got}")
+    if any(np.may_share_memory(out, x) for x in inputs):
+        raise ValueError("out must not overlap an input")
+    return out

@@ -12,7 +12,14 @@ draws from its own generator, block_rng(seed, PHASE_ORACLE, j), in the order
 channels, pilot noise, uplink symbols and noise, downlink symbols; so the
 block size defines the oracle's stream, and the oracle shares no random
 numbers with the Monte Carlo moments of assemble_stats that it checks.
-Both directions take their channel products from one per-trial
+
+Each block is a draw step and a reduce step.  One persistent worker
+thread, shared by all calls in the process, draws block j + 1 into one of
+two draw buffer sets while the calling thread reduces block j from the
+other (numpy's Gaussian fills and large ufuncs release the GIL); the
+stream and every sum are those of drawing and reducing each block in turn.
+The pilot phase of the reduce step works in buffers allocated once per
+call.  Both directions take their channel products from one per-trial
 A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums go into one
 preallocated (blocks, *shape) array per moment name and phase ("ce", "ul",
 "dl"; 103 floats, 824 bytes, a block at K 4, m 32), which math.fsum totals
@@ -28,6 +35,11 @@ E[v^H C_d v] also holds the distortion's dependence on the channel.
 
 from __future__ import annotations
 
+import math
+import mmap
+import numbers
+import os
+from concurrent import futures
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -101,20 +113,33 @@ def default_specs(config):
     return adc, adc, dac  # ce, ul, dl
 
 
-def _residual_sums(d, y):
-    """Sums of d conj(y) and of its squared magnitude over a block."""
-    ry = np.conj(y)
+def _residual_sums(d, y, out=None):
+    """Sums of d conj(y) and of its squared magnitude over a block; the products go into out when it is given."""
+    ry = np.conjugate(y, out=out)
     ry *= d
     return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
 
 
-def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise):
-    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase residual sums."""
-    y_ce = pilot_phase_signal(h, pilots, rho_bs, noise)
-    d_ce = quantize(spec_ce, y_ce)
-    h_hat = estimate_channel(d_ce, pilots, rho_bs)
-    d_ce -= g_ce * y_ce
-    return h_hat, _residual_sums(d_ce, y_ce)
+class _PilotBuffers(NamedTuple):
+    """The pilot phase's arrays of a full block: distortion d, estimates Ĥ and ADC input y."""
+
+    d: np.ndarray
+    h_hat: np.ndarray
+    y: np.ndarray
+
+
+def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise, buffers):
+    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase residual sums.
+
+    The block's arrays go into the first len(h) trials of buffers; once y is
+    formed, the noise is scratch for the g·y and conj(y)·d products.
+    """
+    d_ce, h_hat, y_ce = (buf[: len(h)] for buf in buffers)
+    pilot_phase_signal(h, pilots, rho_bs, noise, out=y_ce)
+    quantize(spec_ce, y_ce, out=d_ce)
+    estimate_channel(d_ce, pilots, rho_bs, out=h_hat)
+    d_ce -= np.multiply(g_ce, y_ce, out=noise)
+    return h_hat, _residual_sums(d_ce, y_ce, out=noise)
 
 
 def _matvec(a, x):
@@ -186,51 +211,117 @@ def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x):
     return sums
 
 
-def _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions):
-    """Moment sums of one block of size trials: {phase: {name: sum}} for "ce" and each direction.
+class _Draws(NamedTuple):
+    """A block's random numbers, its fields in stream order; a direction's are None when it is not requested."""
 
-    The block's random numbers are drawn first, in stream order: pilot-phase
-    channels and noise, then the uplink's symbols and noise, then the
-    downlink's symbols (each direction's only when it is requested).  Both
-    directions take their channel products from one _channel_sums.
+    h: np.ndarray
+    noise: np.ndarray
+    x_ul: np.ndarray | None
+    z_ul: np.ndarray | None
+    x_dl: np.ndarray | None
+
+
+def _mapped_arrays(shapes):
+    """Complex arrays of shapes (None for a None shape), carved in order from one anonymous memory map.
+
+    The map is not on the heap, and it is unmapped once the last of the
+    arrays is dropped.  Megabytes of arrays that live through an oracle
+    call would, on the heap, leave a hole under the block tables allocated
+    after them, which the reports that outlive the call then split into
+    pieces too small for later large arrays (12 MB more peak RSS on the
+    oracle benchmark).
+    """
+    lengths = [0 if shape is None else math.prod(shape) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * sum(lengths)), dtype=complex)
+    pieces = np.split(flat, np.cumsum(lengths)[:-1])
+    return [None if shape is None else piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
+
+
+def _block_buffers(config, size, directions):
+    """Two unfilled _Draws for directions, used in turn, and one _PilotBuffers, for blocks of up to size trials."""
+    m, k, tau = config.m_ul, config.k_users, config.tau
+    draws = [(size, m, k), (size, m, tau)]
+    draws += [(size, k), (size, m)] if "ul" in directions else [None, None]
+    draws += [(size, k)] if "dl" in directions else [None]
+    arrays = _mapped_arrays(2 * draws + [(size, m, tau), (size, m, k), (size, m, tau)])
+    n = len(draws)
+    return (_Draws(*arrays[:n]), _Draws(*arrays[n : 2 * n])), _PilotBuffers(*arrays[2 * n :])
+
+
+def _draw_block(buffers, rng, size):
+    """The draw step: a block of size trials drawn from rng into the first size trials of buffers, in stream order."""
+    blocks = (None if buf is None else buf[:size] for buf in buffers)
+    return _Draws(*(None if out is None else complex_gaussian(rng, out.shape, out=out) for out in blocks))
+
+
+def _block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag):
+    """The reduce step: moment sums {phase: {name: sum}} of one block's draws, for "ce" and each drawn direction.
+
+    The pilot phase works in place: its arrays go into buffers, a
+    _PilotBuffers, and its g·y and conj(y)·d products overwrite draws.noise.
+    Both directions take their channel products from one _channel_sums.
     """
     spec_ce, spec_ul, spec_dl = specs
-    m, k = config.m_ul, config.k_users
-    h = complex_gaussian(rng, (size, m, k))
-    noise = complex_gaussian(rng, (size, m, config.tau))
-    if "ul" in directions:
-        x_ul = complex_gaussian(rng, (size, k))
-        z_ul = complex_gaussian(rng, (size, m))
-    if "dl" in directions:
-        x_dl = complex_gaussian(rng, (size, k))
-    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, noise)
+    h = draws.h
+    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, draws.noise, buffers)
     channel = _channel_sums(h, h_hat)
     ce_sums["delta"] = np.sum(channel.ue_power)
     sums = {"ce": ce_sums}
-    if "ul" in directions:
-        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x_ul, z_ul, track_offdiag)
-    if "dl" in directions:
-        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, x_dl)
+    if draws.x_ul is not None:
+        sums["ul"] = _uplink_block(
+            config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, draws.x_ul, draws.z_ul, track_offdiag
+        )
+    if draws.x_dl is not None:
+        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, draws.x_dl)
     return sums
+
+
+def _new_draw_thread():
+    """Give the process its own draw thread, which starts at the first oracle call.
+
+    One persistent worker thread, shared by every call in the process, runs
+    the oracle's draw steps.  A forked child's copy of the parent's has no
+    thread behind it, and its calls would wait on it forever.
+    """
+    global _draw_thread
+    _draw_thread = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-draw")
+
+
+_new_draw_thread()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_draw_thread)
 
 
 def _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
     """Trials per block, and {phase: {name: sums}} of "ce" and each direction.
 
     Each name's sums are one preallocated array of shape (blocks, *shape),
-    whose row j holds block j's sum.
+    whose row j holds block j's sum.  The draw thread fills block j + 1's
+    draws into one of two draw buffer sets, taken in turn, while this
+    thread reduces block j from the other.
     """
     sizes = _blocks(trials, config.m_ul * config.tau)  # the pilot noise is the widest draw
+    draw_sets, buffers = _block_buffers(config, sizes[0], directions)
+
+    def draw(j):
+        return _draw_thread.submit(_draw_block, draw_sets[j % 2], block_rng(seed, PHASE_ORACLE, j), sizes[j])
+
     tables = {}
-    for j, size in enumerate(sizes):
-        rng = block_rng(seed, PHASE_ORACLE, j)
-        sums = _block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
-        for phase, phase_sums in sums.items():
-            table = tables.setdefault(phase, {})
-            for name, value in phase_sums.items():
-                if j == 0:
-                    table[name] = np.empty((len(sizes),) + np.shape(value), np.result_type(value))
-                table[name][j] = value
+    pending = draw(0)
+    try:
+        for j in range(len(sizes)):
+            draws = pending.result()
+            pending = draw(j + 1) if j + 1 < len(sizes) else None
+            sums = _block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag)
+            for phase, phase_sums in sums.items():
+                table = tables.setdefault(phase, {})
+                for name, value in phase_sums.items():
+                    if j == 0:
+                        table[name] = np.empty((len(sizes),) + np.shape(value), np.result_type(value))
+                    table[name][j] = value
+    finally:
+        if pending is not None:  # the reduction raised: let the next block's draws finish before returning
+            futures.wait([pending])
     return np.array(sizes), tables
 
 
@@ -307,12 +398,15 @@ def validate_closed_form(
 
     Returns a dict {direction: ValidationReport} with one entry per requested
     direction ("ul" and "dl" for direction="both").  A tolerance violation
-    yields passed=False in the report, not an exception.
+    yields passed=False in the report, not an exception; a tolerance that is
+    not positive and finite is a ValueError.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if config.m_ul != config.m_dl:
         raise ValueError("validator expects a common antenna count for both directions")
     if direction not in ("ul", "dl", "both"):

@@ -19,6 +19,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from quantmimo.airlink import _checked_out
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = math.sqrt(0.5)
 # Gauss-Legendre rule for per-cell Gaussian moments; 48 nodes is machine
@@ -317,13 +319,14 @@ def rescale_labels(spec, target_complex_variance):
     )
 
 
-def quantize(spec, value):
+def quantize(spec, value, out=None):
     """Apply the quantizer entrywise to Re and Im of a complex scalar/array.
 
-    Returns a new complex128 array of the input's shape (a complex for a
-    scalar input).  Re and Im are looked up together, in the interleaved
-    float64 view of the input, at a cost per entry that does not depend on
-    b: the spec's bucket table holds at most one interior threshold t_i per
+    Returns a complex128 array of the input's shape (a complex for a scalar
+    input), written into out when it is given; out must not overlap the
+    input.  Re and Im are looked up together, in the interleaved float64
+    view of the input, at a cost per entry that does not depend on b: the
+    spec's bucket table holds at most one interior threshold t_i per
     bucket, so with j the bucket of x and k = first[j] (the thresholds in
     lower buckets, all below x), the cell of x is k + [t_k < x].  That is
     the number of thresholds below x, so a value at a threshold belongs to
@@ -334,13 +337,14 @@ def quantize(spec, value):
     value = np.asarray(value)
     parts = np.ascontiguousarray(value, dtype=complex).reshape(-1).view(float)
     table = spec._buckets
-    out = np.empty_like(parts)
+    result = _checked_out(out, value.shape, value)
+    scratch = result.reshape(-1).view(float)
     cell = np.empty(min(parts.size, _BLOCK), dtype=np.intp)
     below = np.empty(cell.size, dtype=bool)
     with np.errstate(over="ignore"):  # x*scale overflowing to +-inf still clips right
         for start in range(0, parts.size, _BLOCK):
             x = parts[start:start + _BLOCK]
-            f = out[start:start + _BLOCK]
+            f = scratch[start:start + _BLOCK]
             i = cell[:x.size]
             m = below[:x.size]
             np.copyto(i, _bucket_positions(x, table.scale, table.offset, table.top, f), casting="unsafe")
@@ -353,7 +357,6 @@ def quantize(spec, value):
             np.invert(m, out=m)  # t_k < x, and true for NaN
             i += m
             table.labels.take(i, out=f, mode="clip")
-    out = out.view(complex).reshape(value.shape)
-    if value.ndim == 0:
-        return complex(out)
-    return out
+    if out is None and value.ndim == 0:
+        return complex(result)
+    return result

@@ -242,12 +242,15 @@ def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, t
 
     The accumulation mcsim.validate_closed_form had before it kept the block
     sums in preallocated arrays: every block's dicts are kept to the end,
-    then each name's sums are totalled by _fsum_blocks.
+    then each name's sums are totalled by _fsum_blocks.  Each block is drawn
+    and then reduced on the calling thread, from one set of draw buffers.
     """
+    sizes = _blocks(trials, config.m_ul * config.tau)
+    (draw_set, _), buffers = mcsim._block_buffers(config, sizes[0], directions)
     block_sums = {}
-    for j, size in enumerate(_blocks(trials, config.m_ul * config.tau)):
-        rng = block_rng(seed, PHASE_ORACLE, j)
-        sums = mcsim._block_sums(config, specs, stats, delta, pilots, rng, size, track_offdiag, directions)
+    for j, size in enumerate(sizes):
+        draws = mcsim._draw_block(draw_set, block_rng(seed, PHASE_ORACLE, j), size)
+        sums = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag)
         for phase, phase_sums in sums.items():
             block_sums.setdefault(phase, []).append(phase_sums)
     return {

@@ -60,6 +60,56 @@ def test_complex_gaussian_is_bit_identical_to_two_array_reference(shape, complex
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_out_gives_the_allocating_call_values():
+    m, tau, k, rho = 6, 8, 4, 1.5
+    pilots = dft_pilots(tau, k)
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    shape = (300, 32, 8)  # more entries than one pass of the draw buffer
+    out = np.full(shape, np.nan, dtype=complex)
+    got = complex_gaussian(rng, shape, 3.0, out=out)
+    assert got is out and got.tobytes() == complex_gaussian(ref_rng, shape, 3.0).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    h, noise = complex_gaussian(rng, (3, m, k)), complex_gaussian(rng, (3, m, tau))
+    want = pilot_phase_signal(h, pilots, rho, noise)
+    out = np.full(want.shape, np.nan, dtype=complex)
+    assert pilot_phase_signal(h, pilots, rho, noise, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+    for y in (want, want[0]):  # a batch and one receive matrix
+        want_h = estimate_channel(y, pilots, rho)
+        out = np.full(want_h.shape, np.nan, dtype=complex)
+        assert estimate_channel(y, pilots, rho, out=out) is out
+        assert out.tobytes() == want_h.tobytes()
+
+
+def test_out_of_the_wrong_kind_is_rejected():
+    # a strided out would be filled through a copy made by its flat or
+    # reshaped view, so the caller's array would be left unfilled
+    m, tau, k = 6, 8, 4
+    pilots = dft_pilots(tau, k)
+    rng = np.random.default_rng(2)
+    h, noise = complex_gaussian(rng, (3, m, k)), complex_gaussian(rng, (3, m, tau))
+    calls = [
+        ((3, m, k), lambda out: complex_gaussian(rng, (3, m, k), out=out)),
+        ((3, m, tau), lambda out: pilot_phase_signal(h, pilots, 1.0, noise, out=out)),
+        ((3, m, k), lambda out: estimate_channel(noise, pilots, 1.0, out=out)),
+    ]
+    for shape, call in calls:
+        wide = (*shape[:-1], 2 * shape[-1])
+        for out in (
+            np.empty(shape[1:], dtype=complex),
+            np.empty(shape, dtype=np.complex64),
+            np.empty(shape),
+            np.empty(wide, dtype=complex)[..., ::2],
+            np.empty(shape, dtype=complex, order="F"),
+        ):
+            with pytest.raises(ValueError, match="out must"):
+                call(out)
+    with pytest.raises(ValueError, match="overlap"):  # the noise is still read after the product is formed
+        pilot_phase_signal(h, pilots, 1.0, noise, out=noise)
+
+
 def test_estimate_channel_recovers_exactly_without_noise_or_quantization():
     rng = np.random.default_rng(0)
     m, tau, k, rho = 16, 8, 4, 2.0

@@ -1,6 +1,14 @@
 """Tests for the full-chain Monte Carlo validator."""
 
+import itertools
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +173,9 @@ def test_validator_input_checks():
     mismatched = SystemConfig(m_ul=8, m_dl=16, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
     with pytest.raises(ValueError):
         validate_closed_form(mismatched, trials=10_000)
+    for tolerance in (float("nan"), -1, 0):  # each would fail every report
+        with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tolerance!r}"):
+            validate_closed_form(config, trials=300, tolerance=tolerance)
 
 
 def _oracle_inputs(config):
@@ -190,7 +201,9 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
     size = bussgang._BLOCK_ENTRIES // (m * tau)  # one full block
 
     rng = block_rng(5, PHASE_ORACLE, 0)
-    got = mcsim._block_sums(config, specs, stats, delta, pilots, rng, size, True, ("ul", "dl"))
+    (draw_set, _), buffers = mcsim._block_buffers(config, size, ("ul", "dl"))
+    draws = mcsim._draw_block(draw_set, rng, size)
+    got = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, True)
 
     ref_rng = block_rng(5, PHASE_ORACLE, 0)
     h = complex_gaussian(ref_rng, (size, m, k))
@@ -250,7 +263,9 @@ def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entri
     calls = []  # (generator key, [shapes drawn from it])
     real_rng, real_draw = mcsim.block_rng, mcsim.complex_gaussian
     monkeypatch.setattr(mcsim, "block_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
-    monkeypatch.setattr(mcsim, "complex_gaussian", lambda g, shape: calls[-1][1].append(shape) or real_draw(g, shape))
+    monkeypatch.setattr(
+        mcsim, "complex_gaussian", lambda g, shape, out: calls[-1][1].append(shape) or real_draw(g, shape, out=out)
+    )
     order = {
         "both": lambda n: [(n, m, k), (n, m, tau), (n, k), (n, m), (n, k)],
         "dl": lambda n: [(n, m, k), (n, m, tau), (n, k)],
@@ -281,10 +296,13 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-# tracemalloc peaks of the oracle (specs and stats given), measured with
-# numpy 2.4: 5.5 MB at the criterion-4 scenario over 16384 trials, and
-# 4.2 MB at the widest --validate point over 2000 trials.  Drawing whole
-# 16384-trial chunks first, the oracle peaked at 115 MB and 415 MB there.
+# Peaks of the oracle (specs and stats given), measured with numpy 2.4 as
+# the tracemalloc peak plus the block buffers, which live in a memory map
+# that tracemalloc does not see: 7.3 MB at the criterion-4 scenario over
+# 16384 trials, and 5.2 MB at the widest --validate point over 2000 trials
+# (the two draw buffer sets are 3.5 MB and 2.1 MB of these).  Drawing one
+# block at a time on the calling thread, the tracemalloc peaks were 5.5 MB
+# and 4.2 MB; drawing whole 16384-trial chunks first, 115 MB and 415 MB.
 @pytest.mark.parametrize(
     "config,direction,trials",
     [
@@ -293,12 +311,22 @@ def _traced_peak(run):
     ],
     ids=["criterion_4", "widest_validate"],
 )
-def test_peak_memory_of_the_oracle_stays_at_block_scale(config, direction, trials):
+def test_peak_memory_of_the_oracle_stays_at_block_scale(monkeypatch, config, direction, trials):
     specs, stats, _ = _oracle_inputs(config)
+    mapped = []
+    real_buffers = mcsim._block_buffers
+
+    def buffers(*args):
+        draw_sets, pilot_buffers = real_buffers(*args)
+        mapped.append(sum(a.nbytes for a in (*itertools.chain(*draw_sets), *pilot_buffers) if a is not None))
+        return draw_sets, pilot_buffers
+
+    monkeypatch.setattr(mcsim, "_block_buffers", buffers)
     peak = _traced_peak(
         lambda: validate_closed_form(config, trials=trials, seed=1, direction=direction, specs=specs, stats=stats)
     )
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(mapped) == 1
+    assert peak + mapped[0] < 8e6, f"peak {peak / 1e6:.1f} MB traced and {mapped[0] / 1e6:.1f} MB mapped"
 
 
 def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
@@ -309,7 +337,9 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     specs, stats, delta = _oracle_inputs(config)
     monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m_ul * config.tau)
     pilots = dft_pilots(config.tau, config.k_users)
-    one = mcsim._block_sums(config, specs, stats, delta, pilots, block_rng(1, PHASE_ORACLE, 0), 1, False, ("ul", "dl"))
+    (draw_set, _), buffers = mcsim._block_buffers(config, 1, ("ul", "dl"))
+    draws = mcsim._draw_block(draw_set, block_rng(1, PHASE_ORACLE, 0), 1)
+    one = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, False)
     row_bytes = 8 * sum(np.size(v) * (1 + np.iscomplexobj(v)) for sums in one.values() for v in sums.values())
     assert row_bytes == 8 * 103
 
@@ -320,6 +350,84 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     }
     growth = peak[2 * blocks] - peak[blocks]
     assert growth <= 1.25 * blocks * row_bytes, f"{growth / blocks:.0f} B per block against {row_bytes} B rows"
+
+
+# A drift alarm at the default grid's widest --validate point, where the
+# closed-form uplink SINDRs miss the oracle's (0.364-0.365 at 1e4 trials).
+# Over seeds 1-10 at 2002 trials the worst SINDR error was 0.378 (SD 0.017);
+# the band is 4 SD on either side.  Blocks there hold 5 trials, so the 2002
+# trials end in a ragged block of 2.
+def test_widest_validate_point_misses_the_closed_form_where_measured():
+    report = validate_closed_form(_widest_validate_point(), trials=2002, seed=1, direction="ul")["ul"]
+    assert report.passed is False
+    assert np.max(report.sindr_rel_error) == pytest.approx(0.378, abs=0.068)
+
+
+def _oracle_text(reports):
+    return "\n".join(report.to_text() for report in reports.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_the_oracle():
+    # the parent's draw thread does not exist in a forked child, which must
+    # start its own instead of waiting on the parent's forever
+    config = _config(m_ul=8, m_dl=8, bits=2)
+    specs, stats, _ = _oracle_inputs(config)
+    validate_closed_form(config, trials=3000, seed=1, specs=specs, stats=stats)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            validate_closed_form(config, trials=3000, seed=1, specs=specs, stats=stats)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's oracle call did not return within 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_repeated_calls_share_one_draw_thread():
+    config = _config(m_ul=8, m_dl=8, bits=2)
+    specs, stats, _ = _oracle_inputs(config)
+    before = threading.active_count()
+    for seed in range(10):
+        validate_closed_form(config, trials=3000, seed=seed, specs=specs, stats=stats)
+    assert threading.active_count() <= before + 1
+
+
+def test_a_call_that_raises_leaves_the_next_report_as_a_fresh_process_gives_it(monkeypatch):
+    # quantize fails in block 1's pilot phase, while block 2 is being drawn
+    config = _config(m_ul=8, m_dl=8, bits=2)  # 1024 trials a block, so 3 blocks
+    real_quantize, calls = mcsim.quantize, itertools.count()
+
+    def failing(spec, value, out=None):
+        if next(calls) == 3:
+            raise RuntimeError("quantize failed")
+        return real_quantize(spec, value, out=out)
+
+    monkeypatch.setattr(mcsim, "quantize", failing)
+    with pytest.raises(RuntimeError, match="quantize failed"):
+        validate_closed_form(config, trials=2500, seed=4)
+    monkeypatch.undo()
+    text = _oracle_text(validate_closed_form(config, trials=2500, seed=4))
+
+    src = str(Path(mcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "from quantmimo.bussgang import SystemConfig; from quantmimo.mcsim import validate_closed_form; "
+        "reports = validate_closed_form(SystemConfig(8, 8, 4, 8, 2, 1.0, 1.0), trials=2500, seed=4); "
+        "print(chr(10).join(r.to_text() for r in reports.values()))"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout
+    assert text == fresh.rstrip("\n")
 
 
 # Over seeds 0-9 at 2e4 trials the seed-to-seed SD of each moment was

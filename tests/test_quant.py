@@ -220,6 +220,36 @@ def test_quantize_is_bit_identical_to_two_pass_reference(bits):
             assert np.array_equal(new_view.view(np.uint64), ref_view.view(np.uint64))  # signs of zeros too
 
 
+@pytest.mark.parametrize("bits", [1, 3, 12])
+def test_quantize_into_out_gives_the_allocating_call_values(bits):
+    spec = rescale_labels(design_lloyd_max(bits, 1.0), 2.0)
+    rng = np.random.default_rng(bits)
+    for shape in [(3, 5), (2, _BLOCK // 2 + 7)]:  # one block, and more than one
+        value = rng.normal(size=(*shape, 2)) @ [1.0, 1j]
+        out = np.full(shape, np.nan, dtype=complex)
+        got = quantize(spec, value, out=out)
+        assert got is out
+        assert got.tobytes() == quantize(spec, value).tobytes()
+
+
+def test_quantize_rejects_an_out_it_cannot_fill():
+    # each of these would leave the caller's array unfilled or wrong: a
+    # strided out is copied by its flat view, and one that is the input is
+    # overwritten while still being read
+    spec = design_lloyd_max(2, 1.0)
+    value = np.random.default_rng(0).normal(size=(4, 6, 2)) @ [1.0, 1j]
+    bad = [
+        np.empty((4, 5), dtype=complex),
+        np.empty((4, 6), dtype=np.complex64),
+        np.empty((4, 12), dtype=complex)[:, ::2],
+        value,
+        [[0j] * 6] * 4,
+    ]
+    for out in bad:
+        with pytest.raises(ValueError, match="out must"):
+            quantize(spec, value, out=out)
+
+
 def test_bucket_table_holds_at_most_one_threshold_per_bucket():
     for bits in range(1, MAX_BITS + 1):
         for variance in VARIANCES:
