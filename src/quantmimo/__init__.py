@@ -9,15 +9,11 @@ from quantmimo.quant import QuantizerSpec, design_lloyd_max, rescale_labels, qua
 from quantmimo.airlink import PilotMatrix, dft_pilots, estimate_channel
 from quantmimo.bussgang import BussgangStats, SystemConfig, gain_scalar, distortion_trace, ce_distortion_projections, assemble_stats
 from quantmimo.rates import (
-    SindrInputsUL,
-    SindrInputsDL,
     UplinkMoments,
     DownlinkMoments,
     moments_ul_mrc,
     moments_dl_mrt,
     mrt_normalization,
-    sindr_ul_mrc,
-    sindr_dl_mrt,
     sindr_from_moments,
     sum_rate,
 )

@@ -1,4 +1,8 @@
-"""Bussgang gains and Monte Carlo estimates of quantization-distortion moments.
+"""The scenario type, Bussgang gains and Monte Carlo estimates of quantization-distortion moments.
+
+SystemConfig is the one description of a scenario (antenna count m, K UEs,
+pilot length tau, resolution b and the two SNRs) that the estimates here,
+the rate formulas and the full-chain oracle take.
 
 For i.i.d. Rayleigh channels every input covariance seen by a converter is a
 scaled identity, so the Bussgang matrix collapses to a scalar gain and the
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantmimo.airlink import complex_gaussian, dft_pilots, pilot_phase_signal
-from quantmimo.quant import quantize
+from quantmimo.quant import MAX_BITS, quantize
 
 DEFAULT_TRIALS = 100_000
 MIN_TRIALS = 10_000
@@ -76,7 +80,10 @@ def _fsum_blocks(parts):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario scalars shared by the stats, rates, and simulator modules."""
+    """One scenario: the input of the rate formulas, the moment estimates and the oracle.
+
+    Both directions use one antenna count, m; m_ul and m_dl must be equal.
+    """
 
     m_ul: int
     m_dl: int
@@ -87,12 +94,24 @@ class SystemConfig:
     rho_ue: float
 
     def __post_init__(self):
-        if min(self.m_ul, self.m_dl, self.k_users) < 1:
-            raise ValueError("antenna and user counts must be >= 1")
+        for name in ("m_ul", "m_dl", "k_users", "tau", "bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.m_ul != self.m_dl:
+            raise ValueError(f"m_ul={self.m_ul} and m_dl={self.m_dl} must be equal: one antenna count m")
         if self.tau < self.k_users:
             raise ValueError(f"tau={self.tau} must be >= k_users={self.k_users}")
-        if self.rho_bs <= 0 or self.rho_ue <= 0:
-            raise ValueError("SNRs must be positive (linear scale)")
+        if self.bits > MAX_BITS:
+            raise ValueError(f"bits={self.bits} must be in [1, {MAX_BITS}]")
+        for name in ("rho_bs", "rho_ue"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)!r} must be positive and finite (linear scale)")
+
+    @property
+    def m(self):
+        """The antenna count of both directions."""
+        return self.m_ul
 
     @property
     def y_var_ul(self):
@@ -102,7 +121,7 @@ class SystemConfig:
     @property
     def w_var_dl(self):
         """Per-entry complex variance of the precoded DAC input."""
-        return 1.0 / self.m_dl
+        return 1.0 / self.m
 
 
 @dataclass(frozen=True)
@@ -209,7 +228,7 @@ def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, see
         g_ce=gain_scalar(spec_ce, y_var),
         g_ul=gain_scalar(spec_ul, y_var),
         g_dl=gain_scalar(spec_dl, w_var),
-        cd_ul=distortion_trace(spec_ul, y_var, config.m_ul, trials, seed) / config.m_ul,
-        cd_dl=distortion_trace(spec_dl, w_var, config.m_dl, trials, dl_seed) / config.m_dl,
+        cd_ul=distortion_trace(spec_ul, y_var, config.m, trials, seed) / config.m,
+        cd_dl=distortion_trace(spec_dl, w_var, config.m, trials, dl_seed) / config.m,
         a_k=ce_distortion_projections(spec_ce, pilots, config.rho_bs, trials, seed),
     )

@@ -239,7 +239,7 @@ def _mapped_arrays(shapes):
 
 def _block_buffers(config, size, directions):
     """Two unfilled _Draws for directions, used in turn, and one _PilotBuffers, for blocks of up to size trials."""
-    m, k, tau = config.m_ul, config.k_users, config.tau
+    m, k, tau = config.m, config.k_users, config.tau
     draws = [(size, m, k), (size, m, tau)]
     draws += [(size, k), (size, m)] if "ul" in directions else [None, None]
     draws += [(size, k)] if "dl" in directions else [None]
@@ -300,7 +300,7 @@ def _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdi
     draws into one of two draw buffer sets, taken in turn, while this
     thread reduces block j from the other.
     """
-    sizes = _blocks(trials, config.m_ul * config.tau)  # the pilot noise is the widest draw
+    sizes = _blocks(trials, config.m * config.tau)  # the pilot noise is the widest draw
     draw_sets, buffers = _block_buffers(config, sizes[0], directions)
 
     def draw(j):
@@ -407,22 +407,16 @@ def validate_closed_form(
         raise ValueError("trials must be >= 1")
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    if config.m_ul != config.m_dl:
-        raise ValueError("validator expects a common antenna count for both directions")
     if direction not in ("ul", "dl", "both"):
         raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
     if specs is None:
         specs = default_specs(config)
     if stats is None:
         stats = assemble_stats(config, *specs, trials=max(trials, MIN_TRIALS), seed=seed)
-    m, k, tau = config.m_ul, config.k_users, config.tau
-    inputs = {
-        "ul": rates.SindrInputsUL(m, k, tau, config.rho_bs, stats),
-        "dl": rates.SindrInputsDL(m, k, tau, config.rho_bs, config.rho_ue, stats),
-    }
+    m, tau = config.m, config.tau
     moments = {"ul": rates.moments_ul_mrc, "dl": rates.moments_dl_mrt}
-    delta = rates.mrt_normalization(inputs["dl"])
-    pilots = dft_pilots(tau, k)
+    delta = rates.mrt_normalization(config, stats)
+    pilots = dft_pilots(tau, config.k_users)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
     sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions)
@@ -439,7 +433,7 @@ def validate_closed_form(
             off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
         reports[d] = _report(
             d,
-            moments[d](inputs[d]),
+            moments[d](config, stats),
             mean,
             tables[d],
             sizes,

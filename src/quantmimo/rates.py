@@ -2,58 +2,24 @@
 
 One general SINDR ratio is assembled from expectation terms (UplinkMoments,
 DownlinkMoments), which hold all K UEs at once: one entry, or one row of
-signal powers, per UE.  The closed-form terms are built here from the scalar
-Bussgang gains and per-antenna distortion moments of BussgangStats, scaled
-to the antenna count m; the Monte Carlo validator pairs its empirical terms
-with the same dataclasses.  sindr_from_moments returns the K SINDRs.
+signal powers, per UE.  The closed-form terms take one input, (config,
+stats): the scenario of a bussgang.SystemConfig (antenna count m, K UEs,
+pilot length tau, the SNRs rho_bs and rho_ue) and the scalar Bussgang gains
+and per-antenna distortion moments of a BussgangStats, which they scale to
+m.  The Monte Carlo validator pairs its empirical terms with the same
+dataclasses.  sindr_from_moments returns the K SINDRs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from quantmimo.bussgang import BussgangStats
+from quantmimo.bussgang import SystemConfig
 
 RESIDUAL_TOL = 1e-9  # the negative interference residual sindr_from_moments tolerates, relative
-
-
-def _check_users(inputs):
-    """Reject a pilot shorter than K or pilot projections a_k not of shape (K,)."""
-    if inputs.tau < inputs.k_users:
-        raise ValueError(f"tau = {inputs.tau} must be >= k_users = {inputs.k_users}")
-    if np.shape(inputs.stats.a_k) != (inputs.k_users,):
-        raise ValueError(f"stats.a_k has shape {np.shape(inputs.stats.a_k)}, expected ({inputs.k_users},)")
-
-
-@dataclass(frozen=True)
-class SindrInputsUL:
-    m: int
-    k_users: int
-    tau: int
-    rho_bs: float
-    stats: BussgangStats
-
-    def __post_init__(self):
-        if min(self.m, self.k_users, self.tau) < 1 or self.rho_bs <= 0:
-            raise ValueError("all uplink SINDR inputs must be positive")
-        _check_users(self)
-
-
-@dataclass(frozen=True)
-class SindrInputsDL:
-    m: int
-    k_users: int
-    tau: int
-    rho_bs: float
-    rho_ue: float
-    stats: BussgangStats
-
-    def __post_init__(self):
-        if min(self.m, self.k_users, self.tau) < 1 or self.rho_bs <= 0 or self.rho_ue <= 0:
-            raise ValueError("all downlink SINDR inputs must be positive")
-        _check_users(self)
 
 
 @dataclass(frozen=True)
@@ -83,31 +49,33 @@ def _check_finite(name, terms):
             raise ValueError(f"{name}: non-finite term {key}={val!r}; all terms: {terms}")
 
 
-def _estimate_powers(inputs):
-    """E[||h_hat_i||^2] for every UE i: estimation noise plus the pilot projection A_i."""
-    s, m, tau, rho = inputs.stats, inputs.m, inputs.tau, inputs.rho_bs
-    return (1.0 + 1.0 / (rho * tau)) * s.g_ce**2 * m + m * s.a_k / (rho * tau**2)
+def _estimate_powers(config, stats):
+    """E[||h_hat_i||^2] for every UE i: estimation noise plus the pilot projection A_i.
 
-
-def mrt_normalization(inputs):
-    """MRT precoder normalization delta = sum_i E[||h_hat_i||^2] over the UEs.
-
-    Reads only m, tau, rho_bs and stats, which SindrInputsUL and
-    SindrInputsDL both carry.
+    Every closed form calls this, so it is where stats meet a config: it
+    rejects pilot projections a_k not of shape (K,).
     """
-    return float(np.sum(_estimate_powers(inputs)))
+    if np.shape(stats.a_k) != (config.k_users,):
+        raise ValueError(f"stats.a_k has shape {np.shape(stats.a_k)}, expected ({config.k_users},)")
+    m, tau, rho = config.m, config.tau, config.rho_bs
+    return (1.0 + 1.0 / (rho * tau)) * stats.g_ce**2 * m + m * stats.a_k / (rho * tau**2)
 
 
-def moments_ul_mrc(inputs):
+def mrt_normalization(config, stats):
+    """MRT precoder normalization delta = sum_i E[||h_hat_i||^2] over the UEs."""
+    return float(np.sum(_estimate_powers(config, stats)))
+
+
+def moments_ul_mrc(config, stats):
     """Closed-form uplink expectation terms of every UE with imperfect CSI and MRC."""
-    s, m, k = inputs.stats, inputs.m, inputs.k_users
+    s, m, k = stats, config.m, config.k_users
     desired = s.g_ce * s.g_ul**2 * m
-    estimate_power = _estimate_powers(inputs)
+    estimate_power = _estimate_powers(config, stats)
     combiner = s.g_ul**4 * estimate_power
     powers = np.repeat(combiner[:, None], k, axis=1)
     powers[np.diag_indices(k)] += desired**2
     return UplinkMoments(
-        rho_bs=inputs.rho_bs,
+        rho_bs=config.rho_bs,
         desired_mean=np.full(k, desired),
         signal_powers=powers,
         combiner_power=combiner,
@@ -115,32 +83,46 @@ def moments_ul_mrc(inputs):
     )
 
 
-def moments_dl_mrt(inputs):
+def moments_dl_mrt(config, stats):
     """Closed-form downlink expectation terms of every UE with imperfect CSI and MRT.
 
     The precoder of UE i carries A_i, so every column of signal powers has its own.
     """
-    s, m, k = inputs.stats, inputs.m, inputs.k_users
-    delta = mrt_normalization(inputs)
+    s, m, k = stats, config.m, config.k_users
+    delta = mrt_normalization(config, stats)
     desired = s.g_ce * s.g_dl * m / np.sqrt(delta)
-    powers = np.tile(s.g_dl**2 * _estimate_powers(inputs) / delta, (k, 1))
+    powers = np.tile(s.g_dl**2 * _estimate_powers(config, stats) / delta, (k, 1))
     powers[np.diag_indices(k)] += desired**2
     return DownlinkMoments(
-        rho_ue=inputs.rho_ue,
+        rho_ue=config.rho_ue,
         desired_mean=np.full(k, desired),
         signal_powers=powers,
         distortion_power=np.full(k, m * s.cd_dl),
     )
 
 
+# Shims of the former per-direction input classes and per-UE wrappers: each
+# calls the closed forms above and holds no check or formula of its own.
+
+
+def SindrInputsUL(m, k_users, tau, rho_bs, stats):  # noqa: N802
+    # only bench/make_reference.py calls this; bits = 1 and rho_ue = 1.0 are placeholders no formula reads
+    return SystemConfig(m, m, k_users, tau, 1, rho_bs, 1.0), stats
+
+
+def SindrInputsDL(m, k_users, tau, rho_bs, rho_ue, stats):  # noqa: N802
+    # only bench/make_reference.py calls this; bits = 1 is a placeholder no formula reads
+    return SystemConfig(m, m, k_users, tau, 1, rho_bs, rho_ue), stats
+
+
 def sindr_ul_mrc(inputs, ue=0):
-    """Closed-form uplink SINDR of UE ue with imperfect CSI and MRC."""
-    return sindr_from_moments(moments_ul_mrc(inputs))[ue]
+    # only bench/make_reference.py calls this, with the pair SindrInputsUL returns
+    return sindr_from_moments(moments_ul_mrc(*inputs))[ue]
 
 
 def sindr_dl_mrt(inputs, ue=0):
-    """Closed-form downlink SINDR of UE ue with imperfect CSI and MRT."""
-    return sindr_from_moments(moments_dl_mrt(inputs))[ue]
+    # only bench/make_reference.py calls this, with the pair SindrInputsDL returns
+    return sindr_from_moments(moments_dl_mrt(*inputs))[ue]
 
 
 def sindr_from_moments(moments):
@@ -174,9 +156,9 @@ def sindr_from_moments(moments):
 
 def sum_rate(bandwidth_hz, sindrs):
     """Ergodic achievable sum rate B * sum_k log2(1 + gamma_k), in bit/s."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth_hz < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_hz!r}")
     sindrs = np.asarray(sindrs, dtype=float)
-    if np.any(sindrs < 0):
-        raise ValueError(f"negative SINDR in {sindrs}")
+    if not np.all((sindrs >= 0) & (sindrs < math.inf)):
+        raise ValueError(f"SINDRs must be finite and non-negative, got {sindrs}")
     return float(bandwidth_hz * np.sum(np.log2(1.0 + sindrs)))

@@ -76,26 +76,22 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         m = config.antennas(direction, b, bandwidth_hz)
     except InfeasibleConfigError:
         return SweepRecord(direction, b, bandwidth_hz, tau, m=0, trials=config.trials, seed=seed, skipped=True)
-    rho_bs = snr_linear("ul", config.link, bandwidth_hz)
-    rho_ue = snr_linear("dl", config.link, bandwidth_hz)
     sys_config = SystemConfig(
         m_ul=m,
         m_dl=m,
         k_users=config.k_users,
         tau=tau,
         bits=b,
-        rho_bs=rho_bs,
-        rho_ue=rho_ue,
+        rho_bs=snr_linear("ul", config.link, bandwidth_hz),
+        rho_ue=snr_linear("dl", config.link, bandwidth_hz),
     )
     specs = default_specs(sys_config)
     stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
     if direction == "ul":
-        inputs = rates.SindrInputsUL(m, config.k_users, tau, rho_bs, stats)
-        moments = rates.moments_ul_mrc(inputs)
+        moments = rates.moments_ul_mrc(sys_config, stats)
         g_phase, cd = stats.g_ul, stats.cd_ul
     else:
-        inputs = rates.SindrInputsDL(m, config.k_users, tau, rho_bs, rho_ue, stats)
-        moments = rates.moments_dl_mrt(inputs)
+        moments = rates.moments_dl_mrt(sys_config, stats)
         g_phase, cd = stats.g_dl, stats.cd_dl
     sindr = tuple(rates.sindr_from_moments(moments))
     validation_passed = None
@@ -121,7 +117,7 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         g_ce=stats.g_ce,
         g_phase=g_phase,
         trace_cd=m * cd,
-        delta=rates.mrt_normalization(inputs),
+        delta=rates.mrt_normalization(sys_config, stats),
         trials=config.trials,
         seed=seed,
         validation_passed=validation_passed,

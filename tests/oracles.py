@@ -245,7 +245,7 @@ def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, t
     then each name's sums are totalled by _fsum_blocks.  Each block is drawn
     and then reduced on the calling thread, from one set of draw buffers.
     """
-    sizes = _blocks(trials, config.m_ul * config.tau)
+    sizes = _blocks(trials, config.m * config.tau)
     (draw_set, _), buffers = mcsim._block_buffers(config, sizes[0], directions)
     block_sums = {}
     for j, size in enumerate(sizes):

@@ -20,7 +20,7 @@ from quantmimo.bussgang import (
 )
 from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs
-from quantmimo.quant import QuantizerSpec, design_lloyd_max, quantize, rescale_labels
+from quantmimo.quant import MAX_BITS, QuantizerSpec, design_lloyd_max, quantize, rescale_labels
 from quantmimo.syspower import snr_linear
 
 from oracles import ce_distortion_projections_direct, mc_gain_regression
@@ -119,10 +119,10 @@ def test_ce_projection_row_shortcut_agrees_with_direct_estimator():
     # the antenna-row reduction must match the full-array estimator
     config, spec = _scenario(m=8)
     pilots = dft_pilots(config.tau, config.k_users)
-    cd = distortion_trace(spec, config.y_var_ul, config.m_ul, 100_000, 0) / config.m_ul
+    cd = distortion_trace(spec, config.y_var_ul, config.m, 100_000, 0) / config.m
     # one antenna row's projections, scaled to the m-antenna array
-    a_fast = config.m_ul * ce_distortion_projections(spec, pilots, config.rho_bs, 200_000, 1)
-    a_dir, b_dir = ce_distortion_projections_direct(spec, spec, pilots, config.m_ul, config.rho_bs, 50_000, 2)
+    a_fast = config.m * ce_distortion_projections(spec, pilots, config.rho_bs, 200_000, 1)
+    a_dir, b_dir = ce_distortion_projections_direct(spec, spec, pilots, config.m, config.rho_bs, 50_000, 2)
     assert np.allclose(a_fast, a_dir, rtol=0.03)
     # the closed forms take B_k = cd_ul * A_k
     assert np.allclose(cd * a_fast, b_dir, rtol=0.06)
@@ -134,7 +134,7 @@ def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_en
     # phase, and no draw is wider than a block (or one trial, where a trial
     # is wider); the block size thus defines each estimator's stream
     config, spec = _scenario(m=8)
-    m, k, tau = config.m_ul, config.k_users, config.tau  # 8, 4, 8
+    m, k, tau = config.m, config.k_users, config.tau  # 8, 4, 8
     pilots = dft_pilots(tau, k)
     monkeypatch.setattr(bussgang, "MIN_TRIALS", 1)  # one-trial blocks, without 10^4 of them
     if block_entries is not None:
@@ -198,7 +198,7 @@ def test_assemble_stats_bundles_consistent_moments():
     assert stats.g_ce == stats.g_ul == gain_scalar(spec, config.y_var_ul)
     assert stats.g_dl == gain_scalar(dac, w_var)
     # the moments are per antenna: one entry's distortion power, one row's projections
-    assert stats.cd_ul == distortion_trace(spec, config.y_var_ul, config.m_ul, 50_000, 0) / config.m_ul
+    assert stats.cd_ul == distortion_trace(spec, config.y_var_ul, config.m, 50_000, 0) / config.m
     assert stats.cd_dl > 0
     pilots = dft_pilots(config.tau, config.k_users)
     assert np.array_equal(stats.a_k, ce_distortion_projections(spec, pilots, config.rho_bs, 50_000, 0))
@@ -206,15 +206,29 @@ def test_assemble_stats_bundles_consistent_moments():
 
 
 def test_system_config_validation():
-    with pytest.raises(ValueError):
-        SystemConfig(m_ul=0, m_dl=1, k_users=1, tau=1, bits=1, rho_bs=1.0, rho_ue=1.0)
-    with pytest.raises(ValueError):
-        SystemConfig(m_ul=1, m_dl=1, k_users=4, tau=2, bits=1, rho_bs=1.0, rho_ue=1.0)
-    with pytest.raises(ValueError):
-        SystemConfig(m_ul=1, m_dl=1, k_users=1, tau=1, bits=1, rho_bs=0.0, rho_ue=1.0)
-    config = SystemConfig(m_ul=4, m_dl=8, k_users=2, tau=4, bits=3, rho_bs=2.0, rho_ue=1.0)
+    base = dict(m_ul=8, m_dl=8, k_users=2, tau=4, bits=3, rho_bs=2.0, rho_ue=1.0)
+    config = SystemConfig(**base)
+    assert config.m == 8
     assert config.y_var_ul == pytest.approx(5.0)
     assert config.w_var_dl == pytest.approx(1.0 / 8.0)
+    assert SystemConfig(**{**base, "m_ul": np.int64(8), "bits": MAX_BITS}).m == 8
+    bad = [
+        ({"m_ul": 0, "m_dl": 0}, "m_ul"),
+        ({"m_ul": 32.5, "m_dl": 32.5}, "m_ul"),  # a count that is not an integer
+        ({"m_dl": 16}, "m_ul=8 and m_dl=16"),  # two antenna counts
+        ({"k_users": True}, "k_users"),
+        ({"k_users": 4, "tau": 2}, "tau"),  # a pilot shorter than K
+        ({"tau": 4.0}, "tau"),
+        ({"bits": 0}, "bits"),
+        ({"bits": MAX_BITS + 1}, "bits"),
+        ({"rho_bs": 0.0}, "rho_bs"),
+        ({"rho_bs": np.nan}, "rho_bs"),
+        ({"rho_ue": -1.0}, "rho_ue"),
+        ({"rho_ue": np.inf}, "rho_ue"),
+    ]
+    for overrides, field in bad:
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{**base, **overrides})
 
 
 def test_stats_validation_rejects_bad_gains():

@@ -170,9 +170,6 @@ def test_validator_input_checks():
         with pytest.raises(ValueError, match="trials"):
             validate_closed_form(config, trials=trials)
     assert validate_closed_form(config, trials=np.int64(300), direction="ul")["ul"].trials == 300
-    mismatched = SystemConfig(m_ul=8, m_dl=16, k_users=4, tau=8, bits=2, rho_bs=1.0, rho_ue=1.0)
-    with pytest.raises(ValueError):
-        validate_closed_form(mismatched, trials=10_000)
     for tolerance in (float("nan"), -1, 0):  # each would fail every report
         with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tolerance!r}"):
             validate_closed_form(config, trials=300, tolerance=tolerance)
@@ -181,10 +178,7 @@ def test_validator_input_checks():
 def _oracle_inputs(config):
     specs = default_specs(config)
     stats = assemble_stats(config, *specs, trials=10_000, seed=1)
-    delta = rates.mrt_normalization(
-        rates.SindrInputsDL(config.m_dl, config.k_users, config.tau, config.rho_bs, config.rho_ue, stats)
-    )
-    return specs, stats, delta
+    return specs, stats, rates.mrt_normalization(config, stats)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +226,7 @@ def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
     config = _config(m_ul=32, m_dl=32, bits=bits)
     specs, stats, delta = _oracle_inputs(config)
     pilots = dft_pilots(config.tau, config.k_users)
-    trials = 5 * (bussgang._BLOCK_ENTRIES // (config.m_ul * config.tau)) // 2
+    trials = 5 * (bussgang._BLOCK_ENTRIES // (config.m * config.tau)) // 2
     directions = ("ul", "dl") if direction == "both" else (direction,)
     args = (config, specs, stats, delta, pilots, trials, 7, True, directions)
 
@@ -254,7 +248,7 @@ def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entri
     # order, and no draw is wider than a block (or one trial, where a trial
     # is wider); the block size thus defines the oracle's stream
     config = _config(m_ul=16, m_dl=16, k_users=4, tau=8, bits=2)
-    m, k, tau = config.m_ul, config.k_users, config.tau
+    m, k, tau = config.m, config.k_users, config.tau
     specs, stats, _ = _oracle_inputs(config)
     if block_entries is not None:
         monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_entries)
@@ -335,7 +329,7 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     # K 4, m 32); per-block dicts of small arrays took about 2.6 KB a block
     config = _config(m_ul=32, m_dl=32, bits=2)
     specs, stats, delta = _oracle_inputs(config)
-    monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m_ul * config.tau)
+    monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m * config.tau)
     pilots = dft_pilots(config.tau, config.k_users)
     (draw_set, _), buffers = mcsim._block_buffers(config, 1, ("ul", "dl"))
     draws = mcsim._draw_block(draw_set, block_rng(1, PHASE_ORACLE, 0), 1)

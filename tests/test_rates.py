@@ -9,15 +9,11 @@ from quantmimo.bussgang import BussgangStats, SystemConfig, assemble_stats
 from quantmimo.quant import QuantizerSpec, design_lloyd_max, rescale_labels
 from quantmimo.rates import (
     DownlinkMoments,
-    SindrInputsDL,
-    SindrInputsUL,
     UplinkMoments,
     moments_dl_mrt,
     moments_ul_mrc,
     mrt_normalization,
-    sindr_dl_mrt,
     sindr_from_moments,
-    sindr_ul_mrc,
     sum_rate,
 )
 
@@ -27,30 +23,43 @@ def _ideal_stats(k):
     return BussgangStats(g_ce=1.0, g_ul=1.0, g_dl=1.0, cd_ul=0.0, cd_dl=0.0, a_k=np.zeros(k))
 
 
+def _scenario(m, k, tau, rho_bs, rho_ue=1.0):
+    """A scenario for the closed forms, which do not read bits."""
+    return SystemConfig(m_ul=m, m_dl=m, k_users=k, tau=tau, bits=2, rho_bs=rho_bs, rho_ue=rho_ue)
+
+
+def _sindrs_ul(config, stats):
+    return sindr_from_moments(moments_ul_mrc(config, stats))
+
+
+def _sindrs_dl(config, stats):
+    return sindr_from_moments(moments_dl_mrt(config, stats))
+
+
 def test_distortion_free_uplink_reduction():
     m, k, tau, rho = 32, 4, 8, 2.0
     stats = _ideal_stats(k)
-    got = sindr_ul_mrc(SindrInputsUL(m, k, tau, rho, stats))
+    got = _sindrs_ul(_scenario(m, k, tau, rho), stats)
     expected = rho * m**2 / ((rho * k + 1.0) * (1.0 + 1.0 / (rho * tau)) * m)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(np.full(k, expected), rel=1e-12)
 
 
 def test_distortion_free_downlink_reduction():
     m, k, tau, rho_bs, rho_ue = 32, 4, 8, 2.0, 3.0
     stats = _ideal_stats(k)
-    got = sindr_dl_mrt(SindrInputsDL(m, k, tau, rho_bs, rho_ue, stats))
+    got = _sindrs_dl(_scenario(m, k, tau, rho_bs, rho_ue), stats)
     delta = k * m * (1.0 + 1.0 / (rho_bs * tau))
     expected = rho_ue * m**2 / (rho_ue * k * (1.0 + 1.0 / (rho_bs * tau)) * m + delta)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(np.full(k, expected), rel=1e-12)
 
 
 def test_sindrs_vanish_with_transmit_power():
     m, k, tau = 16, 4, 8
     stats = _ideal_stats(k)
     for rho in (1e-4, 1e-6, 1e-8):
-        assert sindr_ul_mrc(SindrInputsUL(m, k, tau, rho, stats)) < 10 * rho * m
-        inputs = SindrInputsDL(m, k, tau, 1.0, rho, stats)
-        assert sindr_dl_mrt(inputs) < 10 * rho * m**2 / mrt_normalization(inputs)
+        assert np.all(_sindrs_ul(_scenario(m, k, tau, rho), stats) < 10 * rho * m)
+        config = _scenario(m, k, tau, 1.0, rho)
+        assert np.all(_sindrs_dl(config, stats) < 10 * rho * m**2 / mrt_normalization(config, stats))
 
 
 def test_uplink_sindr_strictly_increases_in_antennas():
@@ -59,11 +68,8 @@ def test_uplink_sindr_strictly_increases_in_antennas():
     spec = rescale_labels(design_lloyd_max(2, np.sqrt(y_var / 2.0)), y_var)
     dac = rescale_labels(design_lloyd_max(2, np.sqrt(config.w_var_dl / 2.0)), config.w_var_dl)
     stats = assemble_stats(config, spec, spec, dac, trials=20_000, seed=0)
-    values = [
-        sindr_ul_mrc(SindrInputsUL(m, config.k_users, config.tau, config.rho_bs, stats))
-        for m in (4, 8, 16, 32, 64, 128)
-    ]
-    assert all(a < b for a, b in zip(values, values[1:]))
+    values = [_sindrs_ul(replace(config, m_ul=m, m_dl=m), stats) for m in (4, 8, 16, 32, 64, 128)]
+    assert all(np.all(a < b) for a, b in zip(values, values[1:]))
 
 
 def _closed_form_ul_moments(m, k, tau, rho, stats, ue=0):
@@ -152,7 +158,7 @@ _SCENARIOS = pytest.mark.parametrize(
 @_SCENARIOS
 def test_moment_substitution_reproduces_uplink_closed_form(k, tau, rho, m):
     stats = _direct_stats(k, seed=k * tau)
-    moments = moments_ul_mrc(SindrInputsUL(m, k, tau, rho, stats))
+    moments = moments_ul_mrc(_scenario(m, k, tau, rho), stats)
     assert moments.signal_powers.shape == (k, k)
     for ue in range(k):
         _assert_row_is_per_ue_reference(moments, ue, _closed_form_ul_moments(m, k, tau, rho, stats, ue))
@@ -161,22 +167,21 @@ def test_moment_substitution_reproduces_uplink_closed_form(k, tau, rho, m):
 @_SCENARIOS
 def test_moment_substitution_reproduces_downlink_closed_form(k, tau, rho, m):
     stats = _direct_stats(k, seed=k * tau)
-    moments = moments_dl_mrt(SindrInputsDL(m, k, tau, rho, 2.0, stats))
+    moments = moments_dl_mrt(_scenario(m, k, tau, rho, 2.0), stats)
     assert moments.signal_powers.shape == (k, k)
     for ue in range(k):
         _assert_row_is_per_ue_reference(moments, ue, _closed_form_dl_moments(m, k, tau, rho, 2.0, stats, ue))
 
 
 def test_mrt_normalization_matches_closed_form():
-    # delta = K (1 + 1/(rho tau)) g_ce^2 m + m sum_k A_k / (rho tau^2), the same for either direction's inputs
+    # delta = K (1 + 1/(rho tau)) g_ce^2 m + m sum_k A_k / (rho tau^2)
     k, rho = 4, 1.0
     for tau in (8, 16):
         stats = _stats_at(tau, 2.0)
         assert np.all(stats.a_k > 0)
         for m in (16, 32, 64):
             expected = _closed_form_delta(m, k, tau, rho, stats)
-            assert mrt_normalization(SindrInputsDL(m, k, tau, rho, 2.0, stats)) == pytest.approx(expected, rel=1e-12)
-            assert mrt_normalization(SindrInputsUL(m, k, tau, rho, stats)) == pytest.approx(expected, rel=1e-12)
+            assert mrt_normalization(_scenario(m, k, tau, rho, 2.0), stats) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sindr_invariant_to_uplink_label_rescaling():
@@ -194,9 +199,7 @@ def test_sindr_invariant_to_uplink_label_rescaling():
             design_std=base.design_std,
         )
         stats = assemble_stats(config, base, spec_ul, dac, trials=20_000, seed=2)
-        ul = sindr_ul_mrc(SindrInputsUL(16, 4, 8, 1.0, stats))
-        dl = sindr_dl_mrt(SindrInputsDL(16, 4, 8, 1.0, 1.0, stats))
-        results.append((ul, dl))
+        results.append((_sindrs_ul(config, stats), _sindrs_dl(config, stats)))
     for ul, dl in results[1:]:
         assert ul == pytest.approx(results[0][0], rel=1e-10)
         assert dl == pytest.approx(results[0][1], rel=1e-10)
@@ -220,27 +223,24 @@ def test_sindr_from_moments_rejects_unknown_type():
 
 
 def test_input_validation():
-    stats = _ideal_stats(2)
-    with pytest.raises(ValueError):
-        SindrInputsUL(0, 2, 4, 1.0, stats)
-    with pytest.raises(ValueError):
-        SindrInputsDL(4, 2, 4, 1.0, 0.0, stats)
+    # the scenario's own checks (positive counts and SNRs, tau >= K) are
+    # SystemConfig's, tested in test_bussgang; the closed forms check where
+    # the stats meet the scenario
+    config = _scenario(32, 4, 8, 1.0)
     for a_k in (np.ones(2), np.ones(1), np.ones((4, 1))):  # pilot projections of fewer or broadcast UEs
-        with pytest.raises(ValueError, match="a_k"):
-            SindrInputsDL(32, 4, 8, 1.0, 1.0, replace(_ideal_stats(4), a_k=a_k))
-        with pytest.raises(ValueError, match="a_k"):
-            SindrInputsUL(32, 4, 8, 1.0, replace(_ideal_stats(4), a_k=a_k))
-    with pytest.raises(ValueError, match="tau"):  # a pilot shorter than K
-        SindrInputsUL(32, 4, 2, 1.0, _ideal_stats(4))
-    with pytest.raises(ValueError, match="tau"):
-        SindrInputsDL(32, 4, 2, 1.0, 1.0, _ideal_stats(4))
+        stats = replace(_ideal_stats(4), a_k=a_k)
+        for closed_form in (moments_ul_mrc, moments_dl_mrt, mrt_normalization):
+            with pytest.raises(ValueError, match="a_k"):
+                closed_form(config, stats)
 
 
 def test_sum_rate_reference_values():
     assert sum_rate(1.0, [0.0, 0.0]) == 0.0
     assert sum_rate(1.0, [1.0, 1.0]) == pytest.approx(2.0)
     assert sum_rate(2e8, [3.0]) == pytest.approx(2 * sum_rate(1e8, [3.0]))
-    with pytest.raises(ValueError):
-        sum_rate(0.0, [1.0])
-    with pytest.raises(ValueError):
-        sum_rate(1.0, [-0.1])
+    for bandwidth_hz in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            sum_rate(bandwidth_hz, [1.0])
+    for sindrs in ([-0.1], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="SINDR"):
+            sum_rate(1.0, sindrs)
