@@ -21,6 +21,7 @@ same way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ _BLOCK_ENTRIES = 1 << 16
 def block_rng(seed, phase, block):
     """Deterministic per-(phase, block) generator, independent of run order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, block)))
+
+
+def check_trials(trials, minimum):
+    """Raise ValueError unless trials is an integer (not a bool) of at least minimum."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < minimum:
+        raise ValueError(f"trials={trials} too small, need >= {minimum}")
 
 
 def _blocks(trials, row_entries):
@@ -105,8 +114,9 @@ class SystemConfig:
         if self.bits > MAX_BITS:
             raise ValueError(f"bits={self.bits} must be in [1, {MAX_BITS}]")
         for name in ("rho_bs", "rho_ue"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}={getattr(self, name)!r} must be positive and finite (linear scale)")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name}={value!r} must be a positive and finite real number (linear scale)")
 
     @property
     def m(self):
@@ -175,8 +185,7 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     d = Q(y) - G*y with the matched scalar gain; entries are i.i.d. so the
     trace is dim times the per-entry distortion power.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
+    check_trials(trials, MIN_TRIALS)
     gain = gain_scalar(spec, complex_variance)
     sizes = _blocks(trials, dim)
     block_sums = np.empty(len(sizes))
@@ -194,8 +203,7 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     Antenna rows of the pilot-phase signal are i.i.d., so the simulation draws
     single rows; over M antennas the projections are M times these.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials={trials} too small, need >= {MIN_TRIALS}")
+    check_trials(trials, MIN_TRIALS)
     k = pilots.k_users
     expected_var = rho_bs * k + 1.0
     if abs(2.0 * spec.design_std**2 - expected_var) > 1e-6 * expected_var:

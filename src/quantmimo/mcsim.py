@@ -13,11 +13,12 @@ channels, pilot noise, uplink symbols and noise, downlink symbols; so the
 block size defines the oracle's stream, and the oracle shares no random
 numbers with the Monte Carlo moments of assemble_stats that it checks.
 
-Each block is a draw step and a reduce step.  One persistent worker
-thread, shared by all calls in the process, draws block j + 1 into one of
-two draw buffer sets while the calling thread reduces block j from the
-other (numpy's Gaussian fills and large ufuncs release the GIL); the
-stream and every sum are those of drawing and reducing each block in turn.
+Each block is a draw step and a reduce step.  Each call starts one draw
+thread of its own, which draws block j + 1 into one of two draw buffer sets
+while the calling thread reduces block j from the other (numpy's Gaussian
+fills and large ufuncs release the GIL), and which has ended when the call
+returns or raises; the stream and every sum are those of drawing and
+reducing each block in turn.
 The pilot phase of the reduce step works in buffers allocated once per
 call.  Both directions take their channel products from one per-trial
 A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums go into one
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 import mmap
 import numbers
-import os
 from concurrent import futures
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -53,6 +53,7 @@ from quantmimo.bussgang import (
     PHASE_ORACLE,
     assemble_stats,
     block_rng,
+    check_trials,
     _blocks,
     _fsum_blocks,
 )
@@ -73,8 +74,6 @@ class ValidationReport:
     moment_errors: dict
     moment_stderr: dict          # moment -> batch-means standard error of its empirical value
     bussgang_residual: dict      # phase -> (|mean d conj(y)|, MC standard error)
-    offdiag_max: float | None
-    offdiag_sigma: float | None
     delta_closed: float
     delta_empirical: float
     passed: bool
@@ -95,8 +94,6 @@ class ValidationReport:
             lines.append(f"moment_{name} {value:.9g} rel_error {err:.6g} stderr {self.moment_stderr[name]:.6g}")
         for phase, (mag, sigma) in self.bussgang_residual.items():
             lines.append(f"residual_{phase} {mag:.6g} sigma {sigma:.6g}")
-        if self.offdiag_max is not None:
-            lines.append(f"offdiag_max {self.offdiag_max:.6g} sigma {self.offdiag_sigma:.6g}")
         lines.append(f"delta_closed {self.delta_closed:.9g}")
         lines.append(f"delta_empirical {self.delta_empirical:.9g}")
         worst = int(np.argmax(self.sindr_rel_error))
@@ -167,7 +164,7 @@ def _channel_sums(h, h_hat):
     )
 
 
-def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul, track_offdiag):
+def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul):
     """MRC sums of a block, each named after the UplinkMoments field it estimates.
 
     With the combiner v = g_ul·ĥ behind the ADC gain g_ul, the terms
@@ -185,9 +182,6 @@ def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul, track_offdi
     sums["combiner_power"] = g2**2 * channel.ue_power
     d_h = np.matmul(np.conj(d_ul)[:, None, :], h_hat)[:, 0, :]  # d^H ĥ_k = conj(ĥ_k^H d)
     sums["distortion_power"] = g2 * np.sum(np.abs(d_h) ** 2, axis=0)
-    if track_offdiag:
-        sums["offdiag"] = d_ul.T @ d_ul.conj()
-        sums["offdiag_sq"] = np.sum(np.abs(d_ul[:, 0] * d_ul[:, 1].conj()) ** 2)
     return sums
 
 
@@ -254,7 +248,7 @@ def _draw_block(buffers, rng, size):
     return _Draws(*(None if out is None else complex_gaussian(rng, out.shape, out=out) for out in blocks))
 
 
-def _block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag):
+def _block_sums(config, specs, stats, delta, pilots, draws, buffers):
     """The reduce step: moment sums {phase: {name: sum}} of one block's draws, for "ce" and each drawn direction.
 
     The pilot phase works in place: its arrays go into buffers, a
@@ -268,60 +262,42 @@ def _block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdi
     ce_sums["delta"] = np.sum(channel.ue_power)
     sums = {"ce": ce_sums}
     if draws.x_ul is not None:
-        sums["ul"] = _uplink_block(
-            config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, draws.x_ul, draws.z_ul, track_offdiag
-        )
+        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, draws.x_ul, draws.z_ul)
     if draws.x_dl is not None:
         sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, draws.x_dl)
     return sums
 
 
-def _new_draw_thread():
-    """Give the process its own draw thread, which starts at the first oracle call.
-
-    One persistent worker thread, shared by every call in the process, runs
-    the oracle's draw steps.  A forked child's copy of the parent's has no
-    thread behind it, and its calls would wait on it forever.
-    """
-    global _draw_thread
-    _draw_thread = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-draw")
-
-
-_new_draw_thread()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_draw_thread)
-
-
-def _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
+def _block_tables(config, specs, stats, delta, pilots, trials, seed, directions):
     """Trials per block, and {phase: {name: sums}} of "ce" and each direction.
 
     Each name's sums are one preallocated array of shape (blocks, *shape),
-    whose row j holds block j's sum.  The draw thread fills block j + 1's
-    draws into one of two draw buffer sets, taken in turn, while this
-    thread reduces block j from the other.
+    whose row j holds block j's sum.  The call's draw thread fills block
+    j + 1's draws into one of two draw buffer sets, taken in turn, while
+    this thread reduces block j from the other.  Leaving the executor waits
+    for the draws in flight, also when the reduction raises, so no draw
+    outlives the call.
     """
     sizes = _blocks(trials, config.m * config.tau)  # the pilot noise is the widest draw
     draw_sets, buffers = _block_buffers(config, sizes[0], directions)
-
-    def draw(j):
-        return _draw_thread.submit(_draw_block, draw_sets[j % 2], block_rng(seed, PHASE_ORACLE, j), sizes[j])
-
     tables = {}
-    pending = draw(0)
-    try:
+    with futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-draw") as pool:
+
+        def draw(j):
+            return pool.submit(_draw_block, draw_sets[j % 2], block_rng(seed, PHASE_ORACLE, j), sizes[j])
+
+        pending = draw(0)
         for j in range(len(sizes)):
             draws = pending.result()
-            pending = draw(j + 1) if j + 1 < len(sizes) else None
-            sums = _block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag)
+            if j + 1 < len(sizes):
+                pending = draw(j + 1)
+            sums = _block_sums(config, specs, stats, delta, pilots, draws, buffers)
             for phase, phase_sums in sums.items():
                 table = tables.setdefault(phase, {})
                 for name, value in phase_sums.items():
                     if j == 0:
                         table[name] = np.empty((len(sizes),) + np.shape(value), np.result_type(value))
                     table[name][j] = value
-    finally:
-        if pending is not None:  # the reduction raised: let the next block's draws finish before returning
-            futures.wait([pending])
     return np.array(sizes), tables
 
 
@@ -392,7 +368,6 @@ def validate_closed_form(
     direction="both",
     specs=None,
     stats=None,
-    track_offdiag=False,
 ):
     """Compare the closed-form SINDRs against the full-chain empirical ones.
 
@@ -401,10 +376,7 @@ def validate_closed_form(
     yields passed=False in the report, not an exception; a tolerance that is
     not positive and finite is a ValueError.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials, 1)
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if direction not in ("ul", "dl", "both"):
@@ -419,18 +391,15 @@ def validate_closed_form(
     pilots = dft_pilots(tau, config.k_users)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
-    sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions)
+    sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, directions)
     totals = {phase: {name: _fsum_blocks(sums) for name, sums in table.items()} for phase, table in tables.items()}
     ce_residual = _residual(totals["ce"], trials * m * tau)
     reports = {}
     for d in directions:
         mean = {name: total / trials for name, total in totals[d].items()}
-        checks, off_max, off_sigma = {}, None, None
+        checks = {}
         if d == "dl":
             checks = {"precoder_frobenius": ("precoder", 1.0), "precoder_diag": ("precoder_diag", 1.0 / m)}
-        elif track_offdiag:
-            off_max = float(np.max(np.abs(mean["offdiag"][~np.eye(m, dtype=bool)])))
-            off_sigma = np.sqrt(max(float(mean["offdiag_sq"]), 0.0) / trials)
         reports[d] = _report(
             d,
             moments[d](config, stats),
@@ -442,8 +411,6 @@ def validate_closed_form(
             trials=trials,
             seed=seed,
             bussgang_residual={"ce": ce_residual, d: _residual(totals[d], trials * m)},
-            offdiag_max=off_max,
-            offdiag_sigma=off_sigma,
             delta_closed=delta,
             delta_empirical=float(totals["ce"]["delta"] / trials),
         )

@@ -268,7 +268,7 @@ def design_lloyd_max(bits, component_std):
     labels multiplied by sigma.  The unit-sigma design of each b is solved
     once per process (_unit_lloyd_max) and scaled on every call.
     """
-    if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
+    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
     sigma = float(component_std)
     if not sigma > 0:

@@ -190,11 +190,14 @@ def einsum_pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise):
     return h_hat, sums
 
 
-def einsum_uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag):
+def einsum_uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, rng, track_offdiag=False):
     """Index-notation reference for the oracle's uplink sums over one block.
 
     Draws the block's uplink random numbers from rng, as the oracle does
     after the pilot phase, and forms each product from the combiner itself.
+    With track_offdiag it also sums the distortion's antenna cross products
+    d_m conj(d_n) ("offdiag") and the squared magnitude of the (0, 1) one
+    ("offdiag_sq"), which the oracle does not form.
     """
     size, m, k = h.shape
     x = complex_gaussian(rng, (size, k))
@@ -237,7 +240,7 @@ def einsum_downlink_block(spec_dl, g_dl, delta, h, h_hat, rng):
     return sums
 
 
-def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, track_offdiag, directions):
+def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, directions):
     """The oracle's totals {phase: {name: total}} from a list of per-block {name: sum} dicts per phase.
 
     The accumulation mcsim.validate_closed_form had before it kept the block
@@ -250,7 +253,7 @@ def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, t
     block_sums = {}
     for j, size in enumerate(sizes):
         draws = mcsim._draw_block(draw_set, block_rng(seed, PHASE_ORACLE, j), size)
-        sums = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, track_offdiag)
+        sums = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
         for phase, phase_sums in sums.items():
             block_sums.setdefault(phase, []).append(phase_sums)
     return {

@@ -91,6 +91,16 @@ def test_distortion_trace_requires_enough_trials():
         distortion_trace(spec, 2.0, dim=1, trials=100, seed=0)
 
 
+def test_assemble_stats_requires_an_integer_trial_count():
+    config = SystemConfig(m_ul=8, m_dl=8, k_users=2, tau=4, bits=2, rho_bs=1.0, rho_ue=1.0)
+    specs = default_specs(config)
+    for trials in (1e4, True, "10000"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            assemble_stats(config, *specs, trials=trials)
+    with pytest.raises(ValueError, match="trials=100 too small"):
+        assemble_stats(config, *specs, trials=100)
+
+
 def test_chunked_estimates_are_deterministic():
     spec = rescale_labels(design_lloyd_max(2, 1.0), 2.0)
     a = distortion_trace(spec, 2.0, dim=2, trials=20_000, seed=3)
@@ -225,6 +235,10 @@ def test_system_config_validation():
         ({"rho_bs": np.nan}, "rho_bs"),
         ({"rho_ue": -1.0}, "rho_ue"),
         ({"rho_ue": np.inf}, "rho_ue"),
+        ({"rho_bs": "1"}, "rho_bs"),  # an SNR that is not a real number
+        ({"rho_bs": None}, "rho_bs"),
+        ({"rho_bs": np.ones(2)}, "rho_bs"),
+        ({"rho_ue": True}, "rho_ue"),
     ]
     for overrides, field in bad:
         with pytest.raises(ValueError, match=field):

@@ -110,9 +110,28 @@ def test_residuals_vanish_for_gaussian_model_inputs_per_phase():
 
 
 def test_distortion_covariance_off_diagonals_vanish():
+    # the uplink distortion of the full chain is uncorrelated across antennas:
+    # every off-diagonal of E[d d^H] is within 3 sigma of zero over 30000
+    # trials, walked in the oracle's blocks with the index-notation kernels
     config = _config(m_ul=8, m_dl=8, bits=2)
-    report = validate_closed_form(config, trials=30_000, seed=2, direction="ul", track_offdiag=True)["ul"]
-    assert report.offdiag_max < 3 * report.offdiag_sigma
+    m, k, tau = config.m, config.k_users, config.tau
+    trials = 30_000
+    specs = default_specs(config)
+    stats = assemble_stats(config, *specs, trials=trials, seed=2)
+    pilots = dft_pilots(tau, k)
+    offdiag, offdiag_sq = [], []
+    for j, size in enumerate(bussgang._blocks(trials, m * tau)):
+        rng = block_rng(2, PHASE_ORACLE, j)
+        h = complex_gaussian(rng, (size, m, k))
+        noise = complex_gaussian(rng, (size, m, tau))
+        h_hat, _ = einsum_pilot_phase(config.rho_bs, specs[0], stats.g_ce, pilots, h, noise)
+        sums = einsum_uplink_block(config.rho_bs, specs[1], stats.g_ul, h, h_hat, rng, track_offdiag=True)
+        offdiag.append(sums["offdiag"])
+        offdiag_sq.append(sums["offdiag_sq"])
+    mean = bussgang._fsum_blocks(offdiag) / trials
+    off_max = np.max(np.abs(mean[~np.eye(m, dtype=bool)]))
+    off_sigma = np.sqrt(bussgang._fsum_blocks(offdiag_sq) / trials / trials)
+    assert off_max < 3 * off_sigma
 
 
 def test_empirical_delta_matches_closed_form():
@@ -197,7 +216,7 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
     rng = block_rng(5, PHASE_ORACLE, 0)
     (draw_set, _), buffers = mcsim._block_buffers(config, size, ("ul", "dl"))
     draws = mcsim._draw_block(draw_set, rng, size)
-    got = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, True)
+    got = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
 
     ref_rng = block_rng(5, PHASE_ORACLE, 0)
     h = complex_gaussian(ref_rng, (size, m, k))
@@ -205,7 +224,7 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
     h_hat, ce = einsum_pilot_phase(config.rho_bs, specs[0], stats.g_ce, pilots, h, noise)
     want = {
         "ce": ce,
-        "ul": einsum_uplink_block(config.rho_bs, specs[1], stats.g_ul, h, h_hat, ref_rng, True),
+        "ul": einsum_uplink_block(config.rho_bs, specs[1], stats.g_ul, h, h_hat, ref_rng),
         "dl": einsum_downlink_block(specs[2], stats.g_dl, delta, h, h_hat, ref_rng),
     }
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -222,13 +241,13 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
 def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
     # each name's per-block sums, totalled by _fsum_blocks, give exactly the
     # totals of the per-block {name: sum} dicts, over 2.5 blocks so that the
-    # short last block counts too (criterion-4 scenario, off-diagonals tracked)
+    # short last block counts too (criterion-4 scenario)
     config = _config(m_ul=32, m_dl=32, bits=bits)
     specs, stats, delta = _oracle_inputs(config)
     pilots = dft_pilots(config.tau, config.k_users)
     trials = 5 * (bussgang._BLOCK_ENTRIES // (config.m * config.tau)) // 2
     directions = ("ul", "dl") if direction == "both" else (direction,)
-    args = (config, specs, stats, delta, pilots, trials, 7, True, directions)
+    args = (config, specs, stats, delta, pilots, trials, 7, directions)
 
     sizes, tables = mcsim._block_tables(*args)
     want = dict_accumulated_totals(*args)
@@ -333,7 +352,7 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     pilots = dft_pilots(config.tau, config.k_users)
     (draw_set, _), buffers = mcsim._block_buffers(config, 1, ("ul", "dl"))
     draws = mcsim._draw_block(draw_set, block_rng(1, PHASE_ORACLE, 0), 1)
-    one = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers, False)
+    one = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
     row_bytes = 8 * sum(np.size(v) * (1 + np.iscomplexobj(v)) for sums in one.values() for v in sums.values())
     assert row_bytes == 8 * 103
 
@@ -363,8 +382,8 @@ def _oracle_text(reports):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_the_oracle():
-    # the parent's draw thread does not exist in a forked child, which must
-    # start its own instead of waiting on the parent's forever
+    # a forked child copies no thread of its parent; its call starts and
+    # waits on a draw thread of its own, so it returns
     config = _config(m_ul=8, m_dl=8, bits=2)
     specs, stats, _ = _oracle_inputs(config)
     validate_closed_form(config, trials=3000, seed=1, specs=specs, stats=stats)
@@ -386,13 +405,27 @@ def test_a_forked_child_runs_the_oracle():
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_repeated_calls_share_one_draw_thread():
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("quantmimo-draw")]
+
+
+def _fresh_python(code):
+    """Stdout of code run by a fresh interpreter that imports this checkout's package."""
+    src = str(Path(mcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout
+
+
+def test_no_draw_thread_outlives_a_call_or_the_import():
     config = _config(m_ul=8, m_dl=8, bits=2)
     specs, stats, _ = _oracle_inputs(config)
-    before = threading.active_count()
     for seed in range(10):
         validate_closed_form(config, trials=3000, seed=seed, specs=specs, stats=stats)
-    assert threading.active_count() <= before + 1
+        assert not _draw_threads()
+    code = "import threading, quantmimo; print(*(t.name for t in threading.enumerate()))"
+    assert _fresh_python(code).split() == ["MainThread"]
 
 
 def test_a_call_that_raises_leaves_the_next_report_as_a_fresh_process_gives_it(monkeypatch):
@@ -408,20 +441,16 @@ def test_a_call_that_raises_leaves_the_next_report_as_a_fresh_process_gives_it(m
     monkeypatch.setattr(mcsim, "quantize", failing)
     with pytest.raises(RuntimeError, match="quantize failed"):
         validate_closed_form(config, trials=2500, seed=4)
+    assert not _draw_threads()  # the draw of block 2 was waited for
     monkeypatch.undo()
     text = _oracle_text(validate_closed_form(config, trials=2500, seed=4))
 
-    src = str(Path(mcsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
         "from quantmimo.bussgang import SystemConfig; from quantmimo.mcsim import validate_closed_form; "
         "reports = validate_closed_form(SystemConfig(8, 8, 4, 8, 2, 1.0, 1.0), trials=2500, seed=4); "
         "print(chr(10).join(r.to_text() for r in reports.values()))"
     )
-    fresh = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    ).stdout
-    assert text == fresh.rstrip("\n")
+    assert text == _fresh_python(code).rstrip("\n")
 
 
 # Over seeds 0-9 at 2e4 trials the seed-to-seed SD of each moment was

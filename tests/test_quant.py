@@ -140,6 +140,8 @@ def test_design_rejects_bad_arguments():
     with pytest.raises(ValueError):
         design_lloyd_max(2.5, 1.0)
     with pytest.raises(ValueError):
+        design_lloyd_max(True, 1.0)
+    with pytest.raises(ValueError):
         design_lloyd_max(2, 0.0)
 
 
