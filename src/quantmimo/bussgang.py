@@ -14,14 +14,24 @@ Every Monte Carlo estimate walks its trials one cache-sized block at a time
 (_blocks: at most 2^16 entries, 1 MB, of the widest per-trial array).  Block
 j of a phase draws from its own generator, block_rng(seed, phase, j), so the
 block size defines the random stream; the per-block sums are totalled
-exactly by math.fsum.  The full-chain oracle in mcsim walks its trials the
-same way.
+exactly by math.fsum, in block order.  Each estimate here is a per-block
+function and one call of _block_table, which fills the calling thread's
+even blocks and one worker thread's odd blocks, each thread in buffers of
+its own carved from one memory map (_mapped_arrays); the worker belongs to
+the call and has ended when it returns or raises.  Which thread takes a
+block changes no sum, so the estimates are those of one block after
+another.  The full-chain oracle in mcsim walks its trials one block at a
+time too, and carves its buffers with _mapped_arrays as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import numbers
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +71,18 @@ def check_trials(trials, minimum):
         raise ValueError(f"trials={trials} too small, need >= {minimum}")
 
 
+def _check_count(name, value):
+    """Raise ValueError unless value is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_snr(name, value):
+    """Raise ValueError unless value is a positive and finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name}={value!r} must be a positive and finite real number (linear scale)")
+
+
 def _blocks(trials, row_entries):
     """Trial counts of the blocks that cover trials, in order.
 
@@ -87,6 +109,69 @@ def _fsum_blocks(parts):
     return out.reshape(parts.shape[1:])
 
 
+def _mapped_arrays(shapes):
+    """Complex arrays of shapes (None for a None shape), carved in order from one anonymous memory map.
+
+    The map is not on the heap: its pages are faulted in when it is made
+    (MAP_POPULATE, where the system has it), not one at a time by the first
+    block, and go back to the system once the last of the arrays is
+    dropped.  Megabytes of buffers that live through a call would, on the
+    heap, leave a hole under the arrays allocated after them, which the
+    results that outlive the call then split into pieces too small for
+    later large arrays (12 MB more peak RSS on the oracle benchmark); on a
+    worker thread they would stay in that thread's malloc arena.
+    """
+    lengths = [0 if shape is None else math.prod(shape) for shape in shapes]
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    flat = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * sum(lengths), flags=flags), dtype=complex)
+    pieces = np.split(flat, np.cumsum(lengths)[:-1])
+    return [None if shape is None else piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
+
+
+def _block_table(block_sum, sizes, shape, buffer_shapes):
+    """A (blocks, *shape) array whose row j is block_sum(j, buffers), for the blocks of trial counts sizes.
+
+    buffers holds a block's arrays: one per (*row) shape of buffer_shapes,
+    its first sizes[j] rows.  The calling thread fills the even rows and one
+    worker thread the odd rows, each thread with buffers of its own, sized
+    for its largest block; a single block runs on the calling thread.  The
+    worker is opened by the call, and leaving its executor waits for it, so
+    it has ended when the call returns or raises; once either thread
+    raises, both stop at their next block.
+    """
+    threads = min(len(sizes), 2)
+    n = len(buffer_shapes)
+    arrays = _mapped_arrays([(max(sizes[t::threads]), *row) for t in range(threads) for row in buffer_shapes])
+    table = np.empty((len(sizes), *shape))
+    failed = threading.Event()
+
+    def fill(first, buffers):
+        try:
+            for j in range(first, len(sizes), threads):
+                if failed.is_set():
+                    return
+                table[j] = block_sum(j, [buf[: sizes[j]] for buf in buffers])
+        except BaseException:
+            failed.set()
+            raise
+
+    if threads == 1:
+        fill(0, arrays)
+        return table
+    with futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-block") as pool:
+        odd = pool.submit(fill, 1, arrays[n:])
+        fill(0, arrays[:n])
+        odd.result()
+    return table
+
+
+def _squared_magnitude(z, scratch):
+    """|z|^2 entrywise, formed as np.abs(z) ** 2 forms it, in the first z.size floats of the complex array scratch."""
+    power = scratch.reshape(-1).view(float)[: z.size].reshape(z.shape)
+    np.abs(z, out=power)
+    return np.square(power, out=power)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """One scenario: the input of the rate formulas, the moment estimates and the oracle.
@@ -104,9 +189,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("m_ul", "m_dl", "k_users", "tau", "bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
         if self.m_ul != self.m_dl:
             raise ValueError(f"m_ul={self.m_ul} and m_dl={self.m_dl} must be equal: one antenna count m")
         if self.tau < self.k_users:
@@ -114,9 +197,7 @@ class SystemConfig:
         if self.bits > MAX_BITS:
             raise ValueError(f"bits={self.bits} must be in [1, {MAX_BITS}]")
         for name in ("rho_bs", "rho_ue"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-                raise ValueError(f"{name}={value!r} must be a positive and finite real number (linear scale)")
+            _check_snr(name, getattr(self, name))
 
     @property
     def m(self):
@@ -170,8 +251,8 @@ def gain_scalar(spec, complex_variance):
     boundary terms exp(-inf) = 0.
     """
     c = float(complex_variance)
-    if c <= 0:
-        raise ValueError("complex_variance must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"complex_variance must be positive and finite, got {complex_variance!r}")
     t = spec.thresholds
     expterm = np.zeros_like(t)
     finite = np.isfinite(t)
@@ -186,15 +267,20 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     trace is dim times the per-entry distortion power.
     """
     check_trials(trials, MIN_TRIALS)
+    _check_count("dim", dim)
     gain = gain_scalar(spec, complex_variance)
-    sizes = _blocks(trials, dim)
-    block_sums = np.empty(len(sizes))
-    for j, size in enumerate(sizes):
-        y = complex_gaussian(block_rng(seed, PHASE_UL, j), (size, dim), complex_variance)
-        d = quantize(spec, y)
-        d -= gain * y
-        block_sums[j] = np.sum(np.abs(d) ** 2)
+    block_sum = functools.partial(_trace_block, spec, complex_variance, gain, seed)
+    block_sums = _block_table(block_sum, _blocks(trials, dim), (), [(dim,), (dim,)])
     return float(_fsum_blocks(block_sums) / trials)
+
+
+def _trace_block(spec, complex_variance, gain, seed, j, buffers):
+    """Block j's sum of |Q(y) - G*y|^2 over its draws y, formed in buffers (y, d)."""
+    y, d = buffers
+    complex_gaussian(block_rng(seed, PHASE_UL, j), y.shape, complex_variance, out=y)
+    quantize(spec, y, out=d)
+    d -= np.multiply(gain, y, out=y)
+    return np.sum(_squared_magnitude(d, scratch=y))
 
 
 def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
@@ -204,26 +290,36 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     single rows; over M antennas the projections are M times these.
     """
     check_trials(trials, MIN_TRIALS)
-    k = pilots.k_users
+    _check_snr("rho_bs", rho_bs)
+    k, tau = pilots.k_users, pilots.tau
     expected_var = rho_bs * k + 1.0
-    if abs(2.0 * spec.design_std**2 - expected_var) > 1e-6 * expected_var:
+    if not abs(2.0 * spec.design_std**2 - expected_var) <= 1e-6 * expected_var:
         raise ValueError(
             f"quantizer designed for complex variance {2 * spec.design_std**2:.6g}, "
             f"pilot phase requires {expected_var:.6g}"
         )
     gain = gain_scalar(spec, expected_var)
-    sizes = _blocks(trials, pilots.tau)
-    block_sums = np.empty((len(sizes), k))
-    for j, size in enumerate(sizes):
-        rng = block_rng(seed, PHASE_CE, j)
-        h = complex_gaussian(rng, (size, k))
-        noise = complex_gaussian(rng, (size, pilots.tau))
-        y = pilot_phase_signal(h, pilots, rho_bs, noise)
-        d = quantize(spec, y)
-        d -= gain * y
-        u = d @ pilots.entries
-        block_sums[j] = np.sum(np.abs(u) ** 2, axis=0)
+    block_sum = functools.partial(_projection_block, spec, pilots, rho_bs, gain, seed)
+    block_sums = _block_table(block_sum, _blocks(trials, tau), (k,), [(k,), (tau,), (tau,)])
     return _fsum_blocks(block_sums) / trials
+
+
+def _projection_block(spec, pilots, rho_bs, gain, seed, j, buffers):
+    """Block j's sums of |P_k^T d|^2 over its rows, one per UE k, formed in buffers (h, noise, y).
+
+    d = Q(y) - G*y is the distortion of the pilot-phase rows y; once y is
+    formed, the noise holds d, h the projections and y their squared
+    magnitudes.
+    """
+    h, noise, y = buffers
+    rng = block_rng(seed, PHASE_CE, j)
+    complex_gaussian(rng, h.shape, out=h)
+    complex_gaussian(rng, noise.shape, out=noise)
+    pilot_phase_signal(h, pilots, rho_bs, noise, out=y)
+    d = quantize(spec, y, out=noise)
+    d -= np.multiply(gain, y, out=y)
+    u = np.matmul(d, pilots.entries, out=h)
+    return np.sum(_squared_magnitude(u, scratch=y), axis=0)
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):

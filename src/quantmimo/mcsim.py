@@ -37,7 +37,6 @@ E[v^H C_d v] also holds the distortion's dependence on the channel.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 from concurrent import futures
 from dataclasses import dataclass, fields, replace
@@ -56,6 +55,7 @@ from quantmimo.bussgang import (
     check_trials,
     _blocks,
     _fsum_blocks,
+    _mapped_arrays,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
@@ -213,22 +213,6 @@ class _Draws(NamedTuple):
     x_ul: np.ndarray | None
     z_ul: np.ndarray | None
     x_dl: np.ndarray | None
-
-
-def _mapped_arrays(shapes):
-    """Complex arrays of shapes (None for a None shape), carved in order from one anonymous memory map.
-
-    The map is not on the heap, and it is unmapped once the last of the
-    arrays is dropped.  Megabytes of arrays that live through an oracle
-    call would, on the heap, leave a hole under the block tables allocated
-    after them, which the reports that outlive the call then split into
-    pieces too small for later large arrays (12 MB more peak RSS on the
-    oracle benchmark).
-    """
-    lengths = [0 if shape is None else math.prod(shape) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * sum(lengths)), dtype=complex)
-    pieces = np.split(flat, np.cumsum(lengths)[:-1])
-    return [None if shape is None else piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
 
 
 def _block_buffers(config, size, directions):

@@ -7,7 +7,9 @@ The kernel references keep the plain forms (complex Gaussian draws from two
 full-size arrays, two-pass quantize, the oracle's block sums in einsum form,
 full-array pilot projections) that the package's faster forms must
 reproduce, the oracle's list of per-block sum dicts, whose totals its
-block tables must equal exactly, and the Lloyd-Max Newton solver that
+block tables must equal exactly, the moment estimators as one walk over
+their blocks on the calling thread, which their two-thread block tables
+must equal bit for bit, and the Lloyd-Max Newton solver that
 carries sigma through every step, which the package's scaled unit-sigma
 design must match.
 """
@@ -19,8 +21,8 @@ from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
 from quantmimo import mcsim
-from quantmimo.airlink import complex_gaussian
-from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, _blocks, _fsum_blocks, block_rng, gain_scalar
+from quantmimo.airlink import complex_gaussian, pilot_phase_signal
+from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, PHASE_UL, _blocks, _fsum_blocks, block_rng, gain_scalar
 from quantmimo.quant import quantize
 
 
@@ -260,6 +262,31 @@ def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, d
         phase: {name: _fsum_blocks([s[name] for s in phase_sums]) for name in phase_sums[0]}
         for phase, phase_sums in block_sums.items()
     }
+
+
+def sequential_distortion_trace(spec, complex_variance, dim, trials, seed):
+    """bussgang.distortion_trace as one walk over its blocks on the calling thread, in new arrays."""
+    gain = gain_scalar(spec, complex_variance)
+    sums = []
+    for j, size in enumerate(_blocks(trials, dim)):
+        y = complex_gaussian(block_rng(seed, PHASE_UL, j), (size, dim), complex_variance)
+        d = quantize(spec, y) - gain * y
+        sums.append(np.sum(np.abs(d) ** 2))
+    return float(_fsum_blocks(sums) / trials)
+
+
+def sequential_ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
+    """bussgang.ce_distortion_projections as one walk over its blocks on the calling thread, in new arrays."""
+    gain = gain_scalar(spec, rho_bs * pilots.k_users + 1.0)
+    sums = []
+    for j, size in enumerate(_blocks(trials, pilots.tau)):
+        rng = block_rng(seed, PHASE_CE, j)
+        h = complex_gaussian(rng, (size, pilots.k_users))
+        noise = complex_gaussian(rng, (size, pilots.tau))
+        y = pilot_phase_signal(h, pilots, rho_bs, noise)
+        d = quantize(spec, y) - gain * y
+        sums.append(np.sum(np.abs(d @ pilots.entries) ** 2, axis=0))
+    return _fsum_blocks(sums) / trials
 
 
 def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):

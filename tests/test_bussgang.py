@@ -1,5 +1,6 @@
 """Tests for the linearization gains and distortion-moment estimators."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,12 @@ from quantmimo.mcsim import default_specs
 from quantmimo.quant import MAX_BITS, QuantizerSpec, design_lloyd_max, quantize, rescale_labels
 from quantmimo.syspower import snr_linear
 
-from oracles import ce_distortion_projections_direct, mc_gain_regression
+from oracles import (
+    ce_distortion_projections_direct,
+    mc_gain_regression,
+    sequential_ce_distortion_projections,
+    sequential_distortion_trace,
+)
 
 
 def _sign_quantizer():
@@ -67,8 +73,9 @@ def test_gain_matches_monte_carlo_regression(bits):
 
 
 def test_gain_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        gain_scalar(_sign_quantizer(), 0.0)
+    for c in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="complex_variance must be positive and finite"):
+            gain_scalar(_sign_quantizer(), c)
 
 
 def test_distortion_trace_one_bit_closed_form():
@@ -142,7 +149,8 @@ def test_ce_projection_row_shortcut_agrees_with_direct_estimator():
 def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_entries):
     # block j of each estimator draws from generator j of the estimator's
     # phase, and no draw is wider than a block (or one trial, where a trial
-    # is wider); the block size thus defines each estimator's stream
+    # is wider); the block size thus defines each estimator's stream.  Two
+    # threads take the blocks, so the draws are grouped by generator
     config, spec = _scenario(m=8)
     m, k, tau = config.m, config.k_users, config.tau  # 8, 4, 8
     pilots = dft_pilots(tau, k)
@@ -151,12 +159,20 @@ def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_en
         monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_entries)
     per_block = max(1, bussgang._BLOCK_ENTRIES // 8)
     sizes = [per_block, per_block, per_block // 2 or 1]  # 2.5 blocks, or 3 one-trial blocks
-    calls = []  # (generator key, [shapes drawn from it])
+    drawn = {}  # generator -> (its key, [shapes drawn from it])
     real_rng, real_draw = bussgang.block_rng, bussgang.complex_gaussian
-    monkeypatch.setattr(bussgang, "block_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
-    monkeypatch.setattr(
-        bussgang, "complex_gaussian", lambda g, shape, *var: calls[-1][1].append(shape) or real_draw(g, shape, *var)
-    )
+
+    def rng(*key):
+        generator = real_rng(*key)
+        drawn[generator] = (key, [])
+        return generator
+
+    def draw(generator, shape, *var, out):
+        drawn[generator][1].append(shape)
+        return real_draw(generator, shape, *var, out=out)
+
+    monkeypatch.setattr(bussgang, "block_rng", rng)
+    monkeypatch.setattr(bussgang, "complex_gaussian", draw)
     estimators = {
         PHASE_UL: (lambda: distortion_trace(spec, config.y_var_ul, m, sum(sizes), 6), lambda n: [(n, m)]),
         PHASE_CE: (
@@ -165,31 +181,114 @@ def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_en
         ),
     }
     for phase, (run, shapes) in estimators.items():
-        calls.clear()
+        drawn.clear()
         run()
-        assert [key for key, _ in calls] == [(6, phase, j) for j in range(len(sizes))]
-        assert [drawn for _, drawn in calls] == [shapes(n) for n in sizes]
-        widest = max(int(np.prod(shape)) for _, drawn in calls for shape in drawn)
+        by_key = dict(drawn.values())
+        keys = [(6, phase, j) for j in range(len(sizes))]
+        assert sorted(by_key) == keys
+        assert [by_key[key] for key in keys] == [shapes(n) for n in sizes]
+        widest = max(int(np.prod(shape)) for shapes_drawn in by_key.values() for shape in shapes_drawn)
         assert widest <= max(bussgang._BLOCK_ENTRIES, 8)
 
 
-# tracemalloc peak of assemble_stats at the default grid's widest point (ul
-# b=1, B 0.1 GHz, tau 64: m 176, K 8) over the default 1e5 trials.  Drawing
-# whole 16384-trial chunks first, it peaked at 93.6 MB there.
-def test_peak_memory_of_assemble_stats_stays_at_block_scale():
+# 8192 trials a block at m = tau = 8; the worker thread takes the odd blocks
+@pytest.mark.parametrize(
+    "trials,blocks",
+    [(5_000, 1), (3 * 8192, 3), (8192 + 17, 2)],
+    ids=["one_block", "odd_block_count", "ragged_last_block"],
+)
+def test_estimators_match_a_sequential_walk_bit_for_bit(monkeypatch, trials, blocks):
+    monkeypatch.setattr(bussgang, "MIN_TRIALS", 1)
+    config, spec = _scenario(m=8)
+    pilots = dft_pilots(config.tau, config.k_users)
+    assert len(bussgang._blocks(trials, config.m)) == len(bussgang._blocks(trials, config.tau)) == blocks
+    args = (spec, config.y_var_ul, config.m, trials, 4)
+    assert distortion_trace(*args) == sequential_distortion_trace(*args)
+    args = (spec, pilots, config.rho_bs, trials, 4)
+    got, want = ce_distortion_projections(*args), sequential_ce_distortion_projections(*args)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _block_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("quantmimo-")]
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_no_block_thread_outlives_assemble_stats(monkeypatch, raising):
+    # 8192 trials a block at m = tau = 8, so 3 blocks over 20000 trials, the
+    # odd one on the worker thread
+    config, _ = _scenario(m=8)
+    specs = default_specs(config)
+    real_quantize = bussgang.quantize
+    threads = set()
+
+    def quantize(spec, value, out=None):
+        threads.add(threading.current_thread().name.startswith("quantmimo-block"))
+        return real_quantize(spec, value, out=out)
+
+    monkeypatch.setattr(bussgang, "quantize", quantize)
+    assemble_stats(config, *specs, trials=20_000, seed=1)
+    assert threads == {True, False}  # both threads took blocks
+    assert not _block_threads()
+
+    def failing(spec, value, out=None):
+        if threading.current_thread().name.startswith("quantmimo-block") == (raising == "worker"):
+            raise RuntimeError("quantize failed")
+        return real_quantize(spec, value, out=out)
+
+    monkeypatch.setattr(bussgang, "quantize", failing)
+    with pytest.raises(RuntimeError, match="quantize failed"):
+        assemble_stats(config, *specs, trials=20_000, seed=1)
+    assert not _block_threads()
+
+
+def test_estimators_reject_bad_input_before_any_block_runs(monkeypatch):
+    monkeypatch.setattr(bussgang, "_block_table", lambda *args: pytest.fail("a block ran"))
+    spec = rescale_labels(design_lloyd_max(2, 1.0), 2.0)
+    for dim in (0, -3, 2.5, True, "8"):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            distortion_trace(spec, 2.0, dim, 20_000, 0)
+    for c in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="complex_variance must be positive and finite"):
+            distortion_trace(spec, c, 8, 20_000, 0)
+    config, ce_spec = _scenario()
+    pilots = dft_pilots(config.tau, config.k_users)
+    for rho in (np.nan, np.inf, 0.0, -1.0, True):
+        with pytest.raises(ValueError, match="rho_bs"):
+            ce_distortion_projections(ce_spec, pilots, rho, 20_000, 0)
+
+
+# Peak of assemble_stats at the default grid's widest point (ul b=1, B 0.1
+# GHz, tau 64: m 176, K 8) over the default 1e5 trials: the tracemalloc peak
+# plus the largest of its estimators' block buffer maps, which tracemalloc
+# does not see and which live one call at a time: 1.9 MB traced and 4.5 MB
+# mapped with numpy 2.4.  Walking the blocks on one thread in new arrays,
+# the tracemalloc peak was 5.7 MB; drawing whole 16384-trial chunks first,
+# 93.6 MB.
+def test_peak_memory_of_assemble_stats_stays_at_block_scale(monkeypatch):
     grid = SweepConfig()
     m = grid.antennas("ul", 1, 1e8)
     rho_bs, rho_ue = (snr_linear(direction, grid.link, 1e8) for direction in ("ul", "dl"))
     config = SystemConfig(m, m, grid.k_users, 64, 1, rho_bs, rho_ue)
     assert (m, config.k_users) == (176, 8)
     specs = default_specs(config)
+    mapped = []
+    real_mapped_arrays = bussgang._mapped_arrays
+
+    def mapped_arrays(shapes):
+        arrays = real_mapped_arrays(shapes)
+        mapped.append(sum(a.nbytes for a in arrays if a is not None))
+        return arrays
+
+    monkeypatch.setattr(bussgang, "_mapped_arrays", mapped_arrays)
     tracemalloc.start()
     try:
         assemble_stats(config, *specs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(mapped) == 3
+    assert peak + max(mapped) < 8e6, f"peak {peak / 1e6:.1f} MB traced and {max(mapped) / 1e6:.1f} MB mapped"
 
 
 def test_ce_projection_rejects_mismatched_quantizer():
