@@ -20,8 +20,8 @@ even blocks and one worker thread's odd blocks, each thread in buffers of
 its own carved from one memory map (_mapped_arrays); the worker belongs to
 the call and has ended when it returns or raises.  Which thread takes a
 block changes no sum, so the estimates are those of one block after
-another.  The full-chain oracle in mcsim walks its trials one block at a
-time too, and carves its buffers with _mapped_arrays as well.
+another.  The full-chain oracle in mcsim walks its blocks with _block_table
+too, so the library has one thread scheme.
 """
 
 from __future__ import annotations
@@ -77,9 +77,14 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def positive_finite(value):
+    """Whether value is a positive and finite real number, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 < value < math.inf
+
+
 def _check_snr(name, value):
     """Raise ValueError unless value is a positive and finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    if not positive_finite(value):
         raise ValueError(f"{name}={value!r} must be a positive and finite real number (linear scale)")
 
 
@@ -128,11 +133,14 @@ def _mapped_arrays(shapes):
     return [None if shape is None else piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
 
 
-def _block_table(block_sum, sizes, shape, buffer_shapes):
-    """A (blocks, *shape) array whose row j is block_sum(j, buffers), for the blocks of trial counts sizes.
+def _block_table(block_sum, sizes, dtype, buffer_shapes):
+    """One row of dtype per block of trial counts sizes, row j being block_sum(j, buffers).
 
-    buffers holds a block's arrays: one per (*row) shape of buffer_shapes,
-    its first sizes[j] rows.  The calling thread fills the even rows and one
+    A subarray dtype (float, shape) gives a (blocks, *shape) array of
+    floats; a structured dtype gives one record of named sums per block,
+    each field read as a (blocks, *shape) view.  buffers holds a block's
+    complex arrays: one per (*row) shape of buffer_shapes, its first
+    sizes[j] rows.  The calling thread fills the even rows and one
     worker thread the odd rows, each thread with buffers of its own, sized
     for its largest block; a single block runs on the calling thread.  The
     worker is opened by the call, and leaving its executor waits for it, so
@@ -142,7 +150,7 @@ def _block_table(block_sum, sizes, shape, buffer_shapes):
     threads = min(len(sizes), 2)
     n = len(buffer_shapes)
     arrays = _mapped_arrays([(max(sizes[t::threads]), *row) for t in range(threads) for row in buffer_shapes])
-    table = np.empty((len(sizes), *shape))
+    table = np.empty(len(sizes), dtype)
     failed = threading.Event()
 
     def fill(first, buffers):
@@ -270,7 +278,7 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     _check_count("dim", dim)
     gain = gain_scalar(spec, complex_variance)
     block_sum = functools.partial(_trace_block, spec, complex_variance, gain, seed)
-    block_sums = _block_table(block_sum, _blocks(trials, dim), (), [(dim,), (dim,)])
+    block_sums = _block_table(block_sum, _blocks(trials, dim), np.dtype(float), [(dim,), (dim,)])
     return float(_fsum_blocks(block_sums) / trials)
 
 
@@ -300,7 +308,7 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
         )
     gain = gain_scalar(spec, expected_var)
     block_sum = functools.partial(_projection_block, spec, pilots, rho_bs, gain, seed)
-    block_sums = _block_table(block_sum, _blocks(trials, tau), (k,), [(k,), (tau,), (tau,)])
+    block_sums = _block_table(block_sum, _blocks(trials, tau), np.dtype((float, (k,))), [(k,), (tau,), (tau,)])
     return _fsum_blocks(block_sums) / trials
 
 

@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS
+from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, positive_finite
 from quantmimo.quant import MAX_BITS
 from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas
 
@@ -104,7 +104,8 @@ class SweepConfig:
     envelope_bandwidth_hz_ref: float = _key("envelope bandwidth_ghz_ref", 1e8, _hz, _BANDWIDTH)
     envelope_count_ref: int = _key("envelope count_ref", 10, integral, _at_least(1))
     validate: bool = _key("validate", False, None, ((lambda v: isinstance(v, bool)), "true or false"))
-    validate_tolerance: float = _key("validate_tolerance", 0.05, real, ((lambda t: t > 0), "> 0"))
+    # the oracle's own check of its tolerance, so that a bad one fails here, not at the first point
+    validate_tolerance: float = _key("validate_tolerance", 0.05, real, (positive_finite, "positive and finite"))
 
     def __post_init__(self):
         for f in fields(self):

@@ -6,26 +6,25 @@ the general SINDR ratios, and compares the resulting empirical SINDRs with
 the closed forms.
 
 The chain runs over the trials one cache-sized block at a time
-(bussgang._blocks of the m*tau pilot noise, 256 trials at m 32, tau 8), so
-its draws take about 1 MB whatever m, tau or the trial count.  Block j
-draws from its own generator, block_rng(seed, PHASE_ORACLE, j), in the order
-channels, pilot noise, uplink symbols and noise, downlink symbols; so the
-block size defines the oracle's stream, and the oracle shares no random
-numbers with the Monte Carlo moments of assemble_stats that it checks.
+(_oracle_blocks: half of bussgang's 1 MB of the m*tau pilot noise, 128
+trials at m 32, tau 8).  Block j draws from its own generator,
+block_rng(seed, PHASE_ORACLE, j), in the order channels, pilot noise,
+uplink symbols and noise, downlink symbols; so the block size defines the
+oracle's stream, and the oracle shares no random numbers with the Monte
+Carlo moments of assemble_stats that it checks.
 
-Each block is a draw step and a reduce step.  Each call starts one draw
-thread of its own, which draws block j + 1 into one of two draw buffer sets
-while the calling thread reduces block j from the other (numpy's Gaussian
-fills and large ufuncs release the GIL), and which has ended when the call
-returns or raises; the stream and every sum are those of drawing and
-reducing each block in turn.
-The pilot phase of the reduce step works in buffers allocated once per
-call.  Both directions take their channel products from one per-trial
-A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums go into one
-preallocated (blocks, *shape) array per moment name and phase ("ce", "ul",
-"dl"; 103 floats, 824 bytes, a block at K 4, m 32), which math.fsum totals
-at the end and whose per-block entries give each moment's batch-means
-standard error.
+One per-block function, _oracle_block, draws a block and reduces it, and
+bussgang._block_table walks the blocks as it does the moment estimators':
+the calling thread takes the even blocks and one worker thread the odd
+ones, each in buffers of its own (numpy's Gaussian fills and large ufuncs
+release the GIL), so the two threads hold about 1 MB of pilot noise
+whatever m, tau or the trial count.  Which thread takes a block changes no
+sum.  Both directions take their channel products from one per-trial
+A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums fill one preallocated
+row of a structured array, a record per phase ("ce", "ul", "dl") of a field
+per moment name (103 floats, 824 bytes, a block at K 4, m 32); math.fsum
+totals each field at the end, and its per-block entries give each moment's
+batch-means standard error.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -36,9 +35,7 @@ E[v^H C_d v] also holds the distortion's dependence on the channel.
 
 from __future__ import annotations
 
-import math
-import numbers
-from concurrent import futures
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -53,9 +50,10 @@ from quantmimo.bussgang import (
     assemble_stats,
     block_rng,
     check_trials,
+    positive_finite,
+    _block_table,
     _blocks,
     _fsum_blocks,
-    _mapped_arrays,
 )
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
@@ -117,21 +115,13 @@ def _residual_sums(d, y, out=None):
     return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
 
 
-class _PilotBuffers(NamedTuple):
-    """The pilot phase's arrays of a full block: distortion d, estimates Ĥ and ADC input y."""
-
-    d: np.ndarray
-    h_hat: np.ndarray
-    y: np.ndarray
-
-
 def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise, buffers):
     """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase residual sums.
 
-    The block's arrays go into the first len(h) trials of buffers; once y is
-    formed, the noise is scratch for the g·y and conj(y)·d products.
+    The block's arrays go into buffers (d, Ĥ, y); once y is formed, the
+    noise is scratch for the g·y and conj(y)·d products.
     """
-    d_ce, h_hat, y_ce = (buf[: len(h)] for buf in buffers)
+    d_ce, h_hat, y_ce = buffers
     pilot_phase_signal(h, pilots, rho_bs, noise, out=y_ce)
     quantize(spec_ce, y_ce, out=d_ce)
     estimate_channel(d_ce, pilots, rho_bs, out=h_hat)
@@ -205,84 +195,71 @@ def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x):
     return sums
 
 
-class _Draws(NamedTuple):
-    """A block's random numbers, its fields in stream order; a direction's are None when it is not requested."""
-
-    h: np.ndarray
-    noise: np.ndarray
-    x_ul: np.ndarray | None
-    z_ul: np.ndarray | None
-    x_dl: np.ndarray | None
-
-
-def _block_buffers(config, size, directions):
-    """Two unfilled _Draws for directions, used in turn, and one _PilotBuffers, for blocks of up to size trials."""
-    m, k, tau = config.m, config.k_users, config.tau
-    draws = [(size, m, k), (size, m, tau)]
-    draws += [(size, k), (size, m)] if "ul" in directions else [None, None]
-    draws += [(size, k)] if "dl" in directions else [None]
-    arrays = _mapped_arrays(2 * draws + [(size, m, tau), (size, m, k), (size, m, tau)])
-    n = len(draws)
-    return (_Draws(*arrays[:n]), _Draws(*arrays[n : 2 * n])), _PilotBuffers(*arrays[2 * n :])
+def _row_dtype(config, directions):
+    """The dtype of one block's sums: a record per phase, "ce" and each of directions, of a field per sum name."""
+    k = config.k_users
+    residual = [("resid", complex), ("resid_sq", float)]
+    moments = [("desired_mean", complex, (k,)), ("signal_powers", float, (k, k))]
+    distortion = ("distortion_power", float, (k,))
+    phases = {
+        "ce": [*residual, ("delta", float)],
+        "ul": [*residual, *moments, ("combiner_power", float, (k,)), distortion],
+        "dl": [*residual, *moments, distortion, ("precoder", float), ("precoder_diag", float, (config.m,))],
+    }
+    return np.dtype([(phase, phases[phase]) for phase in ("ce", *directions)])
 
 
-def _draw_block(buffers, rng, size):
-    """The draw step: a block of size trials drawn from rng into the first size trials of buffers, in stream order."""
-    blocks = (None if buf is None else buf[:size] for buf in buffers)
-    return _Draws(*(None if out is None else complex_gaussian(rng, out.shape, out=out) for out in blocks))
+def _oracle_block(config, specs, stats, delta, pilots, seed, dtype, j, buffers):
+    """Block j's sums, one row of dtype, from its draws of block_rng(seed, PHASE_ORACLE, j).
 
-
-def _block_sums(config, specs, stats, delta, pilots, draws, buffers):
-    """The reduce step: moment sums {phase: {name: sum}} of one block's draws, for "ce" and each drawn direction.
-
-    The pilot phase works in place: its arrays go into buffers, a
-    _PilotBuffers, and its g·y and conj(y)·d products overwrite draws.noise.
-    Both directions take their channel products from one _channel_sums.
+    The draws come in stream order: channels H and pilot noise into
+    buffers, then the uplink symbols and noise and the downlink symbols of
+    each direction that dtype has.  The pilot phase works in the rest of
+    buffers (d, Ĥ, y), and both directions take their channel products from
+    one _channel_sums.
     """
     spec_ce, spec_ul, spec_dl = specs
-    h = draws.h
-    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, draws.noise, buffers)
+    h, noise, *pilot_buffers = buffers
+    rng = block_rng(seed, PHASE_ORACLE, j)
+    complex_gaussian(rng, h.shape, out=h)
+    complex_gaussian(rng, noise.shape, out=noise)
+    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, noise, pilot_buffers)
     channel = _channel_sums(h, h_hat)
     ce_sums["delta"] = np.sum(channel.ue_power)
     sums = {"ce": ce_sums}
-    if draws.x_ul is not None:
-        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, draws.x_ul, draws.z_ul)
-    if draws.x_dl is not None:
-        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, draws.x_dl)
-    return sums
+    size, k = len(h), config.k_users
+    if "ul" in dtype.names:
+        x, z = complex_gaussian(rng, (size, k)), complex_gaussian(rng, (size, config.m))
+        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x, z)
+    if "dl" in dtype.names:
+        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, complex_gaussian(rng, (size, k)))
+    row = np.empty((), dtype)
+    for phase, phase_sums in sums.items():
+        for name, value in phase_sums.items():
+            row[phase][name] = value
+    return row
 
 
-def _block_tables(config, specs, stats, delta, pilots, trials, seed, directions):
-    """Trials per block, and {phase: {name: sums}} of "ce" and each direction.
+def _oracle_blocks(config, trials):
+    """Trial counts of the oracle's blocks.
 
-    Each name's sums are one preallocated array of shape (blocks, *shape),
-    whose row j holds block j's sum.  The call's draw thread fills block
-    j + 1's draws into one of two draw buffer sets, taken in turn, while
-    this thread reduces block j from the other.  Leaving the executor waits
-    for the draws in flight, also when the reduction raises, so no draw
-    outlives the call.
+    A block's widest draw, its m*tau pilot noise, takes at most half of the
+    1 MB that _blocks allows, so that the blocks of _block_table's two
+    threads together hold about 1 MB of it.
     """
-    sizes = _blocks(trials, config.m * config.tau)  # the pilot noise is the widest draw
-    draw_sets, buffers = _block_buffers(config, sizes[0], directions)
-    tables = {}
-    with futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-draw") as pool:
+    return _blocks(trials, 2 * config.m * config.tau)
 
-        def draw(j):
-            return pool.submit(_draw_block, draw_sets[j % 2], block_rng(seed, PHASE_ORACLE, j), sizes[j])
 
-        pending = draw(0)
-        for j in range(len(sizes)):
-            draws = pending.result()
-            if j + 1 < len(sizes):
-                pending = draw(j + 1)
-            sums = _block_sums(config, specs, stats, delta, pilots, draws, buffers)
-            for phase, phase_sums in sums.items():
-                table = tables.setdefault(phase, {})
-                for name, value in phase_sums.items():
-                    if j == 0:
-                        table[name] = np.empty((len(sizes),) + np.shape(value), np.result_type(value))
-                    table[name][j] = value
-    return np.array(sizes), tables
+def _oracle_walk(config, specs, stats, delta, pilots, trials, seed, directions):
+    """_block_table's arguments for the oracle: its per-block function, block sizes, row dtype and buffer shapes.
+
+    The buffers are a block's channels and pilot noise and its pilot-phase
+    d, Ĥ and y: three m x tau and two m x K arrays per trial.
+    """
+    m, k, tau = config.m, config.k_users, config.tau
+    dtype = _row_dtype(config, directions)
+    block_sum = functools.partial(_oracle_block, config, specs, stats, delta, pilots, seed, dtype)
+    return block_sum, _oracle_blocks(config, trials), dtype, [(m, k), (m, tau), (m, tau), (m, k), (m, tau)]
 
 
 def _residual(totals, n_samples):
@@ -302,8 +279,8 @@ def _report(direction, closed, mean, table, sizes, checks, tolerance, **report_f
     moment errors are relative to the closed-form mean.  A moment's value v
     is the mean of the real part of its entries; its standard error is
     sqrt(sum_j (r_j - n_j v)^2) / N over the blocks of table, the
-    direction's {name: per-block sums}, with r_j the same reduction of
-    block j's sums, n_j its trials and N their total.
+    direction's per-block records of named sums, with r_j the same
+    reduction of block j's sums, n_j its trials and N their total.
     """
     names = [f.name for f in fields(closed) if f.name in mean]
     emp = replace(closed, **{name: mean[name] for name in names})
@@ -361,7 +338,7 @@ def validate_closed_form(
     not positive and finite is a ValueError.
     """
     check_trials(trials, 1)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not 0 < tolerance < math.inf:
+    if not positive_finite(tolerance):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if direction not in ("ul", "dl", "both"):
         raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
@@ -375,8 +352,9 @@ def validate_closed_form(
     pilots = dft_pilots(tau, config.k_users)
     directions = ("ul", "dl") if direction == "both" else (direction,)
 
-    sizes, tables = _block_tables(config, specs, stats, delta, pilots, trials, seed, directions)
-    totals = {phase: {name: _fsum_blocks(sums) for name, sums in table.items()} for phase, table in tables.items()}
+    block_sum, sizes, dtype, buffer_shapes = _oracle_walk(config, specs, stats, delta, pilots, trials, seed, directions)
+    table = _block_table(block_sum, sizes, dtype, buffer_shapes)
+    totals = {phase: {name: _fsum_blocks(table[phase][name]) for name in dtype[phase].names} for phase in dtype.names}
     ce_residual = _residual(totals["ce"], trials * m * tau)
     reports = {}
     for d in directions:
@@ -388,8 +366,8 @@ def validate_closed_form(
             d,
             moments[d](config, stats),
             mean,
-            tables[d],
-            sizes,
+            table[d],
+            np.array(sizes),
             checks,
             tolerance,
             trials=trials,

@@ -6,10 +6,9 @@ acceleration, no closed-form Gaussian moments, and no shared code paths.
 The kernel references keep the plain forms (complex Gaussian draws from two
 full-size arrays, two-pass quantize, the oracle's block sums in einsum form,
 full-array pilot projections) that the package's faster forms must
-reproduce, the oracle's list of per-block sum dicts, whose totals its
-block tables must equal exactly, the moment estimators as one walk over
-their blocks on the calling thread, which their two-thread block tables
-must equal bit for bit, and the Lloyd-Max Newton solver that
+reproduce, the oracle and the moment estimators as one walk over their
+blocks on the calling thread, which their two-thread block tables must
+equal bit for bit, and the Lloyd-Max Newton solver that
 carries sigma through every step, which the package's scaled unit-sigma
 design must match.
 """
@@ -22,7 +21,7 @@ from scipy.special import ndtr, ndtri
 
 from quantmimo import mcsim
 from quantmimo.airlink import complex_gaussian, pilot_phase_signal
-from quantmimo.bussgang import PHASE_CE, PHASE_ORACLE, PHASE_UL, _blocks, _fsum_blocks, block_rng, gain_scalar
+from quantmimo.bussgang import PHASE_CE, PHASE_UL, _blocks, _fsum_blocks, block_rng, gain_scalar
 from quantmimo.quant import quantize
 
 
@@ -242,26 +241,19 @@ def einsum_downlink_block(spec_dl, g_dl, delta, h, h_hat, rng):
     return sums
 
 
-def dict_accumulated_totals(config, specs, stats, delta, pilots, trials, seed, directions):
-    """The oracle's totals {phase: {name: total}} from a list of per-block {name: sum} dicts per phase.
+def sequential_oracle_table(config, specs, stats, delta, pilots, trials, seed, directions):
+    """The oracle's table of block sums as one walk over its blocks on the calling thread, in new arrays.
 
-    The accumulation mcsim.validate_closed_form had before it kept the block
-    sums in preallocated arrays: every block's dicts are kept to the end,
-    then each name's sums are totalled by _fsum_blocks.  Each block is drawn
-    and then reduced on the calling thread, from one set of draw buffers.
+    Each block is mcsim's per-block function, called in block order with
+    new buffers; its rows are stacked in block order.
     """
-    sizes = _blocks(trials, config.m * config.tau)
-    (draw_set, _), buffers = mcsim._block_buffers(config, sizes[0], directions)
-    block_sums = {}
-    for j, size in enumerate(sizes):
-        draws = mcsim._draw_block(draw_set, block_rng(seed, PHASE_ORACLE, j), size)
-        sums = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
-        for phase, phase_sums in sums.items():
-            block_sums.setdefault(phase, []).append(phase_sums)
-    return {
-        phase: {name: _fsum_blocks([s[name] for s in phase_sums]) for name in phase_sums[0]}
-        for phase, phase_sums in block_sums.items()
-    }
+    block_sum, sizes, _, buffer_shapes = mcsim._oracle_walk(
+        config, specs, stats, delta, pilots, trials, seed, directions
+    )
+    rows = [
+        block_sum(j, [np.empty((size, *shape), complex) for shape in buffer_shapes]) for j, size in enumerate(sizes)
+    ]
+    return np.stack(rows)
 
 
 def sequential_distortion_trace(spec, complex_variance, dim, trials, seed):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantmimo import bussgang
+from quantmimo import bussgang, mcsim
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import (
     PHASE_CE,
@@ -20,7 +20,7 @@ from quantmimo.bussgang import (
     gain_scalar,
 )
 from quantmimo.config import SweepConfig
-from quantmimo.mcsim import default_specs
+from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import MAX_BITS, QuantizerSpec, design_lloyd_max, quantize, rescale_labels
 from quantmimo.syspower import snr_linear
 
@@ -216,7 +216,8 @@ def _block_threads():
 @pytest.mark.parametrize("raising", ["worker", "caller"])
 def test_no_block_thread_outlives_assemble_stats(monkeypatch, raising):
     # 8192 trials a block at m = tau = 8, so 3 blocks over 20000 trials, the
-    # odd one on the worker thread
+    # odd one on the worker thread; the oracle's blocks at m = tau = 8 hold
+    # 512 trials, so 3000 trials are 6 blocks
     config, _ = _scenario(m=8)
     specs = default_specs(config)
     real_quantize = bussgang.quantize
@@ -226,20 +227,30 @@ def test_no_block_thread_outlives_assemble_stats(monkeypatch, raising):
         threads.add(threading.current_thread().name.startswith("quantmimo-block"))
         return real_quantize(spec, value, out=out)
 
-    monkeypatch.setattr(bussgang, "quantize", quantize)
-    assemble_stats(config, *specs, trials=20_000, seed=1)
-    assert threads == {True, False}  # both threads took blocks
-    assert not _block_threads()
+    stats = assemble_stats(config, *specs, trials=20_000, seed=1)
+    calls = {
+        "assemble_stats": lambda: assemble_stats(config, *specs, trials=20_000, seed=1),
+        "validate_closed_form": lambda: validate_closed_form(config, trials=3000, seed=1, specs=specs, stats=stats),
+    }
+    for module in (bussgang, mcsim):
+        monkeypatch.setattr(module, "quantize", quantize)
+    for name, call in calls.items():
+        threads.clear()
+        call()
+        assert threads == {True, False}, name  # both threads took blocks
+        assert not _block_threads(), name
 
     def failing(spec, value, out=None):
         if threading.current_thread().name.startswith("quantmimo-block") == (raising == "worker"):
             raise RuntimeError("quantize failed")
         return real_quantize(spec, value, out=out)
 
-    monkeypatch.setattr(bussgang, "quantize", failing)
-    with pytest.raises(RuntimeError, match="quantize failed"):
-        assemble_stats(config, *specs, trials=20_000, seed=1)
-    assert not _block_threads()
+    for module in (bussgang, mcsim):
+        monkeypatch.setattr(module, "quantize", failing)
+    for name, call in calls.items():
+        with pytest.raises(RuntimeError, match="quantize failed"):
+            call()
+        assert not _block_threads(), name
 
 
 def test_estimators_reject_bad_input_before_any_block_runs(monkeypatch):

@@ -20,7 +20,7 @@ from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import snr_linear
 
-from oracles import dict_accumulated_totals, einsum_downlink_block, einsum_pilot_phase, einsum_uplink_block
+from oracles import einsum_downlink_block, einsum_pilot_phase, einsum_uplink_block, sequential_oracle_table
 
 
 def _config(**overrides):
@@ -120,7 +120,7 @@ def test_distortion_covariance_off_diagonals_vanish():
     stats = assemble_stats(config, *specs, trials=trials, seed=2)
     pilots = dft_pilots(tau, k)
     offdiag, offdiag_sq = [], []
-    for j, size in enumerate(bussgang._blocks(trials, m * tau)):
+    for j, size in enumerate(mcsim._oracle_blocks(config, trials)):
         rng = block_rng(2, PHASE_ORACLE, j)
         h = complex_gaussian(rng, (size, m, k))
         noise = complex_gaussian(rng, (size, m, tau))
@@ -145,7 +145,9 @@ def test_empirical_delta_matches_closed_form():
 # 1-10 at 4e4 trials the relative error of the uplink E[v^H C_d v] was 0.317
 # (SD 0.003) at b = 1 and 0.631 (SD 0.013) at b = 3, and that of the
 # downlink m*cd_dl against E||d||^2 was 0.0109 (SD 0.0008) at b = 1 and
-# 0.1842 (SD 0.0045) at b = 3; each band is 4 SD on either side.
+# 0.1842 (SD 0.0045) at b = 3; each band is 4 SD on either side.  With the
+# oracle's blocks halved (a new stream), the same seeds gave means 0.319,
+# 0.625, 0.0106 and 0.1816.
 @pytest.mark.parametrize(
     "direction,bits,error,band",
     [("ul", 1, 0.317, 0.013), ("ul", 3, 0.631, 0.053), ("dl", 1, 0.0109, 0.0032), ("dl", 3, 0.1842, 0.018)],
@@ -200,23 +202,37 @@ def _oracle_inputs(config):
     return specs, stats, rates.mrt_normalization(config, stats)
 
 
+def _row_sums(row):
+    """{phase: {name: sum}} of one row of the oracle's table of block sums."""
+    return {phase: {name: row[phase][name] for name in row.dtype[phase].names} for phase in row.dtype.names}
+
+
+def _oracle_table(monkeypatch, config, **kwargs):
+    """The table of block sums behind validate_closed_form(config, **kwargs)."""
+    tables = []
+    real_block_table = mcsim._block_table
+    monkeypatch.setattr(mcsim, "_block_table", lambda *args: tables.append(real_block_table(*args)) or tables[-1])
+    validate_closed_form(config, **kwargs)
+    (table,) = tables
+    return table
+
+
 @pytest.mark.parametrize(
     "m,k,tau,bits",
     [(10, 3, 5, 2), (32, 4, 8, 1)],  # the second is the criterion-4 scenario
 )
-def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
+def test_block_kernel_matches_einsum_reference(monkeypatch, m, k, tau, bits):
     # one block, whose one channel product A = H^H Ĥ serves both directions,
     # gives the index-notation sums that form each product from its own
     # combiner or precoder, and draws the same random numbers
     config = _config(m_ul=m, m_dl=m, k_users=k, tau=tau, bits=bits)
     specs, stats, delta = _oracle_inputs(config)
     pilots = dft_pilots(tau, k)
-    size = bussgang._BLOCK_ENTRIES // (m * tau)  # one full block
-
-    rng = block_rng(5, PHASE_ORACLE, 0)
-    (draw_set, _), buffers = mcsim._block_buffers(config, size, ("ul", "dl"))
-    draws = mcsim._draw_block(draw_set, rng, size)
-    got = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
+    size = mcsim._oracle_blocks(config, bussgang._BLOCK_ENTRIES)[0]  # one full block
+    generators = []
+    monkeypatch.setattr(mcsim, "block_rng", lambda *key: generators.append(block_rng(*key)) or generators[-1])
+    block_sum, _, _, buffer_shapes = mcsim._oracle_walk(config, specs, stats, delta, pilots, size, 5, ("ul", "dl"))
+    got = _row_sums(block_sum(0, [np.empty((size, *shape), complex) for shape in buffer_shapes]))
 
     ref_rng = block_rng(5, PHASE_ORACLE, 0)
     h = complex_gaussian(ref_rng, (size, m, k))
@@ -227,7 +243,7 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
         "ul": einsum_uplink_block(config.rho_bs, specs[1], stats.g_ul, h, h_hat, ref_rng),
         "dl": einsum_downlink_block(specs[2], stats.g_dl, delta, h, h_hat, ref_rng),
     }
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(generators) == 1 and generators[0].bit_generator.state == ref_rng.bit_generator.state
     assert got.keys() == want.keys()
     for phase, sums in want.items():
         assert got[phase].keys() == sums.keys(), phase
@@ -238,57 +254,86 @@ def test_block_kernel_matches_einsum_reference(m, k, tau, bits):
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
 @pytest.mark.parametrize("direction", ["both", "dl"])
-def test_block_tables_total_as_the_per_block_dicts_did(bits, direction):
-    # each name's per-block sums, totalled by _fsum_blocks, give exactly the
-    # totals of the per-block {name: sum} dicts, over 2.5 blocks so that the
-    # short last block counts too (criterion-4 scenario)
+def test_block_tables_total_as_the_per_block_dicts_did(monkeypatch, bits, direction):
+    # each name's per-block sums, read as a (blocks, *shape) field of the
+    # oracle's table and totalled by _fsum_blocks, give exactly the totals of
+    # the per-block sums of a one-thread walk, each block's kept apart, over
+    # 2.5 blocks so that the short last block counts too (criterion-4 scenario)
     config = _config(m_ul=32, m_dl=32, bits=bits)
     specs, stats, delta = _oracle_inputs(config)
     pilots = dft_pilots(config.tau, config.k_users)
-    trials = 5 * (bussgang._BLOCK_ENTRIES // (config.m * config.tau)) // 2
+    per_block = mcsim._oracle_blocks(config, bussgang._BLOCK_ENTRIES)[0]
+    trials = 5 * per_block // 2
     directions = ("ul", "dl") if direction == "both" else (direction,)
-    args = (config, specs, stats, delta, pilots, trials, 7, directions)
+    table = _oracle_table(monkeypatch, config, trials=trials, seed=7, direction=direction, specs=specs, stats=stats)
+    walk = sequential_oracle_table(config, specs, stats, delta, pilots, trials, 7, directions)
+    rows = [_row_sums(row) for row in walk]
+    assert mcsim._oracle_blocks(config, trials) == [128, 128, 64]
+    assert table.dtype.names == tuple(rows[0]) == ("ce", *directions)
+    for phase, sums in rows[0].items():
+        assert table.dtype[phase].names == tuple(sums), phase
+        for name in sums:
+            got = bussgang._fsum_blocks(table[phase][name])
+            want = bussgang._fsum_blocks([row[phase][name] for row in rows])
+            assert got.dtype == want.dtype and got.shape == want.shape, (phase, name)
+            assert np.all(got == want), (phase, name)
 
-    sizes, tables = mcsim._block_tables(*args)
-    want = dict_accumulated_totals(*args)
-    assert sizes.tolist() == [256, 256, 128]
-    assert tables.keys() == want.keys()
-    for phase, totals in want.items():
-        got = {name: bussgang._fsum_blocks(sums) for name, sums in tables[phase].items()}
-        assert got.keys() == totals.keys(), phase
-        for name, total in totals.items():
-            assert got[name].dtype == total.dtype and got[name].shape == total.shape, (phase, name)
-            assert np.all(got[name] == total), (phase, name)
+
+# 512 trials a block at m = tau = 8; the worker thread takes the odd blocks
+@pytest.mark.parametrize(
+    "trials,blocks",
+    [(300, 1), (3 * 512, 3), (512 + 17, 2)],
+    ids=["one_block", "odd_block_count", "ragged_last_block"],
+)
+def test_oracle_matches_a_sequential_walk_bit_for_bit(monkeypatch, trials, blocks):
+    config = _config(m_ul=8, m_dl=8, bits=2)
+    specs, stats, delta = _oracle_inputs(config)
+    pilots = dft_pilots(config.tau, config.k_users)
+    assert len(mcsim._oracle_blocks(config, trials)) == blocks
+    got = _oracle_table(monkeypatch, config, trials=trials, seed=4, specs=specs, stats=stats)
+    want = sequential_oracle_table(config, specs, stats, delta, pilots, trials, 4, ("ul", "dl"))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's m*tau
 def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entries):
     # block j draws from generator j of the oracle's own phase, in stream
     # order, and no draw is wider than a block (or one trial, where a trial
-    # is wider); the block size thus defines the oracle's stream
+    # is wider); the block size thus defines the oracle's stream.  Two
+    # threads take the blocks, so the draws are grouped by generator
     config = _config(m_ul=16, m_dl=16, k_users=4, tau=8, bits=2)
     m, k, tau = config.m, config.k_users, config.tau
     specs, stats, _ = _oracle_inputs(config)
     if block_entries is not None:
         monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_entries)
-    per_block = max(1, bussgang._BLOCK_ENTRIES // (m * tau))
+    per_block = mcsim._oracle_blocks(config, bussgang._BLOCK_ENTRIES)[0]
     sizes = [per_block, per_block, per_block // 2 or 1]  # 2.5 blocks, or 3 one-trial blocks
-    calls = []  # (generator key, [shapes drawn from it])
+    drawn = {}  # generator -> (its key, [shapes drawn from it])
     real_rng, real_draw = mcsim.block_rng, mcsim.complex_gaussian
-    monkeypatch.setattr(mcsim, "block_rng", lambda *key: calls.append((key, [])) or real_rng(*key))
-    monkeypatch.setattr(
-        mcsim, "complex_gaussian", lambda g, shape, out: calls[-1][1].append(shape) or real_draw(g, shape, out=out)
-    )
+
+    def rng(*key):
+        generator = real_rng(*key)
+        drawn[generator] = (key, [])
+        return generator
+
+    def draw(generator, shape, *var, out=None):
+        drawn[generator][1].append(shape)
+        return real_draw(generator, shape, *var, out=out)
+
+    monkeypatch.setattr(mcsim, "block_rng", rng)
+    monkeypatch.setattr(mcsim, "complex_gaussian", draw)
     order = {
         "both": lambda n: [(n, m, k), (n, m, tau), (n, k), (n, m), (n, k)],
         "dl": lambda n: [(n, m, k), (n, m, tau), (n, k)],
     }
     for direction, shapes in order.items():
-        calls.clear()
+        drawn.clear()
         validate_closed_form(config, trials=sum(sizes), seed=6, direction=direction, specs=specs, stats=stats)
-        assert [key for key, _ in calls] == [(6, PHASE_ORACLE, j) for j in range(len(sizes))]
-        assert [drawn for _, drawn in calls] == [shapes(n) for n in sizes]
-        widest = max(int(np.prod(shape)) for _, drawn in calls for shape in drawn)
+        by_key = dict(drawn.values())
+        keys = [(6, PHASE_ORACLE, j) for j in range(len(sizes))]
+        assert sorted(by_key) == keys
+        assert [by_key[key] for key in keys] == [shapes(n) for n in sizes]
+        widest = max(int(np.prod(shape)) for shapes_drawn in by_key.values() for shape in shapes_drawn)
         assert widest <= max(bussgang._BLOCK_ENTRIES, m * tau)
 
 
@@ -310,12 +355,12 @@ def _traced_peak(run):
 
 
 # Peaks of the oracle (specs and stats given), measured with numpy 2.4 as
-# the tracemalloc peak plus the block buffers, which live in a memory map
-# that tracemalloc does not see: 7.3 MB at the criterion-4 scenario over
-# 16384 trials, and 5.2 MB at the widest --validate point over 2000 trials
-# (the two draw buffer sets are 3.5 MB and 2.1 MB of these).  Drawing one
-# block at a time on the calling thread, the tracemalloc peaks were 5.5 MB
-# and 4.2 MB; drawing whole 16384-trial chunks first, 115 MB and 415 MB.
+# the tracemalloc peak plus the two threads' block buffers, which live in a
+# memory map that tracemalloc does not see: 0.9 + 4.2 MB at the criterion-4
+# scenario over 16384 trials, and 1.6 + 2.3 MB at the widest --validate
+# point over 2000 trials.  Blocks twice as long would map 8.4 MB at the
+# criterion-4 scenario; drawing whole 16384-trial chunks first took 115 MB
+# and 415 MB traced.
 @pytest.mark.parametrize(
     "config,direction,trials",
     [
@@ -327,14 +372,14 @@ def _traced_peak(run):
 def test_peak_memory_of_the_oracle_stays_at_block_scale(monkeypatch, config, direction, trials):
     specs, stats, _ = _oracle_inputs(config)
     mapped = []
-    real_buffers = mcsim._block_buffers
+    real_mapped_arrays = bussgang._mapped_arrays
 
-    def buffers(*args):
-        draw_sets, pilot_buffers = real_buffers(*args)
-        mapped.append(sum(a.nbytes for a in (*itertools.chain(*draw_sets), *pilot_buffers) if a is not None))
-        return draw_sets, pilot_buffers
+    def mapped_arrays(shapes):
+        arrays = real_mapped_arrays(shapes)
+        mapped.append(sum(a.nbytes for a in arrays if a is not None))
+        return arrays
 
-    monkeypatch.setattr(mcsim, "_block_buffers", buffers)
+    monkeypatch.setattr(bussgang, "_mapped_arrays", mapped_arrays)
     peak = _traced_peak(
         lambda: validate_closed_form(config, trials=trials, seed=1, direction=direction, specs=specs, stats=stats)
     )
@@ -347,13 +392,10 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
     # little more than the added rows of block sums (103 floats a block at
     # K 4, m 32); per-block dicts of small arrays took about 2.6 KB a block
     config = _config(m_ul=32, m_dl=32, bits=2)
-    specs, stats, delta = _oracle_inputs(config)
+    specs, stats, _ = _oracle_inputs(config)
     monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", config.m * config.tau)
-    pilots = dft_pilots(config.tau, config.k_users)
-    (draw_set, _), buffers = mcsim._block_buffers(config, 1, ("ul", "dl"))
-    draws = mcsim._draw_block(draw_set, block_rng(1, PHASE_ORACLE, 0), 1)
-    one = mcsim._block_sums(config, specs, stats, delta, pilots, draws, buffers)
-    row_bytes = 8 * sum(np.size(v) * (1 + np.iscomplexobj(v)) for sums in one.values() for v in sums.values())
+    assert mcsim._oracle_blocks(config, 3) == [1, 1, 1]
+    row_bytes = mcsim._row_dtype(config, ("ul", "dl")).itemsize
     assert row_bytes == 8 * 103
 
     blocks = 1_000
@@ -367,9 +409,10 @@ def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):
 
 # A drift alarm at the default grid's widest --validate point, where the
 # closed-form uplink SINDRs miss the oracle's (0.364-0.365 at 1e4 trials).
-# Over seeds 1-10 at 2002 trials the worst SINDR error was 0.378 (SD 0.017);
-# the band is 4 SD on either side.  Blocks there hold 5 trials, so the 2002
-# trials end in a ragged block of 2.
+# Over seeds 1-10 at 2002 trials the worst SINDR error was 0.378 (SD 0.017)
+# with blocks of 5 trials; the band is 4 SD on either side.  Blocks there now
+# hold 2 trials, so the 2002 trials fill 1001 blocks, and the same seeds gave
+# 0.374 (SD 0.021).
 def test_widest_validate_point_misses_the_closed_form_where_measured():
     report = validate_closed_form(_widest_validate_point(), trials=2002, seed=1, direction="ul")["ul"]
     assert report.passed is False
@@ -383,7 +426,7 @@ def _oracle_text(reports):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_the_oracle():
     # a forked child copies no thread of its parent; its call starts and
-    # waits on a draw thread of its own, so it returns
+    # waits on a block thread of its own, so it returns
     config = _config(m_ul=8, m_dl=8, bits=2)
     specs, stats, _ = _oracle_inputs(config)
     validate_closed_form(config, trials=3000, seed=1, specs=specs, stats=stats)
@@ -405,8 +448,8 @@ def test_a_forked_child_runs_the_oracle():
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def _draw_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("quantmimo-draw")]
+def _block_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("quantmimo-")]
 
 
 def _fresh_python(code):
@@ -423,14 +466,15 @@ def test_no_draw_thread_outlives_a_call_or_the_import():
     specs, stats, _ = _oracle_inputs(config)
     for seed in range(10):
         validate_closed_form(config, trials=3000, seed=seed, specs=specs, stats=stats)
-        assert not _draw_threads()
+        assert not _block_threads()
     code = "import threading, quantmimo; print(*(t.name for t in threading.enumerate()))"
     assert _fresh_python(code).split() == ["MainThread"]
 
 
 def test_a_call_that_raises_leaves_the_next_report_as_a_fresh_process_gives_it(monkeypatch):
-    # quantize fails in block 1's pilot phase, while block 2 is being drawn
-    config = _config(m_ul=8, m_dl=8, bits=2)  # 1024 trials a block, so 3 blocks
+    # quantize fails at its fourth call, on whichever thread makes it,
+    # while the other thread works on a block of its own
+    config = _config(m_ul=8, m_dl=8, bits=2)  # 512 trials a block, so 5 blocks
     real_quantize, calls = mcsim.quantize, itertools.count()
 
     def failing(spec, value, out=None):
@@ -441,7 +485,7 @@ def test_a_call_that_raises_leaves_the_next_report_as_a_fresh_process_gives_it(m
     monkeypatch.setattr(mcsim, "quantize", failing)
     with pytest.raises(RuntimeError, match="quantize failed"):
         validate_closed_form(config, trials=2500, seed=4)
-    assert not _draw_threads()  # the draw of block 2 was waited for
+    assert not _block_threads()  # the other thread's block was waited for
     monkeypatch.undo()
     text = _oracle_text(validate_closed_form(config, trials=2500, seed=4))
 

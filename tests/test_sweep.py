@@ -9,7 +9,8 @@ import pytest
 from quantmimo import cli, sweep
 from quantmimo.cli import main as cli_main
 from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, read_config
-from quantmimo.mcsim import default_specs
+from quantmimo.bussgang import SystemConfig
+from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import _unit_lloyd_max
 from quantmimo.sweep import point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
 from quantmimo.syspower import LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
@@ -147,6 +148,17 @@ def test_config_validation_rules():
     assert integral.bits == (2,) and type(integral.bits[0]) is int
     assert integral.trials == 100_000 and type(integral.trials) is int
     assert type(integral.envelope_count_ref) is int
+
+
+def test_a_tolerance_the_oracle_rejects_fails_at_config_time():
+    # SweepConfig and validate_closed_form share one check, so no tolerance
+    # gets past config time to fail at the first --validate point
+    config = SystemConfig(8, 8, 4, 8, 2, 1.0, 1.0)
+    for tolerance in (math.inf, True, math.nan, 0, -1.0, "0.05"):
+        with pytest.raises(ConfigError, match="validate_tolerance: must be positive and finite"):
+            SweepConfig(validate=True, validate_tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            validate_closed_form(config, trials=300, tolerance=tolerance)
 
 
 def test_config_file_round_trip(tmp_path):
