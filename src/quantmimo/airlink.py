@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quantmimo.checks import integer, require
+
 # float64 draws written per pass in complex_gaussian (512 KB)
 _DRAW_BUFFER = 1 << 16
 
@@ -35,10 +37,8 @@ class PilotMatrix:
 
 def dft_pilots(tau, k_users):
     """First k_users columns of the tau-point DFT matrix."""
-    if k_users < 1:
-        raise ValueError("k_users must be >= 1")
-    if tau < k_users:
-        raise ValueError(f"pilot length tau={tau} must be >= k_users={k_users}")
+    require("k_users", k_users, integer(1))
+    require("tau", tau, integer(k_users))
     t = np.arange(tau)[:, None]
     k = np.arange(k_users)[None, :]
     entries = np.exp(-2j * np.pi * t * k / tau)

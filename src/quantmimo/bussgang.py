@@ -29,14 +29,14 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import numbers
 import threading
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from quantmimo.airlink import complex_gaussian, dft_pilots, pilot_phase_signal
+from quantmimo.checks import POSITIVE, integer, require
 from quantmimo.quant import MAX_BITS, quantize
 
 DEFAULT_TRIALS = 100_000
@@ -61,31 +61,6 @@ _BLOCK_ENTRIES = 1 << 16
 def block_rng(seed, phase, block):
     """Deterministic per-(phase, block) generator, independent of run order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, block)))
-
-
-def check_trials(trials, minimum):
-    """Raise ValueError unless trials is an integer (not a bool) of at least minimum."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < minimum:
-        raise ValueError(f"trials={trials} too small, need >= {minimum}")
-
-
-def _check_count(name, value):
-    """Raise ValueError unless value is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def positive_finite(value):
-    """Whether value is a positive and finite real number, not a bool."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 < value < math.inf
-
-
-def _check_snr(name, value):
-    """Raise ValueError unless value is a positive and finite real number (not a bool)."""
-    if not positive_finite(value):
-        raise ValueError(f"{name}={value!r} must be a positive and finite real number (linear scale)")
 
 
 def _blocks(trials, row_entries):
@@ -187,25 +162,21 @@ class SystemConfig:
     Both directions use one antenna count, m; m_ul and m_dl must be equal.
     """
 
-    m_ul: int
-    m_dl: int
-    k_users: int
-    tau: int
-    bits: int
-    rho_bs: float
-    rho_ue: float
+    m_ul: int = field(metadata={"check": integer(1, MAX_ANTENNAS)})
+    m_dl: int = field(metadata={"check": integer(1, MAX_ANTENNAS)})
+    k_users: int = field(metadata={"check": integer(1)})
+    tau: int = field(metadata={"check": integer(1, MAX_PILOT_LENGTH)})
+    bits: int = field(metadata={"check": integer(1, MAX_BITS)})
+    rho_bs: float = field(metadata={"check": POSITIVE})
+    rho_ue: float = field(metadata={"check": POSITIVE})
 
     def __post_init__(self):
-        for name in ("m_ul", "m_dl", "k_users", "tau", "bits"):
-            _check_count(name, getattr(self, name))
+        for f in fields(self):
+            require(f.name, getattr(self, f.name), f.metadata["check"])
         if self.m_ul != self.m_dl:
             raise ValueError(f"m_ul={self.m_ul} and m_dl={self.m_dl} must be equal: one antenna count m")
         if self.tau < self.k_users:
             raise ValueError(f"tau={self.tau} must be >= k_users={self.k_users}")
-        if self.bits > MAX_BITS:
-            raise ValueError(f"bits={self.bits} must be in [1, {MAX_BITS}]")
-        for name in ("rho_bs", "rho_ue"):
-            _check_snr(name, getattr(self, name))
 
     @property
     def m(self):
@@ -258,9 +229,7 @@ def gain_scalar(spec, complex_variance):
     (pi c)^(-1/2) * sum_n l_n (exp(-t_n^2/c) - exp(-t_{n+1}^2/c)), with the
     boundary terms exp(-inf) = 0.
     """
-    c = float(complex_variance)
-    if not 0 < c < math.inf:
-        raise ValueError(f"complex_variance must be positive and finite, got {complex_variance!r}")
+    c = float(require("complex_variance", complex_variance, POSITIVE))
     t = spec.thresholds
     expterm = np.zeros_like(t)
     finite = np.isfinite(t)
@@ -274,8 +243,8 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     d = Q(y) - G*y with the matched scalar gain; entries are i.i.d. so the
     trace is dim times the per-entry distortion power.
     """
-    check_trials(trials, MIN_TRIALS)
-    _check_count("dim", dim)
+    require("trials", trials, integer(MIN_TRIALS))
+    require("dim", dim, integer(1))
     gain = gain_scalar(spec, complex_variance)
     block_sum = functools.partial(_trace_block, spec, complex_variance, gain, seed)
     block_sums = _block_table(block_sum, _blocks(trials, dim), np.dtype(float), [(dim,), (dim,)])
@@ -297,8 +266,8 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     Antenna rows of the pilot-phase signal are i.i.d., so the simulation draws
     single rows; over M antennas the projections are M times these.
     """
-    check_trials(trials, MIN_TRIALS)
-    _check_snr("rho_bs", rho_bs)
+    require("trials", trials, integer(MIN_TRIALS))
+    require("rho_bs", rho_bs, POSITIVE)
     k, tau = pilots.k_users, pilots.tau
     expected_var = rho_bs * k + 1.0
     if not abs(2.0 * spec.design_std**2 - expected_var) <= 1e-6 * expected_var:

@@ -1,9 +1,11 @@
 """Sweep configuration: the one place where JSON keys and CLI flags are converted.
 
 Each SweepConfig field is the one declaration of its config key: the field's
-default, its JSON key, the converter from the JSON value and its range.
-config_from_dict, the command line's from_text and SweepConfig's own check
-all read these declarations.
+default, its JSON key, the converter from the JSON value and its range, a
+check of quantmimo.checks.  config_from_dict, the command line's from_text
+and SweepConfig's own check all read these declarations.  That check also
+builds every grid point's scenario (SweepConfig.scenario), so a point that
+would fail in the sweep fails when the config is made.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
-from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, positive_finite
+from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, SystemConfig
+from quantmimo.checks import FINITE, POSITIVE, integer, is_integer, is_real
 from quantmimo.quant import MAX_BITS
-from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas
+from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas, snr_linear
 
 
 class ConfigError(ValueError):
@@ -30,7 +32,7 @@ def csv_float(value):
 
 def integral(value):
     """value as an int if it is an integral number; bools and 2.7 are not."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if is_integer(value):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -39,7 +41,7 @@ def integral(value):
 
 def real(value):
     """value as a float if it is a finite real number; bools, strings and NaN are not."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+    if FINITE[0](value):
         return float(value)
     raise ValueError(f"expected a finite real number, got {value!r}")
 
@@ -56,18 +58,8 @@ def converted(key, convert, value):
     """convert(value); a ConfigError naming key if it does not convert."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _at_least(low):
-    """The range [low, inf): a test and what it asks for."""
-    return (lambda value: value >= low), f">= {low}"
-
-
-_BITS = (lambda b: 1 <= b <= MAX_BITS), f"in [1, {MAX_BITS}]"
-_BANDWIDTH = (lambda hz: 0 < hz < math.inf), "> 0 and finite in Hz"
-_PILOT_LENGTH = (lambda tau: tau <= MAX_PILOT_LENGTH), f"<= {MAX_PILOT_LENGTH}"
 
 
 def _key(key, default, convert, check=None, grid=False):
@@ -90,22 +82,22 @@ class SweepConfig:
     """Resolved sweep configuration with paper defaults filled in."""
 
     direction: str = _key("direction", "both", None, ((lambda d: d in ("ul", "dl", "both")), "ul, dl, or both"))
-    bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, _BITS, grid=True)
-    bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, _BANDWIDTH, grid=True)
-    tau: tuple = _key("tau", (8, 16, 32, 64), integral, _PILOT_LENGTH, grid=True)
-    k_users: int = _key("k_users", 8, integral, _at_least(1))
-    trials: int = _key("trials", DEFAULT_TRIALS, integral, _at_least(MIN_TRIALS))
-    seed: int = _key("seed", 12345, integral, _at_least(0))
+    bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, integer(1, MAX_BITS), grid=True)
+    bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, POSITIVE, grid=True)
+    tau: tuple = _key("tau", (8, 16, 32, 64), integral, integer(1, MAX_PILOT_LENGTH), grid=True)
+    k_users: int = _key("k_users", 8, integral, integer(1))
+    trials: int = _key("trials", DEFAULT_TRIALS, integral, integer(MIN_TRIALS))
+    seed: int = _key("seed", 12345, integral, integer(0))
     power: PowerModelParams = _key("power", PowerModelParams, real)
     # one number per link key: a distance_m list would give each UE its own
     # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
     link: LinkBudget = _key("link", LinkBudget, real)
-    envelope_bits_ref: int = _key("envelope bits_ref", 10, integral, _at_least(1))
-    envelope_bandwidth_hz_ref: float = _key("envelope bandwidth_ghz_ref", 1e8, _hz, _BANDWIDTH)
-    envelope_count_ref: int = _key("envelope count_ref", 10, integral, _at_least(1))
+    envelope_bits_ref: int = _key("envelope bits_ref", 10, integral, integer(1))
+    envelope_bandwidth_hz_ref: float = _key("envelope bandwidth_ghz_ref", 1e8, _hz, POSITIVE)
+    envelope_count_ref: int = _key("envelope count_ref", 10, integral, integer(1))
     validate: bool = _key("validate", False, None, ((lambda v: isinstance(v, bool)), "true or false"))
     # the oracle's own check of its tolerance, so that a bad one fails here, not at the first point
-    validate_tolerance: float = _key("validate_tolerance", 0.05, real, (positive_finite, "positive and finite"))
+    validate_tolerance: float = _key("validate_tolerance", 0.05, real, POSITIVE)
 
     def __post_init__(self):
         for f in fields(self):
@@ -114,7 +106,7 @@ class SweepConfig:
                 values = getattr(self, f.name)
                 for value in values if f.metadata["grid"] else (values,):
                     if not test(value):
-                        given = value / 1e9 if f.metadata["convert"] is _hz else value  # a bandwidth in GHz
+                        given = value / 1e9 if f.metadata["convert"] is _hz and is_real(value) else value  # in GHz
                         raise ConfigError(f"{f.metadata['key']}: must be {must}, got {given!r}")
         if any(t < self.k_users for t in self.tau):
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
@@ -122,21 +114,31 @@ class SweepConfig:
         _check_grid("tau", self.tau, int)
         # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
         _check_grid("bandwidth_ghz", self.bandwidth_hz, int, csv_float)
-        for direction, b, bandwidth_hz in itertools.product(self.directions(), self.bits, self.bandwidth_hz):
-            try:
-                self.antennas(direction, b, bandwidth_hz)
-            except InfeasibleConfigError:
-                pass  # the sweep skips the point
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"envelope: at {direction} b={b} B={bandwidth_hz / 1e9:g} GHz, {exc}") from exc
+        for point in itertools.product(self.directions(), self.bits, self.bandwidth_hz, self.tau):
+            self.scenario(*point)
 
     def directions(self):
         return ("ul", "dl") if self.direction == "both" else (self.direction,)
 
-    def antennas(self, direction, b, bandwidth_hz):
-        """The antenna count the envelope supplies at a point (syspower.envelope_antennas)."""
+    def scenario(self, direction, b, bandwidth_hz, tau):
+        """The SystemConfig of a sweep point, or None where the envelope cannot power one chain.
+
+        A ConfigError names the section at fault: envelope for over MAX_ANTENNAS antennas,
+        and (the other fields checked first) link for an SNR that is not positive and finite.
+        """
+        at = f"at {direction} b={b} B={bandwidth_hz / 1e9:g} GHz tau={tau}"
         envelope = (self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref)
-        return envelope_antennas(*envelope, direction, b, bandwidth_hz, self.power)
+        try:
+            m = envelope_antennas(*envelope, direction, b, bandwidth_hz, self.power)
+        except InfeasibleConfigError:
+            return None  # the sweep skips the point
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"envelope: {at}, {exc}") from exc
+        try:
+            rho = [snr_linear(d, self.link, bandwidth_hz) for d in ("ul", "dl")]
+            return SystemConfig(m, m, self.k_users, tau, b, *rho)
+        except ValueError as exc:
+            raise ConfigError(f"link: {at}, {exc}") from exc
 
 
 def _check_grid(key, values, *identities):

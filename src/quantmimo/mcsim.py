@@ -49,12 +49,11 @@ from quantmimo.bussgang import (
     PHASE_ORACLE,
     assemble_stats,
     block_rng,
-    check_trials,
-    positive_finite,
     _block_table,
     _blocks,
     _fsum_blocks,
 )
+from quantmimo.checks import POSITIVE, integer, require
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
 
@@ -337,9 +336,8 @@ def validate_closed_form(
     yields passed=False in the report, not an exception; a tolerance that is
     not positive and finite is a ValueError.
     """
-    check_trials(trials, 1)
-    if not positive_finite(tolerance):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    require("trials", trials, integer(1))
+    require("tolerance", tolerance, POSITIVE)
     if direction not in ("ul", "dl", "both"):
         raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
     if specs is None:

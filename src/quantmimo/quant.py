@@ -20,6 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from quantmimo.airlink import _checked_out
+from quantmimo.checks import POSITIVE, integer, require
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -82,8 +83,7 @@ class QuantizerSpec:
             raise ValueError("thresholds must be strictly increasing")
         if not np.all(np.diff(labels) > 0):
             raise ValueError("labels must be strictly increasing")
-        if not self.design_std > 0:
-            raise ValueError("design_std must be positive")
+        require("design_std", self.design_std, POSITIVE)
         thresholds.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
@@ -268,11 +268,8 @@ def design_lloyd_max(bits, component_std):
     labels multiplied by sigma.  The unit-sigma design of each b is solved
     once per process (_unit_lloyd_max) and scaled on every call.
     """
-    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits!r}")
-    sigma = float(component_std)
-    if not sigma > 0:
-        raise ValueError("component_std must be positive")
+    require("bits", bits, integer(1, MAX_BITS))
+    sigma = float(require("component_std", component_std, POSITIVE))
     thresholds, labels = _unit_lloyd_max(int(bits))
     return QuantizerSpec(bits=int(bits), thresholds=sigma * thresholds, labels=sigma * labels, design_std=sigma)
 
@@ -304,9 +301,7 @@ def rescale_labels(spec, target_complex_variance):
     per real component) the returned quantizer satisfies
     2 * sum_n labels[n]^2 * p_n = v.  Thresholds are unchanged.
     """
-    target = float(target_complex_variance)
-    if not target > 0:
-        raise ValueError("target_complex_variance must be positive")
+    target = float(require("target_complex_variance", target_complex_variance, POSITIVE))
     current = output_complex_variance(spec, target)
     if current <= 0:
         raise ValueError("degenerate labels: quantizer output power is zero")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantmimo.bussgang import SystemConfig
+from quantmimo.checks import POSITIVE, require
 
 RESIDUAL_TOL = 1e-9  # the negative interference residual sindr_from_moments tolerates, relative
 
@@ -156,8 +157,7 @@ def sindr_from_moments(moments):
 
 def sum_rate(bandwidth_hz, sindrs):
     """Ergodic achievable sum rate B * sum_k log2(1 + gamma_k), in bit/s."""
-    if not 0 < bandwidth_hz < math.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_hz!r}")
+    require("bandwidth_hz", bandwidth_hz, POSITIVE)
     sindrs = np.asarray(sindrs, dtype=float)
     if not np.all((sindrs >= 0) & (sindrs < math.inf)):
         raise ValueError(f"SINDRs must be finite and non-negative, got {sindrs}")

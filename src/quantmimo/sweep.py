@@ -1,8 +1,8 @@
 """Configuration-driven sweep over (direction, bits, bandwidth, pilot length).
 
-Each sweep point derives the antenna count from the hardware envelope,
-designs the converters, estimates the distortion moments, and evaluates the
-closed-form sum rate.  Output is a fixed-schema CSV plus a sidecar metadata
+Each sweep point takes its scenario from SweepConfig.scenario (the envelope's
+antenna count and the link's SNRs), designs the converters, estimates the
+distortion moments, and evaluates the closed-form sum rate.  Output is a fixed-schema CSV plus a sidecar metadata
 block with the fully resolved configuration, which quantmimo.config reads
 and checks.
 """
@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from quantmimo import rates
-from quantmimo.bussgang import SystemConfig, assemble_stats
+from quantmimo.bussgang import assemble_stats
 # config_from_dict is re-exported: the benchmark scripts call sweep.config_from_dict
 from quantmimo.config import config_from_dict, csv_float  # noqa: F401
 from quantmimo.mcsim import default_specs, validate_closed_form
-from quantmimo.syspower import InfeasibleConfigError, by_direction, snr_linear
+from quantmimo.syspower import by_direction
 
 CSV_COLUMNS = [
     "direction",
@@ -72,19 +72,9 @@ def point_seed(master_seed, direction, b, bandwidth_hz, tau):
 def run_point(config, direction, b, bandwidth_hz, tau):
     """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
     seed = point_seed(config.seed, direction, b, bandwidth_hz, tau)
-    try:
-        m = config.antennas(direction, b, bandwidth_hz)
-    except InfeasibleConfigError:
+    sys_config = config.scenario(direction, b, bandwidth_hz, tau)
+    if sys_config is None:
         return SweepRecord(direction, b, bandwidth_hz, tau, m=0, trials=config.trials, seed=seed, skipped=True)
-    sys_config = SystemConfig(
-        m_ul=m,
-        m_dl=m,
-        k_users=config.k_users,
-        tau=tau,
-        bits=b,
-        rho_bs=snr_linear("ul", config.link, bandwidth_hz),
-        rho_ue=snr_linear("dl", config.link, bandwidth_hz),
-    )
     specs = default_specs(sys_config)
     stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
     if direction == "ul":
@@ -111,12 +101,12 @@ def run_point(config, direction, b, bandwidth_hz, tau):
         b=b,
         bandwidth_hz=bandwidth_hz,
         tau=tau,
-        m=m,
+        m=sys_config.m,
         sindr=sindr,
         sum_rate_bps=rates.sum_rate(bandwidth_hz, sindr),
         g_ce=stats.g_ce,
         g_phase=g_phase,
-        trace_cd=m * cd,
+        trace_cd=sys_config.m * cd,
         delta=rates.mrt_normalization(sys_config, stats),
         trials=config.trials,
         seed=seed,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantmimo.bussgang import MAX_ANTENNAS
+from quantmimo.checks import FINITE, POSITIVE, above, integer, require
 
 
 class InfeasibleConfigError(ValueError):
@@ -40,8 +41,7 @@ class PowerModelParams:
 
     def __post_init__(self):
         for name in ("v_dd", "l_min", "f_cor", "i_0", "c_p", "p_rf_ul", "p_rf_dl"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            require(name, getattr(self, name), POSITIVE)
 
     def p_rf(self, direction):
         return by_direction(direction, self.p_rf_ul, self.p_rf_dl)
@@ -63,23 +63,23 @@ class LinkBudget:
     def __post_init__(self):
         if np.ndim(self.distance_m) != 0:
             raise ValueError(f"distance_m must be one distance for all users, got {self.distance_m!r}")
-        if not self.distance_m > 0:
-            raise ValueError("distances must be positive")
-        if not self.alpha > 2:
-            raise ValueError("pathloss exponent must exceed 2")
+        for name in ("p_ue_dbm", "p_bs_dbm", "noise_figure_db"):
+            require(name, getattr(self, name), FINITE)
+        require("distance_m", self.distance_m, POSITIVE)
+        require("alpha", self.alpha, above(2))  # the pathloss exponent
 
 
 def p_adc(b, bandwidth_hz, params=PowerModelParams()):
     """ADC power draw in watts at b bits and bandwidth_hz."""
-    if b < 1 or bandwidth_hz <= 0:
-        raise ValueError("require b >= 1 and bandwidth > 0")
+    require("b", b, integer(1))
+    require("bandwidth_hz", bandwidth_hz, POSITIVE)
     return 3.0 * params.v_dd**2 * params.l_min * (2.0 * bandwidth_hz + params.f_cor) * 10.0 ** (0.1525 * b - 4.838)
 
 
 def p_dac(b, bandwidth_hz, params=PowerModelParams()):
     """DAC power draw in watts at b bits and bandwidth_hz."""
-    if b < 1 or bandwidth_hz <= 0:
-        raise ValueError("require b >= 1 and bandwidth > 0")
+    require("b", b, integer(1))
+    require("bandwidth_hz", bandwidth_hz, POSITIVE)
     static = 0.5 * params.v_dd * params.i_0 * (2.0**b - 1.0)
     dynamic = b * params.c_p * (2.0 * bandwidth_hz + params.f_cor) * params.v_dd**2
     return static + dynamic
@@ -131,9 +131,10 @@ def snr_linear(direction, budget, bandwidth_hz):
     Uplink returns the SNR at the BS, downlink the SNR at the UEs; every UE
     sits at the same distance.
     """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    require("bandwidth_hz", bandwidth_hz, POSITIVE)
     tx_dbm = by_direction(direction, budget.p_ue_dbm, budget.p_bs_dbm)
-    pathloss_db = 10.0 * budget.alpha * np.log10(budget.distance_m)
-    snr_db = tx_dbm - pathloss_db - noise_power_dbm(bandwidth_hz, budget.noise_figure_db)
-    return float(10.0 ** (snr_db / 10.0))
+    # an SNR too large for a float is inf, which SystemConfig rejects
+    with np.errstate(over="ignore"):
+        pathloss_db = 10.0 * budget.alpha * np.log10(budget.distance_m)
+        snr_db = tx_dbm - pathloss_db - noise_power_dbm(bandwidth_hz, budget.noise_figure_db)
+        return float(10.0 ** (snr_db / 10.0))

@@ -22,7 +22,6 @@ from quantmimo.bussgang import (
 from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import MAX_BITS, QuantizerSpec, design_lloyd_max, quantize, rescale_labels
-from quantmimo.syspower import snr_linear
 
 from oracles import (
     ce_distortion_projections_direct,
@@ -104,7 +103,7 @@ def test_assemble_stats_requires_an_integer_trial_count():
     for trials in (1e4, True, "10000"):
         with pytest.raises(ValueError, match="trials must be an integer"):
             assemble_stats(config, *specs, trials=trials)
-    with pytest.raises(ValueError, match="trials=100 too small"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 10000, got 100"):
         assemble_stats(config, *specs, trials=100)
 
 
@@ -277,11 +276,8 @@ def test_estimators_reject_bad_input_before_any_block_runs(monkeypatch):
 # the tracemalloc peak was 5.7 MB; drawing whole 16384-trial chunks first,
 # 93.6 MB.
 def test_peak_memory_of_assemble_stats_stays_at_block_scale(monkeypatch):
-    grid = SweepConfig()
-    m = grid.antennas("ul", 1, 1e8)
-    rho_bs, rho_ue = (snr_linear(direction, grid.link, 1e8) for direction in ("ul", "dl"))
-    config = SystemConfig(m, m, grid.k_users, 64, 1, rho_bs, rho_ue)
-    assert (m, config.k_users) == (176, 8)
+    config = SweepConfig().scenario("ul", 1, 1e8, 64)
+    assert (config.m, config.k_users) == (176, 8)
     specs = default_specs(config)
     mapped = []
     real_mapped_arrays = bussgang._mapped_arrays

@@ -18,7 +18,6 @@ from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import PHASE_ORACLE, SystemConfig, assemble_stats, block_rng
 from quantmimo.config import SweepConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
-from quantmimo.syspower import snr_linear
 
 from oracles import einsum_downlink_block, einsum_pilot_phase, einsum_uplink_block, sequential_oracle_table
 
@@ -339,10 +338,7 @@ def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entri
 
 def _widest_validate_point():
     """The default grid's widest --validate point: ul b=1, B 0.1 GHz, tau 64, so m 176 and K 8."""
-    grid = SweepConfig()
-    m = grid.antennas("ul", 1, 1e8)
-    rho_bs, rho_ue = (snr_linear(direction, grid.link, 1e8) for direction in ("ul", "dl"))
-    return SystemConfig(m, m, grid.k_users, 64, 1, rho_bs, rho_ue)
+    return SweepConfig().scenario("ul", 1, 1e8, 64)
 
 
 def _traced_peak(run):

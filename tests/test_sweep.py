@@ -109,7 +109,7 @@ def test_config_validation_rules():
         ("k_users", {"k_users": 0}),
         ("k_users", {"k_users": -3}),
         *[("validate_tolerance", {"validate_tolerance": v}) for v in ("x", True, 0, -1, nan, inf)],
-        *[("v_dd", {"power": {"v_dd": v}}) for v in (True, "3", nan, inf, None)],
+        *[("v_dd", {"power": {"v_dd": v}}) for v in (True, "3", nan, inf, None, 10**400)],  # no float holds 10**400
         ("noise_figure_db", {"link": {"noise_figure_db": "x"}}),
         ("p_ue_dbm", {"link": {"p_ue_dbm": nan}}),
         ("alpha", {"link": {"alpha": False}}),
@@ -130,9 +130,46 @@ def test_config_validation_rules():
         ("bandwidth_ghz_ref", {"envelope_bandwidth_hz_ref": math.inf}),
         ("k_users", {"k_users": 0}),
         ("trials", {"trials": 10}),
+        # a float or a bool where an integer belongs used to fail only when the sweep ran
+        ("k_users", {"k_users": 4.0}),
+        ("trials", {"trials": 1e4}),
+        ("bits", {"bits": (2.0,)}),
+        ("bits", {"bits": (True,)}),
+        ("tau", {"tau": (8.0,)}),
+        ("seed", {"seed": 1.5}),
     ):
         with pytest.raises(ConfigError, match=key):
             SweepConfig(**kwargs)
+    # and rejects exactly what the loader rejects, for every numeric key; a
+    # bandwidth field is in Hz and its key in GHz, so only unit-free values
+    fields = {
+        "bits": ("bits", True),
+        "tau": ("tau", True),
+        "bandwidth_hz": ("bandwidth_ghz", True),
+        "k_users": ("k_users", False),
+        "trials": ("trials", False),
+        "seed": ("seed", False),
+        "envelope_bits_ref": ("envelope bits_ref", False),
+        "envelope_count_ref": ("envelope count_ref", False),
+        "envelope_bandwidth_hz_ref": ("envelope bandwidth_ghz_ref", False),
+        "validate_tolerance": ("validate_tolerance", False),
+    }
+
+    def rejects(make, key):
+        try:
+            make()
+        except ConfigError as exc:
+            assert any(word in str(exc) for word in key.split()), exc  # the key, or its section
+            return True
+        return False
+
+    for name, (key, grid) in fields.items():
+        section, _, inner = key.rpartition(" ")
+        for value in (True, nan, inf, "3", -1, 0, *(() if "bandwidth" in key else (2.5, 10**6))):
+            given = [value] if grid else value
+            direct = rejects(lambda: SweepConfig(**{name: tuple(given) if grid else given}), key)
+            loaded = rejects(lambda: config_from_dict({section: {inner: given}} if section else {key: given}), key)
+            assert direct == loaded, (key, value)
     # an empty grid would run nothing, and a repeated point would run twice
     for key, raw in BAD_GRIDS:
         with pytest.raises(ConfigError, match=key):
@@ -438,6 +475,20 @@ def test_cli_rejects_per_ue_distances_at_config_time(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"link": {"distance_m": [100, 200]}}))
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv"), "--quiet"]) == 2
+
+
+def test_a_link_whose_snr_is_zero_or_infinite_fails_at_config_time(tmp_path, capsys):
+    # every point's scenario is built when the config loads; these links used
+    # to pass it and stop the sweep at its first point with a traceback, exit 1
+    for link in ({"distance_m": 1e300}, {"alpha": 1e308}, {"p_ue_dbm": 1e308}, {"p_bs_dbm": 1e308}):
+        with pytest.raises(ConfigError, match=r"^link: at ul b=1 B=0.1 GHz tau=8, rho_(bs|ue) must be positive"):
+            config_from_dict({"link": link})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link": link}))
+        flags = ["--direction", "ul", "--bits", "2", "--tau", "8", "--trials", "1e4", "--quiet"]
+        assert cli_main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "out.csv")]) == 2
+        assert "configuration error: link: at ul b=2" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unknown_direction_is_an_error_not_downlink():
