@@ -7,7 +7,16 @@ resolution / bandwidth trade-off under a hardware power budget.
 
 from quantmimo.quant import QuantizerSpec, design_lloyd_max, rescale_labels, quantize
 from quantmimo.airlink import PilotMatrix, dft_pilots, estimate_channel
-from quantmimo.bussgang import BussgangStats, SystemConfig, gain_scalar, distortion_trace, ce_distortion_projections, assemble_stats
+from quantmimo.bussgang import (
+    BussgangStats,
+    SystemConfig,
+    gain_scalar,
+    distortion_power,
+    exact_stats,
+    distortion_trace,
+    ce_distortion_projections,
+    assemble_stats,
+)
 from quantmimo.rates import (
     UplinkMoments,
     DownlinkMoments,

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field, fields
 from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, SystemConfig
 from quantmimo.checks import FINITE, POSITIVE, integer, is_integer, is_real
 from quantmimo.quant import MAX_BITS
-from quantmimo.syspower import InfeasibleConfigError, LinkBudget, PowerModelParams, envelope_antennas, snr_linear
+from quantmimo.syspower import (
+    InfeasibleConfigError,
+    LinkBudget,
+    PowerModelParams,
+    envelope_antennas,
+    envelope_from_reference,
+    snr_linear,
+)
 
 
 class ConfigError(ValueError):
@@ -101,6 +108,9 @@ class SweepConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.metadata["grid"]:  # a tuple, so that the frozen config hashes
+                object.__setattr__(self, f.name, _listed(f.metadata["key"], getattr(self, f.name)))
+        for f in fields(self):
             if f.metadata["check"]:
                 test, must = f.metadata["check"]
                 values = getattr(self, f.name)
@@ -108,6 +118,11 @@ class SweepConfig:
                     if not test(value):
                         given = value / 1e9 if f.metadata["convert"] is _hz and is_real(value) else value  # in GHz
                         raise ConfigError(f"{f.metadata['key']}: must be {must}, got {given!r}")
+        for direction in self.directions():
+            try:
+                envelope_from_reference(*self._envelope(), direction, self.power)
+            except ValueError as exc:  # the reference converter's power overflows
+                raise ConfigError(f"envelope bits_ref: {exc}") from exc
         if any(t < self.k_users for t in self.tau):
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
         _check_grid("bits", self.bits, int)
@@ -116,6 +131,10 @@ class SweepConfig:
         _check_grid("bandwidth_ghz", self.bandwidth_hz, int, csv_float)
         for point in itertools.product(self.directions(), self.bits, self.bandwidth_hz, self.tau):
             self.scenario(*point)
+
+    def _envelope(self):
+        """The envelope's reference resolution, bandwidth and chain count."""
+        return self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref
 
     def directions(self):
         return ("ul", "dl") if self.direction == "both" else (self.direction,)
@@ -127,12 +146,11 @@ class SweepConfig:
         and (the other fields checked first) link for an SNR that is not positive and finite.
         """
         at = f"at {direction} b={b} B={bandwidth_hz / 1e9:g} GHz tau={tau}"
-        envelope = (self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref)
         try:
-            m = envelope_antennas(*envelope, direction, b, bandwidth_hz, self.power)
+            m = envelope_antennas(*self._envelope(), direction, b, bandwidth_hz, self.power)
         except InfeasibleConfigError:
             return None  # the sweep skips the point
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"envelope: {at}, {exc}") from exc
         try:
             rho = [snr_linear(d, self.link, bandwidth_hz) for d in ("ul", "dl")]
@@ -171,9 +189,14 @@ def _value(key, value, convert, grid):
     """value converted, or each entry of the list if grid; a ConfigError naming key otherwise."""
     if not grid:
         return converted(key, convert, value) if convert else value
+    return tuple(converted(key, convert, v) for v in _listed(key, value))
+
+
+def _listed(key, value):
+    """value as a tuple, if it is a list or a tuple; a ConfigError naming key otherwise."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {value!r}")
-    return tuple(converted(key, convert, v) for v in value)
+    return tuple(value)
 
 
 def read_config(path):

@@ -10,8 +10,9 @@ The chain runs over the trials one cache-sized block at a time
 trials at m 32, tau 8).  Block j draws from its own generator,
 block_rng(seed, PHASE_ORACLE, j), in the order channels, pilot noise,
 uplink symbols and noise, downlink symbols; so the block size defines the
-oracle's stream, and the oracle shares no random numbers with the Monte
-Carlo moments of assemble_stats that it checks.
+oracle's stream.  Unless the caller passes its own stats, the closed forms
+it checks take bussgang.exact_stats, which samples nothing, so the oracle
+is the only Monte Carlo in a call.
 
 One per-block function, _oracle_block, draws a block and reduces it, and
 bussgang._block_table walks the blocks as it does the moment estimators':
@@ -45,13 +46,14 @@ from quantmimo import rates
 from quantmimo.airlink import complex_gaussian, dft_pilots, estimate_channel, pilot_phase_signal
 from quantmimo.bussgang import (
     DEFAULT_TRIALS,
-    MIN_TRIALS,
     PHASE_ORACLE,
+    # unused; bench/test_bench.py::test_installed_wraps_every_binding_and_restores_it pins it until ROADMAP item 12
     assemble_stats,
     block_rng,
     _block_table,
     _blocks,
     _fsum_blocks,
+    exact_stats,
 )
 from quantmimo.checks import POSITIVE, integer, require
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
@@ -334,7 +336,8 @@ def validate_closed_form(
     Returns a dict {direction: ValidationReport} with one entry per requested
     direction ("ul" and "dl" for direction="both").  A tolerance violation
     yields passed=False in the report, not an exception; a tolerance that is
-    not positive and finite is a ValueError.
+    not positive and finite is a ValueError.  specs default to default_specs
+    and stats to their bussgang.exact_stats.
     """
     require("trials", trials, integer(1))
     require("tolerance", tolerance, POSITIVE)
@@ -343,7 +346,7 @@ def validate_closed_form(
     if specs is None:
         specs = default_specs(config)
     if stats is None:
-        stats = assemble_stats(config, *specs, trials=max(trials, MIN_TRIALS), seed=seed)
+        stats = exact_stats(config, *specs)
     m, tau = config.m, config.tau
     moments = {"ul": rates.moments_ul_mrc, "dl": rates.moments_dl_mrt}
     delta = rates.mrt_normalization(config, stats)

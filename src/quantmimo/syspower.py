@@ -73,14 +73,22 @@ def p_adc(b, bandwidth_hz, params=PowerModelParams()):
     """ADC power draw in watts at b bits and bandwidth_hz."""
     require("b", b, integer(1))
     require("bandwidth_hz", bandwidth_hz, POSITIVE)
-    return 3.0 * params.v_dd**2 * params.l_min * (2.0 * bandwidth_hz + params.f_cor) * 10.0 ** (0.1525 * b - 4.838)
+    try:
+        scale = 10.0 ** (0.1525 * b - 4.838)
+    except OverflowError:
+        raise ValueError(f"a {b}-bit ADC draws more power than a float holds") from None
+    return 3.0 * params.v_dd**2 * params.l_min * (2.0 * bandwidth_hz + params.f_cor) * scale
 
 
 def p_dac(b, bandwidth_hz, params=PowerModelParams()):
     """DAC power draw in watts at b bits and bandwidth_hz."""
     require("b", b, integer(1))
     require("bandwidth_hz", bandwidth_hz, POSITIVE)
-    static = 0.5 * params.v_dd * params.i_0 * (2.0**b - 1.0)
+    try:
+        levels = 2.0**b - 1.0
+    except OverflowError:
+        raise ValueError(f"a {b}-bit DAC draws more power than a float holds") from None
+    static = 0.5 * params.v_dd * params.i_0 * levels
     dynamic = b * params.c_p * (2.0 * bandwidth_hz + params.f_cor) * params.v_dd**2
     return static + dynamic
 

@@ -10,7 +10,11 @@ reproduce, the oracle and the moment estimators as one walk over their
 blocks on the calling thread, which their two-thread block tables must
 equal bit for bit, and the Lloyd-Max Newton solver that
 carries sigma through every step, which the package's scaled unit-sigma
-design must match.
+design must match.  The estimators' walks also give their per-trial
+values, whose spread is the standard error of each estimate.  The
+correlation moment E[q(X)q(Y)] of two Gaussians is integrated cell by cell
+over X, with scipy's Gaussian CDF for E[q(Y) | X], as the independent check
+of the exact moments' Hermite series.
 """
 
 import math
@@ -256,29 +260,59 @@ def sequential_oracle_table(config, specs, stats, delta, pilots, trials, seed, d
     return np.stack(rows)
 
 
-def sequential_distortion_trace(spec, complex_variance, dim, trials, seed):
-    """bussgang.distortion_trace as one walk over its blocks on the calling thread, in new arrays."""
+def distortion_trace_blocks(spec, complex_variance, dim, trials, seed):
+    """|Q(y) - G*y|^2 of each entry of each trial, block by block on bussgang.distortion_trace's stream."""
     gain = gain_scalar(spec, complex_variance)
-    sums = []
     for j, size in enumerate(_blocks(trials, dim)):
         y = complex_gaussian(block_rng(seed, PHASE_UL, j), (size, dim), complex_variance)
-        d = quantize(spec, y) - gain * y
-        sums.append(np.sum(np.abs(d) ** 2))
+        yield np.abs(quantize(spec, y) - gain * y) ** 2
+
+
+def sequential_distortion_trace(spec, complex_variance, dim, trials, seed):
+    """bussgang.distortion_trace as one walk over its blocks on the calling thread, in new arrays."""
+    sums = [np.sum(block) for block in distortion_trace_blocks(spec, complex_variance, dim, trials, seed)]
     return float(_fsum_blocks(sums) / trials)
 
 
-def sequential_ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
-    """bussgang.ce_distortion_projections as one walk over its blocks on the calling thread, in new arrays."""
+def ce_projection_blocks(spec, pilots, rho_bs, trials, seed):
+    """|P_k^T d|^2 of each trial and UE k, block by block on bussgang.ce_distortion_projections' stream."""
     gain = gain_scalar(spec, rho_bs * pilots.k_users + 1.0)
-    sums = []
     for j, size in enumerate(_blocks(trials, pilots.tau)):
         rng = block_rng(seed, PHASE_CE, j)
         h = complex_gaussian(rng, (size, pilots.k_users))
         noise = complex_gaussian(rng, (size, pilots.tau))
         y = pilot_phase_signal(h, pilots, rho_bs, noise)
         d = quantize(spec, y) - gain * y
-        sums.append(np.sum(np.abs(d @ pilots.entries) ** 2, axis=0))
+        yield np.abs(d @ pilots.entries) ** 2
+
+
+def sequential_ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
+    """bussgang.ce_distortion_projections as one walk over its blocks on the calling thread, in new arrays."""
+    sums = [np.sum(block, axis=0) for block in ce_projection_blocks(spec, pilots, rho_bs, trials, seed)]
     return _fsum_blocks(sums) / trials
+
+
+def quadrature_correlation(spec, component_std, r):
+    """E[q(X) q(Y)] for zero-mean Gaussians X, Y of std component_std and correlation |r| < 1, by quadrature.
+
+    The sum over the cells of X of its label times the integral, over the
+    cell, of the density of x times E[q(Y) | X = x]: the lowest label plus
+    each threshold's step times P(Y > t | x), which scipy's ndtr gives.
+    Each cell is cut at 12 sigma and split into Gauss-Legendre panels no
+    wider than 0.1 sigma.  No Hermite series and no code of the package.
+    """
+    u = spec.thresholds / component_std
+    steps = np.diff(spec.labels)
+    spread = math.sqrt(1.0 - r * r)
+    total = 0.0
+    for label, lo, hi in zip(spec.labels, np.maximum(u[:-1], -12.0), np.minimum(u[1:], 12.0)):
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.1)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES).ravel()
+        weight = (half * _GL_WEIGHTS).ravel() * np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+        mean = spec.labels[0] + ndtr((r * x[:, None] - u[1:-1]) / spread) @ steps
+        total += label * np.sum(weight * mean)
+    return total
 
 
 def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):

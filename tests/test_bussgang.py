@@ -1,5 +1,7 @@
-"""Tests for the linearization gains and distortion-moment estimators."""
+"""Tests for the linearization gains, the exact distortion moments and their Monte Carlo estimators."""
 
+import inspect
+import math
 import threading
 import tracemalloc
 
@@ -10,13 +12,17 @@ from quantmimo import bussgang, mcsim
 from quantmimo.airlink import complex_gaussian, dft_pilots
 from quantmimo.bussgang import (
     PHASE_CE,
+    PHASE_DL,
     PHASE_UL,
     BussgangStats,
     SystemConfig,
+    _correlation_excess,
     assemble_stats,
     block_rng,
     ce_distortion_projections,
+    distortion_power,
     distortion_trace,
+    exact_stats,
     gain_scalar,
 )
 from quantmimo.config import SweepConfig
@@ -25,7 +31,10 @@ from quantmimo.quant import MAX_BITS, QuantizerSpec, design_lloyd_max, quantize,
 
 from oracles import (
     ce_distortion_projections_direct,
+    ce_projection_blocks,
+    distortion_trace_blocks,
     mc_gain_regression,
+    quadrature_correlation,
     sequential_ce_distortion_projections,
     sequential_distortion_trace,
 )
@@ -364,3 +373,130 @@ def test_stats_validation_rejects_bad_gains():
         BussgangStats(g_ce=0.5, g_ul=0.5, g_dl=0.5, **{**kwargs, "cd_ul": np.nan})
     with pytest.raises(ValueError):
         BussgangStats(g_ce=0.5, g_ul=0.5, g_dl=0.5, **{**kwargs, "a_k": np.array([1.0, np.nan])})
+
+
+def _matched(bits, complex_variance):
+    return rescale_labels(design_lloyd_max(bits, np.sqrt(complex_variance / 2.0)), complex_variance)
+
+
+def test_distortion_power_is_the_one_bit_closed_form_and_c_times_one_minus_g_squared():
+    # variance-matched labels give c(1 - G^2); at b = 1 that is c(1 - 2/pi)
+    assert distortion_power(_matched(1, 2.0), 2.0) == pytest.approx(2.0 * (1.0 - 2.0 / np.pi), rel=1e-13)
+    for bits in range(1, MAX_BITS + 1):
+        spec = _matched(bits, 3.0)
+        g = gain_scalar(spec, 3.0)
+        # 1 - G^2 cancels as G nears 1: 1.7e-9 relative at b = 12
+        assert distortion_power(spec, 3.0) == pytest.approx(3.0 * (1.0 - g * g), rel=1e-12 if bits <= 8 else 1e-8)
+    # any labels: E|Q(y) - G y|^2 is E|Q(y)|^2 - G^2 c, here the sign quantizer's 2 - G^2 c
+    g = gain_scalar(_sign_quantizer(), 5.0)
+    assert distortion_power(_sign_quantizer(), 5.0) == pytest.approx(2.0 - g * g * 5.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5])
+def test_hermite_series_matches_cell_wise_quadrature(bits):
+    spec = _matched(bits, 2.0)  # unit component std
+    slope = gain_scalar(spec, 2.0)
+    # 0.995 takes more terms than the series allows, so it is integrated
+    correlations = np.array([-0.97, -0.6, -0.1, 0.0, 0.25, 0.5, 0.8, 0.917, 0.97, 0.995])
+    excess = _correlation_excess(spec, 1.0, correlations)
+    for r, value in zip(correlations, excess):
+        assert value + slope**2 * r == pytest.approx(quadrature_correlation(spec, 1.0, r), abs=1e-12)
+
+
+def test_one_bit_correlation_is_the_arcsine_law():
+    # E[q(X) q(Y)] = l^2 (2/pi) arcsin r for a sign quantizer with labels +-l
+    # (Van Vleck 1943); both the series and its integrated fallback (|r| near 1)
+    spec = _matched(1, 2.0)
+    label = spec.labels[-1]
+    correlations = np.array([-0.99999, -0.9, -0.3, 0.1, 0.5, 0.917, 0.99, 0.999, 0.9999999])
+    expected = label**2 * (2.0 / np.pi) * (np.arcsin(correlations) - correlations)
+    assert np.allclose(_correlation_excess(spec, 1.0, correlations), expected, rtol=1e-13, atol=1e-16)
+
+
+def test_projections_are_tau_c_kappa_when_every_pilot_is_used():
+    # K = tau: the pilot-phase symbols are uncorrelated, so A_k = tau c kappa
+    for bits in (1, 3, 12):
+        config = SystemConfig(m_ul=8, m_dl=8, k_users=8, tau=8, bits=bits, rho_bs=3.0, rho_ue=1.0)
+        spec_ce = default_specs(config)[0]
+        a_k = exact_stats(config, *default_specs(config)).a_k
+        assert np.allclose(a_k, 8 * distortion_power(spec_ce, config.y_var_ul), rtol=1e-13, atol=0)
+
+
+def test_one_bit_projections_of_one_user_are_the_arcsine_law():
+    # K = 1: every lag has the correlation gamma = rho/(rho + 1), so A_0 is tau
+    # times D_0 plus the tau - 1 lags' 2 l^2 (2/pi)(arcsin gamma - gamma); at
+    # rho 1e4 gamma is too near 1 for the series, and at 1e17 it rounds to 1,
+    # which the quadrature takes as 1 - 2^-53 (2.4e-8 of A_0)
+    for rho, rel in ((0.5, 1e-12), (1e4, 1e-12), (1e17, 1e-7)):
+        config = SystemConfig(m_ul=8, m_dl=8, k_users=1, tau=16, bits=1, rho_bs=rho, rho_ue=1.0)
+        spec_ce = default_specs(config)[0]
+        gamma = rho / (rho + 1.0)
+        lag = 2.0 * spec_ce.labels[-1] ** 2 * (2.0 / np.pi) * (np.arcsin(gamma) - gamma)
+        expected = 16 * (distortion_power(spec_ce, config.y_var_ul) + 15 * lag)
+        assert exact_stats(config, *default_specs(config)).a_k == pytest.approx([expected], rel=rel)
+
+
+def test_exact_stats_take_no_trials_or_seed_and_draw_nothing(monkeypatch):
+    assert list(inspect.signature(exact_stats).parameters) == ["config", "spec_ce", "spec_ul", "spec_dl"]
+    config = SystemConfig(m_ul=8, m_dl=8, k_users=4, tau=64, bits=3, rho_bs=10.0, rho_ue=1.0)
+    specs = default_specs(config)
+    first = exact_stats(config, *specs)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("exact_stats drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(bussgang, "complex_gaussian", no_draws)
+    second = exact_stats(config, *specs)
+    for name in ("g_ce", "g_ul", "g_dl", "cd_ul", "cd_dl"):
+        assert getattr(first, name) == getattr(second, name)
+    assert np.array_equal(first.a_k, second.a_k)
+    assert first.g_ce == first.g_ul == gain_scalar(specs[0], config.y_var_ul)
+    assert first.cd_dl == distortion_power(specs[2], config.w_var_dl)
+
+
+def test_exact_projections_need_an_odd_quantizer():
+    config = SystemConfig(m_ul=8, m_dl=8, k_users=2, tau=4, bits=1, rho_bs=1.0, rho_ue=1.0)
+    thresholds = np.array([-np.inf, 0.1, np.inf])
+    shifted = QuantizerSpec(bits=1, thresholds=thresholds, labels=np.array([-1.0, 1.0]), design_std=1.0)
+    with pytest.raises(ValueError, match="odd"):
+        exact_stats(config, shifted, shifted, shifted)
+
+
+def _per_trial_moments(config, specs, trials, seed):
+    """Per-trial values whose means are assemble_stats' cd_ul, cd_dl and a_k, on its streams."""
+    spec_ce, spec_ul, spec_dl = specs
+    dl_seed = np.random.SeedSequence(seed, spawn_key=(PHASE_DL,)).generate_state(1)[0]
+    pilots = dft_pilots(config.tau, config.k_users)
+    trace = {
+        "cd_ul": distortion_trace_blocks(spec_ul, config.y_var_ul, config.m, trials, seed),
+        "cd_dl": distortion_trace_blocks(spec_dl, config.w_var_dl, config.m, trials, dl_seed),
+    }
+    values = {name: np.concatenate([np.mean(block, axis=1) for block in blocks]) for name, blocks in trace.items()}
+    values["a_k"] = np.concatenate(list(ce_projection_blocks(spec_ce, pilots, config.rho_bs, trials, seed)))
+    return values
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 12])
+@pytest.mark.parametrize("tau, k_users", [(8, 4), (8, 8), (64, 4), (64, 8)])
+def test_exact_stats_match_monte_carlo_within_three_standard_errors(bits, tau, k_users):
+    # the default grid's SNR range: rho 1 at tau 8, 125.9 at tau 64.  Each
+    # seed's estimate is the mean of its per-trial values, whose spread gives
+    # its standard error; the seeds' estimates are pooled
+    rho = 1.0 if tau == 8 else 125.9
+    config = SystemConfig(m_ul=8, m_dl=8, k_users=k_users, tau=tau, bits=bits, rho_bs=rho, rho_ue=1.0)
+    specs = default_specs(config)
+    exact = exact_stats(config, *specs)
+    trials, seeds = 10_000, (1, 2, 3, 4)
+    estimates = {"cd_ul": [], "cd_dl": [], "a_k": []}
+    variances = {"cd_ul": [], "cd_dl": [], "a_k": []}
+    for seed in seeds:
+        stats = assemble_stats(config, *specs, trials=trials, seed=seed)
+        for name, values in _per_trial_moments(config, specs, trials, seed).items():
+            assert np.allclose(getattr(stats, name), np.mean(values, axis=0), rtol=1e-12, atol=0)
+            estimates[name].append(getattr(stats, name))
+            variances[name].append(np.var(values, axis=0) / trials)
+    for name in estimates:
+        error = np.abs(np.mean(estimates[name], axis=0) - getattr(exact, name))
+        standard_error = np.sqrt(np.sum(variances[name], axis=0)) / len(seeds)
+        assert np.all(error <= 3.0 * standard_error), (name, error / standard_error)

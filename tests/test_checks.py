@@ -8,7 +8,14 @@ import pytest
 
 from quantmimo import rates
 from quantmimo.airlink import dft_pilots
-from quantmimo.bussgang import SystemConfig, assemble_stats, ce_distortion_projections, distortion_trace, gain_scalar
+from quantmimo.bussgang import (
+    SystemConfig,
+    assemble_stats,
+    ce_distortion_projections,
+    distortion_power,
+    distortion_trace,
+    gain_scalar,
+)
 from quantmimo.checks import FINITE, POSITIVE, above, integer, require
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import design_lloyd_max, rescale_labels
@@ -41,6 +48,7 @@ SPEC = design_lloyd_max(2, 1.0)
 ENTRY_POINTS = [
     (SystemConfig, SCENARIO, ["m_ul", "m_dl", "k_users", "tau", "bits"], ["rho_bs", "rho_ue"]),
     (gain_scalar, dict(spec=SPEC, complex_variance=2.0), [], ["complex_variance"]),
+    (distortion_power, dict(spec=SPEC, complex_variance=2.0), [], ["complex_variance"]),
     (
         distortion_trace,
         dict(spec=SPEC, complex_variance=2.0, dim=4, trials=10_000, seed=0),

@@ -176,6 +176,14 @@ def test_config_validation_rules():
             config_from_dict(raw)
     with pytest.raises(ConfigError, match="bits"):
         SweepConfig(bits=(3, 3))
+    # a grid given directly is a list or a tuple, as a loaded one is, and is
+    # kept as a tuple, so that the frozen config hashes
+    for key, kwargs in (("bits", {"bits": 3}), ("tau", {"tau": 8}), ("bandwidth_ghz", {"bandwidth_hz": 1e8})):
+        with pytest.raises(ConfigError, match=f"^{key} must be a list, got "):
+            SweepConfig(**kwargs)
+    listed = SweepConfig(bits=[1, 2], tau=[8, 16], bandwidth_hz=[1e8])
+    assert listed == SweepConfig(bits=(1, 2), tau=(8, 16), bandwidth_hz=(1e8,))
+    assert listed.bits == (1, 2) and hash(listed) == hash(SweepConfig(bits=(1, 2), tau=(8, 16)))
     distinct = config_from_dict({"bits": [2, 3], "tau": [8, 16], "bandwidth_ghz": [0.1, 0.100000002, 1.0]})
     assert distinct.bandwidth_hz == (1e8, 100000002.0, 1e9)
     reals = config_from_dict({"validate_tolerance": 1, "power": {"v_dd": 2}, "envelope": {"bandwidth_ghz_ref": 1}})
@@ -488,6 +496,21 @@ def test_a_link_whose_snr_is_zero_or_infinite_fails_at_config_time(tmp_path, cap
         flags = ["--direction", "ul", "--bits", "2", "--tau", "8", "--trials", "1e4", "--quiet"]
         assert cli_main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "out.csv")]) == 2
         assert "configuration error: link: at ul b=2" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_reference_resolution_whose_power_overflows_fails_at_config_time(tmp_path, capsys):
+    # the envelope's reference converter draws more power than a float holds;
+    # this used to reach the user as (34, 'Numerical result out of range')
+    for direction, kind in (("ul", "ADC"), ("dl", "DAC")):
+        raw = {"direction": direction, "envelope": {"bits_ref": 1_000_000}}
+        with pytest.raises(ConfigError, match=f"^envelope bits_ref: a 1000000-bit {kind} draws more power"):
+            config_from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"bits_ref": 1_000_000}}))
+    flags = ["--direction", "ul", "--bits", "2", "--tau", "8", "--trials", "1e4", "--quiet"]
+    assert cli_main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "configuration error: envelope bits_ref: a 1000000-bit ADC" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

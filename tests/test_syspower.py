@@ -53,6 +53,15 @@ def test_power_models_reject_bad_arguments():
             fn(4, 0.0)
 
 
+def test_a_converter_power_too_large_for_a_float_is_a_value_error():
+    # 10^(0.1525 b - 4.838) and 2^b overflow a float past about 2050 and 1023 bits;
+    # they used to raise OverflowError (34, 'Numerical result out of range')
+    for fn, kind, b in ((p_adc, "ADC", 1_000_000), (p_dac, "DAC", 1_000_000), (p_dac, "DAC", 1024)):
+        with pytest.raises(ValueError, match=f"^a {b}-bit {kind} draws more power than a float holds"):
+            fn(b, 1e8)
+    assert p_adc(2000, 1e8) > 0 and p_dac(1023, 1e8) > 0
+
+
 def test_antenna_budget_reference_chain():
     params = PowerModelParams()
     p_hw = 10 * (params.p_rf_ul + 2 * p_adc(10, 1e8, params))
