@@ -12,9 +12,6 @@ import numpy as np
 
 from quantmimo.checks import integer, require
 
-# float64 draws written per pass in complex_gaussian (512 KB)
-_DRAW_BUFFER = 1 << 16
-
 
 @dataclass(frozen=True)
 class PilotMatrix:
@@ -48,22 +45,17 @@ def dft_pilots(tau, k_users):
 def complex_gaussian(rng, shape, complex_variance=1.0, out=None):
     """Circularly symmetric complex Gaussian samples, variance per entry.
 
-    All real parts are drawn before all imaginary parts.  The draws go
-    through one cache-sized buffer and are scaled on their way into the
-    result, so no full-size temporary is made; the values and the
+    One standard_normal call fills the result's interleaved float64 view,
+    which is then scaled in place, so each entry's real and imaginary parts
+    are consecutive draws and no temporary is made; the values and the
     generator's final state are those of
-    scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).
+    (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0].
     The result is written into out when it is given.
     """
-    scale = np.sqrt(complex_variance / 2.0)
     z = _checked_out(out, shape)
-    flat = z.reshape(-1)
-    buf = np.empty(min(flat.size, _DRAW_BUFFER))
-    for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _DRAW_BUFFER):
-            draws = buf[: min(_DRAW_BUFFER, flat.size - start)]
-            rng.standard_normal(out=draws)
-            np.multiply(draws, scale, out=part[start : start + draws.size])
+    parts = z.reshape(-1).view(float)
+    rng.standard_normal(out=parts)
+    parts *= np.sqrt(complex_variance / 2.0)
     return z
 
 
@@ -96,7 +88,8 @@ def estimate_channel(rce, pilots, rho_bs, out=None):
         raise ValueError(f"receive matrix must have tau={tau} columns, got {rce.shape}")
     h_hat = _checked_out(out, (*rce.shape[:-1], k))
     np.matmul(rce.reshape(-1, tau), pilots.entries, out=h_hat.reshape(-1, k))
-    h_hat /= np.sqrt(rho_bs) * tau
+    # complex / real is a multiply by the reciprocal, so this is h_hat / (sqrt(rho) tau) bit for bit
+    np.multiply(h_hat.view(float), 1.0 / (np.sqrt(rho_bs) * tau), out=h_hat.view(float))
     return h_hat
 
 

@@ -20,13 +20,13 @@ Every Monte Carlo estimate walks its trials one cache-sized block at a time
 j of a phase draws from its own generator, block_rng(seed, phase, j), so the
 block size defines the random stream; the per-block sums are totalled
 exactly by math.fsum, in block order.  Each estimate here is a per-block
-function and one call of _block_table, which fills the calling thread's
-even blocks and one worker thread's odd blocks, each thread in buffers of
-its own carved from one memory map (_mapped_arrays); the worker belongs to
-the call and has ended when it returns or raises.  Which thread takes a
-block changes no sum, so the estimates are those of one block after
-another.  The full-chain oracle in mcsim walks its blocks with _block_table
-too, so the library has one thread scheme.
+function and one call of _block_table, whose calling thread and worker
+thread each take the next unclaimed block when free, in buffers of its own
+carved from one memory map (_mapped_arrays); the worker belongs to the
+call and has ended when it returns or raises.  Which thread takes a block
+changes no sum, so the estimates are those of one block after another.
+The full-chain oracle in mcsim walks its blocks with _block_table too, so
+the library has one thread scheme.
 """
 
 from __future__ import annotations
@@ -124,22 +124,24 @@ def _block_table(block_sum, sizes, dtype, buffer_shapes):
     floats; a structured dtype gives one record of named sums per block,
     each field read as a (blocks, *shape) view.  buffers holds a block's
     complex arrays: one per (*row) shape of buffer_shapes, its first
-    sizes[j] rows.  The calling thread fills the even rows and one
-    worker thread the odd rows, each thread with buffers of its own, sized
-    for its largest block; a single block runs on the calling thread.  The
-    worker is opened by the call, and leaving its executor waits for it, so
-    it has ended when the call returns or raises; once either thread
-    raises, both stop at their next block.
+    sizes[j] rows.  The calling thread and one worker thread, each with
+    buffers of its own sized for the largest block, claim the next block
+    from one shared iterator until none is left, so a thread that is held
+    up leaves its share to the other; a single block runs on the calling
+    thread.  The worker is opened by the call, and leaving its executor
+    waits for it, so it has ended when the call returns or raises; once
+    either thread raises, both stop at their next claim.
     """
     threads = min(len(sizes), 2)
     n = len(buffer_shapes)
-    arrays = _mapped_arrays([(max(sizes[t::threads]), *row) for t in range(threads) for row in buffer_shapes])
+    arrays = _mapped_arrays([(max(sizes), *row) for _ in range(threads) for row in buffer_shapes])
     table = np.empty(len(sizes), dtype)
+    claims = iter(range(len(sizes)))  # next() on it is one step under the GIL: no block is claimed twice
     failed = threading.Event()
 
-    def fill(first, buffers):
+    def fill(buffers):
         try:
-            for j in range(first, len(sizes), threads):
+            for j in claims:
                 if failed.is_set():
                     return
                 table[j] = block_sum(j, [buf[: sizes[j]] for buf in buffers])
@@ -148,12 +150,12 @@ def _block_table(block_sum, sizes, dtype, buffer_shapes):
             raise
 
     if threads == 1:
-        fill(0, arrays)
+        fill(arrays)
         return table
     with futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-block") as pool:
-        odd = pool.submit(fill, 1, arrays[n:])
-        fill(0, arrays[:n])
-        odd.result()
+        worker = pool.submit(fill, arrays[n:])
+        fill(arrays[:n])
+        worker.result()
     return table
 
 

@@ -16,16 +16,16 @@ is the only Monte Carlo in a call.
 
 One per-block function, _oracle_block, draws a block and reduces it, and
 bussgang._block_table walks the blocks as it does the moment estimators':
-the calling thread takes the even blocks and one worker thread the odd
-ones, each in buffers of its own (numpy's Gaussian fills and large ufuncs
-release the GIL), so the two threads hold about 1 MB of pilot noise
-whatever m, tau or the trial count.  Which thread takes a block changes no
-sum.  Both directions take their channel products from one per-trial
-A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums fill one preallocated
-row of a structured array, a record per phase ("ce", "ul", "dl") of a field
-per moment name (103 floats, 824 bytes, a block at K 4, m 32); math.fsum
-totals each field at the end, and its per-block entries give each moment's
-batch-means standard error.
+the calling thread and one worker thread each claim the next unclaimed
+block whenever they are free, each in buffers of its own (numpy's Gaussian
+fills and large ufuncs release the GIL), so the two threads hold about
+1 MB of pilot noise whatever m, tau or the trial count.  Which thread takes
+a block changes no sum.  Both directions take their channel products from
+one per-trial A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums fill one
+preallocated row of a structured array, a record per phase ("ce", "ul",
+"dl") of a field per moment name (103 floats, 824 bytes, a block at K 4,
+m 32); math.fsum totals each field at the end, and its per-block entries
+give each moment's batch-means standard error.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -146,12 +146,13 @@ class _ChannelSums(NamedTuple):
 
 def _channel_sums(h, h_hat):
     a = np.matmul(np.conj(h).transpose(0, 2, 1), h_hat)
-    hat_power = np.abs(h_hat) ** 2
+    ones = np.ones(len(h))  # a sum over the trials is a product with it, far cheaper than np.sum(axis=0)
+    hat_power = (ones @ (np.abs(h_hat) ** 2).reshape(len(h), -1)).reshape(h_hat.shape[1:])
     return _ChannelSums(
         np.einsum("ckk->k", a),
-        np.sum(np.abs(a) ** 2, axis=0),
-        np.sum(hat_power, axis=(0, 1)),
-        np.sum(hat_power, axis=(0, 2)),
+        (ones @ (np.abs(a) ** 2).reshape(len(a), -1)).reshape(a.shape[1:]),
+        np.sum(hat_power, axis=0),
+        np.sum(hat_power, axis=1),
     )
 
 
@@ -184,7 +185,7 @@ def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x):
     is E[|h_k^H d|^2 | d] for a channel independent of d.
     """
     u = _matvec(h_hat, x)
-    u /= np.sqrt(delta)
+    np.multiply(u.view(float), 1.0 / np.sqrt(delta), out=u.view(float))  # u / sqrt(delta) bit for bit
     d_dl = quantize(spec_dl, u)
     d_dl -= g_dl * u
     sums = _residual_sums(d_dl, u)

@@ -3,9 +3,10 @@
 These deliberately avoid the package's own algorithms: the quantizer oracle
 runs plain Lloyd iteration on a dense probability grid, with no Newton
 acceleration, no closed-form Gaussian moments, and no shared code paths.
-The kernel references keep the plain forms (complex Gaussian draws from two
-full-size arrays, two-pass quantize, the oracle's block sums in einsum form,
-full-array pilot projections) that the package's faster forms must
+The kernel references keep the plain forms (complex Gaussian draws as one
+scaled array of (real, imaginary) pairs, two-pass quantize, the oracle's
+block sums in einsum form, full-array pilot projections) that the
+package's faster forms must
 reproduce, the oracle and the moment estimators as one walk over their
 blocks on the calling thread, which their two-thread block tables must
 equal bit for bit, and the Lloyd-Max Newton solver that
@@ -14,12 +15,14 @@ design must match.  The estimators' walks also give their per-trial
 values, whose spread is the standard error of each estimate.  The
 correlation moment E[q(X)q(Y)] of two Gaussians is integrated cell by cell
 over X, with scipy's Gaussian CDF for E[q(Y) | X], as the independent check
-of the exact moments' Hermite series.
+of the exact moments' Hermite series, and the distortion power cell by cell
+with scipy's quad, as that of their Gauss-Legendre sums.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
@@ -150,14 +153,14 @@ def mc_gain_regression(quantize_fn, samples):
     return float(g_hat), float(se)
 
 
-def two_array_complex_gaussian(rng, shape, complex_variance=1.0):
-    """Complex Gaussian draws as one expression over two full-size arrays.
+def interleaved_complex_gaussian(rng, shape, complex_variance=1.0):
+    """Complex Gaussian draws as one expression: scaled (real, imaginary) pairs, drawn in turn.
 
     The straightforward form of airlink.complex_gaussian, kept as its
     bit-exact reference for the values and the generator's final state.
     """
     scale = np.sqrt(complex_variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return (scale * rng.standard_normal((*shape, 2))).view(complex)[..., 0]
 
 
 def two_pass_quantize(spec, value):
@@ -313,6 +316,28 @@ def quadrature_correlation(spec, component_std, r):
         mean = spec.labels[0] + ndtr((r * x[:, None] - u[1:-1]) / spread) @ steps
         total += label * np.sum(weight * mean)
     return total
+
+
+def quad_distortion_power(spec, complex_variance):
+    """E|Q(y) - G y|^2 for y ~ CN(0, c), each cell's integral by scipy's quad, with no code of the package.
+
+    Each real component x ~ N(0, c/2) is taken in units u = x / sigma of
+    its std.  The gain G = E[q(x) x] / E[x^2] sums each cell's label times
+    its quad of u phi(u); the power is twice the sum over the cells of the
+    quad of (label - G sigma u)^2 phi(u), the unbounded ones to infinity.
+    Every term is positive, so the sum keeps its precision at b = 12.
+    """
+    sigma = math.sqrt(complex_variance / 2.0)
+    cells = list(zip(spec.labels, spec.thresholds[:-1] / sigma, spec.thresholds[1:] / sigma))
+
+    def integral(f, lo, hi):
+        def weighted(u):
+            return f(u) * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+        return quad(weighted, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+
+    gain = math.fsum(label * integral(lambda u: u, lo, hi) for label, lo, hi in cells) / sigma
+    return 2.0 * math.fsum(integral(lambda u: (label - gain * sigma * u) ** 2, lo, hi) for label, lo, hi in cells)
 
 
 def ce_distortion_projections_direct(spec_ce, spec_ul, pilots, m, rho_bs, trials, seed):

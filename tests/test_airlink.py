@@ -11,7 +11,7 @@ from quantmimo.airlink import (
     pilot_phase_signal,
 )
 
-from oracles import two_array_complex_gaussian
+from oracles import interleaved_complex_gaussian
 
 
 @pytest.mark.parametrize("tau,k", [(8, 8), (16, 8), (32, 8), (64, 8), (8, 4), (13, 5)])
@@ -47,14 +47,14 @@ def test_complex_gaussian_moments():
 
 
 # one shape per form the library draws: 1-D test samples, (trials, K),
-# (trials, m), (trials, tau), (trials, m, K), (trials, m, tau); the last two
-# hold more entries than one pass of the draw buffer
+# (trials, m), (trials, tau), (trials, m, K), (trials, m, tau); the reference
+# draws the real and imaginary part of each entry in turn
 @pytest.mark.parametrize("shape", [(5,), (2000, 8), (1000, 176), (700, 64), (600, 32, 4), (300, 32, 8)])
 @pytest.mark.parametrize("complex_variance", [1 / 176, 1.0, 1008.0])
 def test_complex_gaussian_is_bit_identical_to_two_array_reference(shape, complex_variance):
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     got = complex_gaussian(rng, shape, complex_variance)
-    want = two_array_complex_gaussian(ref_rng, shape, complex_variance)
+    want = interleaved_complex_gaussian(ref_rng, shape, complex_variance)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -64,7 +64,7 @@ def test_out_gives_the_allocating_call_values():
     m, tau, k, rho = 6, 8, 4, 1.5
     pilots = dft_pilots(tau, k)
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-    shape = (300, 32, 8)  # more entries than one pass of the draw buffer
+    shape = (300, 32, 8)
     out = np.full(shape, np.nan, dtype=complex)
     got = complex_gaussian(rng, shape, 3.0, out=out)
     assert got is out and got.tobytes() == complex_gaussian(ref_rng, shape, 3.0).tobytes()

@@ -3,6 +3,7 @@
 import inspect
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from oracles import (
     ce_projection_blocks,
     distortion_trace_blocks,
     mc_gain_regression,
+    quad_distortion_power,
     quadrature_correlation,
     sequential_ce_distortion_projections,
     sequential_distortion_trace,
@@ -199,7 +201,7 @@ def test_estimators_draw_each_block_from_its_own_generator(monkeypatch, block_en
         assert widest <= max(bussgang._BLOCK_ENTRIES, 8)
 
 
-# 8192 trials a block at m = tau = 8; the worker thread takes the odd blocks
+# 8192 trials a block at m = tau = 8; each thread claims the next block when it is free
 @pytest.mark.parametrize(
     "trials,blocks",
     [(5_000, 1), (3 * 8192, 3), (8192 + 17, 2)],
@@ -223,16 +225,23 @@ def _block_threads():
 
 @pytest.mark.parametrize("raising", ["worker", "caller"])
 def test_no_block_thread_outlives_assemble_stats(monkeypatch, raising):
-    # 8192 trials a block at m = tau = 8, so 3 blocks over 20000 trials, the
-    # odd one on the worker thread; the oracle's blocks at m = tau = 8 hold
-    # 512 trials, so 3000 trials are 6 blocks
+    # 8192 trials a block at m = tau = 8, so 3 blocks over 20000 trials; the
+    # oracle's blocks at m = tau = 8 hold 512 trials, so 3000 trials are 6
+    # blocks.  Each thread claims the next block when it is free, so the
+    # calling thread pauses at each quantize call to leave the worker some
     config, _ = _scenario(m=8)
     specs = default_specs(config)
     real_quantize = bussgang.quantize
     threads = set()
 
+    def on_worker():
+        worker = threading.current_thread().name.startswith("quantmimo-block")
+        if not worker:
+            time.sleep(0.005)
+        return worker
+
     def quantize(spec, value, out=None):
-        threads.add(threading.current_thread().name.startswith("quantmimo-block"))
+        threads.add(on_worker())
         return real_quantize(spec, value, out=out)
 
     stats = assemble_stats(config, *specs, trials=20_000, seed=1)
@@ -249,7 +258,7 @@ def test_no_block_thread_outlives_assemble_stats(monkeypatch, raising):
         assert not _block_threads(), name
 
     def failing(spec, value, out=None):
-        if threading.current_thread().name.startswith("quantmimo-block") == (raising == "worker"):
+        if on_worker() == (raising == "worker"):
             raise RuntimeError("quantize failed")
         return real_quantize(spec, value, out=out)
 
@@ -390,6 +399,14 @@ def test_distortion_power_is_the_one_bit_closed_form_and_c_times_one_minus_g_squ
     # any labels: E|Q(y) - G y|^2 is E|Q(y)|^2 - G^2 c, here the sign quantizer's 2 - G^2 c
     g = gain_scalar(_sign_quantizer(), 5.0)
     assert distortion_power(_sign_quantizer(), 5.0) == pytest.approx(2.0 - g * g * 5.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+def test_distortion_power_matches_cell_wise_quad(bits):
+    # the uplink ADC of m 8, K 4, tau 8, rho 1; at most 1.3e-14 apart (b = 2) with scipy 1.17
+    config = SystemConfig(m_ul=8, m_dl=8, k_users=4, tau=8, bits=bits, rho_bs=1.0, rho_ue=1.0)
+    spec_ul, c = default_specs(config)[1], config.y_var_ul
+    assert distortion_power(spec_ul, c) == pytest.approx(quad_distortion_power(spec_ul, c), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 5])

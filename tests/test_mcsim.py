@@ -278,7 +278,7 @@ def test_block_tables_total_as_the_per_block_dicts_did(monkeypatch, bits, direct
             assert np.all(got == want), (phase, name)
 
 
-# 512 trials a block at m = tau = 8; the worker thread takes the odd blocks
+# 512 trials a block at m = tau = 8; each thread claims the next block when it is free
 @pytest.mark.parametrize(
     "trials,blocks",
     [(300, 1), (3 * 512, 3), (512 + 17, 2)],
@@ -292,6 +292,50 @@ def test_oracle_matches_a_sequential_walk_bit_for_bit(monkeypatch, trials, block
     got = _oracle_table(monkeypatch, config, trials=trials, seed=4, specs=specs, stats=stats)
     want = sequential_oracle_table(config, specs, stats, delta, pilots, trials, 4, ("ul", "dl"))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_slow_worker_leaves_its_blocks_to_the_calling_thread():
+    # the worker sleeps before each block it takes, so the calling thread
+    # claims most of the 12 blocks; which thread fills a row changes no bit
+    config = _config(m_ul=8, m_dl=8, bits=2)
+    specs, stats, delta = _oracle_inputs(config)
+    pilots = dft_pilots(config.tau, config.k_users)
+    walk = (config, specs, stats, delta, pilots, 12 * 512, 4, ("ul", "dl"))
+    block_sum, sizes, dtype, buffer_shapes = mcsim._oracle_walk(*walk)
+    assert len(sizes) == 12
+    caller, on_caller = threading.current_thread(), {}
+
+    def slowed(j, buffers):
+        on_caller[j] = threading.current_thread() is caller
+        if not on_caller[j]:
+            time.sleep(0.05)
+        return block_sum(j, buffers)
+
+    got = bussgang._block_table(slowed, sizes, dtype, buffer_shapes)
+    assert sorted(on_caller) == list(range(12))
+    assert sum(on_caller.values()) >= 9, on_caller
+    assert got.tobytes() == bussgang._block_table(block_sum, sizes, dtype, buffer_shapes).tobytes()
+    assert got.tobytes() == sequential_oracle_table(*walk).tobytes()
+    assert not _block_threads()
+
+
+def test_every_block_is_claimed_once_under_fast_thread_switches():
+    # a thread switch every microsecond, between the two threads' claims
+    # from one iterator, over 50000 one-trial blocks
+    claimed = []
+
+    def block_sum(j, buffers):
+        claimed.append(j)
+        return j
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = bussgang._block_table(block_sum, [1] * 50_000, np.dtype(float), [(1,)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(claimed) == list(range(50_000))
+    assert np.array_equal(table, np.arange(50_000.0))
 
 
 @pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's m*tau
