@@ -42,7 +42,7 @@ import numpy as np
 
 from quantmimo.airlink import complex_gaussian, dft_pilots, pilot_phase_signal
 from quantmimo.checks import POSITIVE, integer, require
-from quantmimo.quant import _GL_NODES, _GL_WEIGHTS, MAX_BITS, _gaussian_tail, quantize
+from quantmimo.quant import MAX_BITS, _gaussian_panels, _gaussian_pdf, _gaussian_tail, quantize
 
 DEFAULT_TRIALS = 100_000
 MIN_TRIALS = 10_000
@@ -237,15 +237,12 @@ class BussgangStats:
 def gain_scalar(spec, complex_variance):
     """Bussgang gain of the quantizer for a CN(0, c) input per entry.
 
-    (pi c)^(-1/2) * sum_n l_n (exp(-t_n^2/c) - exp(-t_{n+1}^2/c)), with the
-    boundary terms exp(-inf) = 0.
+    sum_n l_n (phi(t_n/sigma) - phi(t_{n+1}/sigma)) / sigma, with sigma = sqrt(c/2)
+    per component and phi the standard Gaussian density, 0 at t = +-inf.
     """
-    c = float(require("complex_variance", complex_variance, POSITIVE))
-    t = spec.thresholds
-    expterm = np.zeros_like(t)
-    finite = np.isfinite(t)
-    expterm[finite] = np.exp(-t[finite] ** 2 / c)
-    return float(np.sum(spec.labels * (expterm[:-1] - expterm[1:])) / np.sqrt(np.pi * c))
+    sigma = math.sqrt(float(require("complex_variance", complex_variance, POSITIVE)) / 2.0)
+    pdf = _gaussian_pdf(spec.thresholds / sigma)
+    return float(np.sum(spec.labels * (pdf[:-1] - pdf[1:])) / sigma)
 
 
 def distortion_power(spec, complex_variance):
@@ -264,10 +261,8 @@ def distortion_power(spec, complex_variance):
     tail = np.linspace(0.0, 12.0, 5)
     edges = np.concatenate([z[0] - tail[:0:-1], z, z[-1] + tail[1:]])
     labels = np.concatenate([np.repeat(spec.labels[0], 4), spec.labels[1:-1], np.repeat(spec.labels[-1], 4)])
-    half = 0.5 * np.diff(edges)[:, None]
-    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES
-    weight = half * _GL_WEIGHTS * np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi)
-    return float(2.0 * np.sum(weight * (labels[:, None] - gain * sigma * x) ** 2))
+    x, w = _gaussian_panels(edges)
+    return float(2.0 * np.sum(w * _gaussian_pdf(x) * (labels[:, None] - gain * sigma * x) ** 2))
 
 
 def _hermite_coefficients(spec, sigma, terms):
@@ -279,7 +274,7 @@ def _hermite_coefficients(spec, sigma, terms):
     stable three-term recursion.  c_1 = G*sigma.
     """
     u = spec.thresholds[1:-1] / sigma
-    step = np.diff(spec.labels) * np.exp(-0.5 * u**2) / np.sqrt(2.0 * np.pi)
+    step = np.diff(spec.labels) * _gaussian_pdf(u)
     coeffs = np.zeros(terms + 1)
     h_prev, h = np.zeros_like(u), np.ones_like(u)
     for n in range(1, terms + 1):
@@ -306,10 +301,8 @@ def _integrated_excess(spec, sigma, slope, r):
     grid = 3.0 * s
     points = np.concatenate([(u[:, None] + 9.0 * s * np.array([-1.0, 0.0, 1.0])).ravel(), np.arange(-span, span, 1.5)])
     edges = np.unique(np.round(np.clip(np.append(points, span), -span, span) / grid)) * grid
-    half = 0.5 * np.diff(edges)[:, None]
-    v = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES
-    weight = (half * _GL_WEIGHTS * np.exp(-0.5 * (v / sr) ** 2) / (sr * np.sqrt(2.0 * np.pi))).ravel()
-    v = v.ravel()
+    v, w = (a.ravel() for a in _gaussian_panels(edges))
+    weight = w * _gaussian_pdf(v / sr) / sr
     first, last = np.searchsorted(u, v - 9.0 * s), np.searchsorted(u, v + 9.0 * s)
     near = first[:, None] + np.arange(np.max(last - first))
     inside = near < last[:, None]
@@ -344,7 +337,7 @@ def _correlation_excess(spec, sigma, r):
     return np.sign(r) * excess[where]
 
 
-def _pilot_projections(spec, tau, k_users, rho_bs):
+def _pilot_projections(spec, config):
     """Pilot projections A_k = E[|P_k^T d_ce|^2] of one antenna row's pilot-phase distortion, computed exactly.
 
     Under DFT pilots the pilot-phase covariance is circulant: lag l has
@@ -355,8 +348,8 @@ def _pilot_projections(spec, tau, k_users, rho_bs):
     the spec's components (Van Vleck & Middleton 1966), which is 0 where
     gamma is, so A_k = tau D_0 at K = tau.
     """
-    c = rho_bs * k_users + 1.0
-    gamma = rho_bs * tau * np.fft.ifft(np.arange(tau) < k_users)[1:] / c
+    c, tau, k_users = config.y_var_ul, config.tau, config.k_users
+    gamma = config.rho_bs * tau * np.fft.ifft(np.arange(tau) < k_users)[1:] / c
     excess = _correlation_excess(spec, np.sqrt(c / 2.0), np.concatenate([gamma.real, gamma.imag]))
     lags = np.empty(tau, dtype=complex)
     lags[0] = distortion_power(spec, c)
@@ -374,7 +367,7 @@ def exact_stats(config, spec_ce, spec_ul, spec_dl):
         g_dl=gain_scalar(spec_dl, w_var),
         cd_ul=distortion_power(spec_ul, y_var),
         cd_dl=distortion_power(spec_dl, w_var),
-        a_k=_pilot_projections(spec_ce, config.tau, config.k_users, config.rho_bs),
+        a_k=_pilot_projections(spec_ce, config),
     )
 
 

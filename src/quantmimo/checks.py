@@ -34,6 +34,8 @@ def above(low):
 
 POSITIVE = above(0)[0], "positive and finite"
 FINITE = (lambda value: is_real(value) and -math.inf < value < math.inf), "finite"
+DIRECTIONS = {"ul": ("ul",), "dl": ("dl",), "both": ("ul", "dl")}
+DIRECTION = (lambda value: isinstance(value, str) and value in DIRECTIONS), "ul, dl, or both"
 
 
 def require(name, value, check):

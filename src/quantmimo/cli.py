@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from quantmimo.checks import DIRECTIONS
 from quantmimo.config import ConfigError, config_from_dict, from_text, read_config
 from quantmimo.sweep import check_writable, read_csv, run_sweep, write_csv, write_gnuplot
 
@@ -23,7 +24,7 @@ def _parse_args(argv):
 
     run = sub.add_parser("run", help="run a sweep and write the CSV")
     run.add_argument("--config", help="JSON configuration file")
-    run.add_argument("--direction", choices=["ul", "dl", "both"])
+    run.add_argument("--direction", choices=DIRECTIONS)
     run.add_argument("--bits", help="comma-separated resolution bits, e.g. 1,2,3")
     run.add_argument("--bandwidth", help="comma-separated bandwidths in GHz, e.g. 0.1,1")
     run.add_argument("--tau", help="comma-separated pilot lengths")

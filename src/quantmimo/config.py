@@ -2,10 +2,11 @@
 
 Each SweepConfig field is the one declaration of its config key: the field's
 default, its JSON key, the converter from the JSON value and its range, a
-check of quantmimo.checks.  config_from_dict, the command line's from_text
-and SweepConfig's own check all read these declarations.  That check also
-builds every grid point's scenario (SweepConfig.scenario), so a point that
-would fail in the sweep fails when the config is made.
+check of quantmimo.checks.  config_from_dict, its inverse config_to_dict
+(the sweep's .meta sidecar), the command line's from_text and SweepConfig's
+own check all read these declarations.  That check also builds every grid
+point's scenario (SweepConfig.scenario), so a point that would fail in the
+sweep fails when the config is made.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, SystemConfig
-from quantmimo.checks import FINITE, POSITIVE, integer, is_integer, is_real
+from quantmimo.checks import DIRECTION, DIRECTIONS, FINITE, POSITIVE, integer, is_integer, is_real
 from quantmimo.quant import MAX_BITS
 from quantmimo.syspower import (
     InfeasibleConfigError,
@@ -88,7 +89,7 @@ def _key(key, default, convert, check=None, grid=False):
 class SweepConfig:
     """Resolved sweep configuration with paper defaults filled in."""
 
-    direction: str = _key("direction", "both", None, ((lambda d: d in ("ul", "dl", "both")), "ul, dl, or both"))
+    direction: str = _key("direction", "both", None, DIRECTION)
     bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, integer(1, MAX_BITS), grid=True)
     bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, POSITIVE, grid=True)
     tau: tuple = _key("tau", (8, 16, 32, 64), integral, integer(1, MAX_PILOT_LENGTH), grid=True)
@@ -137,7 +138,7 @@ class SweepConfig:
         return self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref
 
     def directions(self):
-        return ("ul", "dl") if self.direction == "both" else (self.direction,)
+        return DIRECTIONS[self.direction]
 
     def scenario(self, direction, b, bandwidth_hz, tau):
         """The SystemConfig of a sweep point, or None where the envelope cannot power one chain.
@@ -229,6 +230,27 @@ def config_from_dict(raw):
         elif name in given:
             kwargs[f.name] = _value(key, given[name], convert, f.metadata["grid"])
     return SweepConfig(**kwargs)
+
+
+def config_to_dict(config):
+    """The JSON object of config that config_from_dict reads back as config.
+
+    Every key is written, in the units and sections it is read in:
+    bandwidths in GHz, the envelope keys in the envelope object, and the
+    power and link objects field by field.  A bandwidth comes back bit for
+    bit when a GHz value gave it, as in every config that config_from_dict
+    makes; not every float in Hz is some GHz value times 1e9.
+    """
+    raw = {}
+    for f in fields(SweepConfig):
+        value = getattr(config, f.name)
+        if f.metadata.get("build"):
+            value = asdict(value)
+        elif f.metadata["convert"] is _hz:
+            value = [hz / 1e9 for hz in value] if f.metadata["grid"] else value / 1e9
+        section, _, name = f.metadata["key"].rpartition(" ")
+        (raw.setdefault(section, {}) if section else raw)[name] = value
+    return raw
 
 
 def _number(text):

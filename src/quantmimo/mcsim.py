@@ -55,7 +55,7 @@ from quantmimo.bussgang import (
     _fsum_blocks,
     exact_stats,
 )
-from quantmimo.checks import POSITIVE, integer, require
+from quantmimo.checks import DIRECTION, DIRECTIONS, POSITIVE, integer, require
 from quantmimo.quant import design_lloyd_max, quantize, rescale_labels
 
 
@@ -109,25 +109,12 @@ def default_specs(config):
     return adc, adc, dac  # ce, ul, dl
 
 
-def _residual_sums(d, y, out=None):
-    """Sums of d conj(y) and of its squared magnitude over a block; the products go into out when it is given."""
+def _residual_sums(d, y, sums, out=None):
+    """Block sums of d conj(y) and of its squared magnitude into the record sums; the products go into out if given."""
     ry = np.conjugate(y, out=out)
     ry *= d
-    return {"resid": np.sum(ry), "resid_sq": np.vdot(ry, ry).real}
-
-
-def _pilot_phase(rho_bs, spec_ce, g_ce, pilots, h, noise, buffers):
-    """Quantized-pilot channel estimates of a block of trials, and the block's pilot-phase residual sums.
-
-    The block's arrays go into buffers (d, Ĥ, y); once y is formed, the
-    noise is scratch for the g·y and conj(y)·d products.
-    """
-    d_ce, h_hat, y_ce = buffers
-    pilot_phase_signal(h, pilots, rho_bs, noise, out=y_ce)
-    quantize(spec_ce, y_ce, out=d_ce)
-    estimate_channel(d_ce, pilots, rho_bs, out=h_hat)
-    d_ce -= np.multiply(g_ce, y_ce, out=noise)
-    return h_hat, _residual_sums(d_ce, y_ce, out=noise)
+    sums["resid"] = np.sum(ry)
+    sums["resid_sq"] = np.vdot(ry, ry).real
 
 
 def _matvec(a, x):
@@ -156,8 +143,8 @@ def _channel_sums(h, h_hat):
     )
 
 
-def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul):
-    """MRC sums of a block, each named after the UplinkMoments field it estimates.
+def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul, sums):
+    """MRC sums of a block into the record sums, each named after the UplinkMoments field it estimates.
 
     With the combiner v = g_ul·ĥ behind the ADC gain g_ul, the terms
     g_ul·v_k^H h_i are g_ul^2·conj(A_ik).
@@ -168,33 +155,31 @@ def _uplink_block(rho_bs, spec_ul, g_ul, h, h_hat, channel, x, z_ul):
     d_ul = quantize(spec_ul, y_ul)
     d_ul -= g_ul * y_ul
     g2 = g_ul**2
-    sums = _residual_sums(d_ul, y_ul)
+    _residual_sums(d_ul, y_ul, sums)
     sums["desired_mean"] = g2 * np.conj(channel.diag)
     sums["signal_powers"] = g2**2 * channel.power.T
     sums["combiner_power"] = g2**2 * channel.ue_power
     d_h = np.matmul(np.conj(d_ul)[:, None, :], h_hat)[:, 0, :]  # d^H ĥ_k = conj(ĥ_k^H d)
     sums["distortion_power"] = g2 * np.sum(np.abs(d_h) ** 2, axis=0)
-    return sums
 
 
-def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x):
-    """MRT sums of a block, each named after the DownlinkMoments field it estimates, and precoder powers.
+def _downlink_block(spec_dl, g_dl, delta, h_hat, channel, x, sums):
+    """MRT sums of a block into the record sums, each named after the DownlinkMoments field it estimates.
 
     With the precoder w = ĥ/sqrt(delta) behind the DAC gain g_dl, the terms
     g_dl·h_k^H w_i are g_dl·A_ki/sqrt(delta).  The distortion term of every UE sums ||d||^2, which
-    is E[|h_k^H d|^2 | d] for a channel independent of d.
+    is E[|h_k^H d|^2 | d] for a channel independent of d.  The record also takes the precoder powers.
     """
     u = _matvec(h_hat, x)
     np.multiply(u.view(float), 1.0 / np.sqrt(delta), out=u.view(float))  # u / sqrt(delta) bit for bit
     d_dl = quantize(spec_dl, u)
     d_dl -= g_dl * u
-    sums = _residual_sums(d_dl, u)
+    _residual_sums(d_dl, u, sums)
     sums["desired_mean"] = g_dl / np.sqrt(delta) * channel.diag
     sums["signal_powers"] = g_dl**2 / delta * channel.power
-    sums["distortion_power"] = np.full(len(channel.diag), np.vdot(d_dl, d_dl).real)
+    sums["distortion_power"] = np.vdot(d_dl, d_dl).real
     sums["precoder"] = np.sum(channel.ue_power) / delta
     sums["precoder_diag"] = channel.antenna_power / delta
-    return sums
 
 
 def _row_dtype(config, directions):
@@ -216,29 +201,31 @@ def _oracle_block(config, specs, stats, delta, pilots, seed, dtype, j, buffers):
 
     The draws come in stream order: channels H and pilot noise into
     buffers, then the uplink symbols and noise and the downlink symbols of
-    each direction that dtype has.  The pilot phase works in the rest of
-    buffers (d, Ĥ, y), and both directions take their channel products from
-    one _channel_sums.
+    each direction that dtype has.  The pilot phase forms its quantized
+    estimates Ĥ in the rest of buffers (d, Ĥ, y); once y is formed, the
+    noise is scratch for the g·y and conj(y)·d products.  Both directions
+    take their channel products from one _channel_sums, and each phase
+    writes its sums straight into its record of the row.
     """
     spec_ce, spec_ul, spec_dl = specs
-    h, noise, *pilot_buffers = buffers
+    h, noise, d_ce, h_hat, y_ce = buffers
     rng = block_rng(seed, PHASE_ORACLE, j)
     complex_gaussian(rng, h.shape, out=h)
     complex_gaussian(rng, noise.shape, out=noise)
-    h_hat, ce_sums = _pilot_phase(config.rho_bs, spec_ce, stats.g_ce, pilots, h, noise, pilot_buffers)
+    row = np.empty((), dtype)
+    pilot_phase_signal(h, pilots, config.rho_bs, noise, out=y_ce)
+    quantize(spec_ce, y_ce, out=d_ce)
+    estimate_channel(d_ce, pilots, config.rho_bs, out=h_hat)
+    d_ce -= np.multiply(stats.g_ce, y_ce, out=noise)
+    _residual_sums(d_ce, y_ce, row["ce"], out=noise)
     channel = _channel_sums(h, h_hat)
-    ce_sums["delta"] = np.sum(channel.ue_power)
-    sums = {"ce": ce_sums}
+    row["ce"]["delta"] = np.sum(channel.ue_power)
     size, k = len(h), config.k_users
     if "ul" in dtype.names:
         x, z = complex_gaussian(rng, (size, k)), complex_gaussian(rng, (size, config.m))
-        sums["ul"] = _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x, z)
+        _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x, z, row["ul"])
     if "dl" in dtype.names:
-        sums["dl"] = _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, complex_gaussian(rng, (size, k)))
-    row = np.empty((), dtype)
-    for phase, phase_sums in sums.items():
-        for name, value in phase_sums.items():
-            row[phase][name] = value
+        _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, complex_gaussian(rng, (size, k)), row["dl"])
     return row
 
 
@@ -342,8 +329,7 @@ def validate_closed_form(
     """
     require("trials", trials, integer(1))
     require("tolerance", tolerance, POSITIVE)
-    if direction not in ("ul", "dl", "both"):
-        raise ValueError(f"direction must be 'ul', 'dl' or 'both', got {direction!r}")
+    require("direction", direction, DIRECTION)
     if specs is None:
         specs = default_specs(config)
     if stats is None:
@@ -352,7 +338,7 @@ def validate_closed_form(
     moments = {"ul": rates.moments_ul_mrc, "dl": rates.moments_dl_mrt}
     delta = rates.mrt_normalization(config, stats)
     pilots = dft_pilots(tau, config.k_users)
-    directions = ("ul", "dl") if direction == "both" else (direction,)
+    directions = DIRECTIONS[direction]
 
     block_sum, sizes, dtype, buffer_shapes = _oracle_walk(config, specs, stats, delta, pilots, trials, seed, directions)
     table = _block_table(block_sum, sizes, dtype, buffer_shapes)

@@ -2,23 +2,24 @@
 
 Each sweep point takes its scenario from SweepConfig.scenario (the envelope's
 antenna count and the link's SNRs), designs the converters, estimates the
-distortion moments, and evaluates the closed-form sum rate.  Output is a fixed-schema CSV plus a sidecar metadata
-block with the fully resolved configuration, which quantmimo.config reads
-and checks.
+distortion moments, and evaluates the closed-form sum rate.  Output is a
+fixed-schema CSV plus a .meta sidecar: the fully resolved configuration as
+the JSON object of config.config_to_dict, which `quantmimo run --config`
+reads back as the same configuration.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from quantmimo import rates
 from quantmimo.bussgang import assemble_stats
 # config_from_dict is re-exported: the benchmark scripts call sweep.config_from_dict
-from quantmimo.config import config_from_dict, csv_float  # noqa: F401
+from quantmimo.config import config_from_dict, config_to_dict, csv_float  # noqa: F401
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.syspower import by_direction
 
@@ -143,7 +144,7 @@ def check_writable(path):
 
 
 def write_csv(records, path, config=None):
-    """Write the fixed-schema CSV plus a sidecar metadata block.
+    """Write the fixed-schema CSV and, given the config, its .meta sidecar (config_to_dict as JSON).
 
     Skipped (infeasible) points are emitted as comment lines so the data rows
     keep the invariant m >= 1.
@@ -164,9 +165,8 @@ def write_csv(records, path, config=None):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if config is not None:
-        meta = asdict(config)
         with open(str(path) + ".meta", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

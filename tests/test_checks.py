@@ -82,6 +82,15 @@ CASES = [
     for names, bad in ((integers, BAD_INTEGERS), (reals, BAD_REALS))
     for name in names
     for kind, value in bad.items()
+] + [
+    # the one check that is not of a number: a direction the oracle does not know
+    pytest.param(
+        validate_closed_form,
+        dict(config=CONFIG, trials=300, tolerance=0.05),
+        "direction",
+        "sideways",
+        id="validate_closed_form-direction-sideways",
+    )
 ]
 
 

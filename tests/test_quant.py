@@ -1,5 +1,6 @@
 """Tests for the scalar quantizer design and application."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from quantmimo.quant import (
     output_complex_variance,
     quantize,
     rescale_labels,
+    _gaussian_panels,
+    _gaussian_pdf,
     _solve_tridiagonal,
     _unit_lloyd_max,
 )
@@ -130,6 +133,47 @@ def test_design_satisfies_fixed_point_conditions(bits):
         num, _ = quad(lambda x: x * pdf(x), max(lo, -40), min(hi, 40), epsabs=1e-16, epsrel=1e-12)
         den, _ = quad(pdf, max(lo, -40), min(hi, 40), epsabs=1e-16, epsrel=1e-12)
         assert abs(num / den - labels[n]) < 1e-9
+
+
+def test_design_that_does_not_converge_is_a_runtime_error(monkeypatch):
+    # b = 3 takes 4 Newton steps, so one iteration cannot reach the tolerance
+    monkeypatch.setattr(quant, "MAX_ITERATIONS", 1)
+    message = r"^Lloyd-Max design for b=3 did not converge: residual \S+ > 1\.0e-12 after 1 iterations$"
+    with pytest.raises(RuntimeError, match=message):
+        _unit_lloyd_max.__wrapped__(3)
+
+
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _upper_tail(x):
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+# panels on the positive side, as wide as distortion_power's 3-sigma tail
+# panels and as narrow as a b = 12 Lloyd-Max cell; mirrored in the test
+PANEL_EDGES = [
+    np.linspace(0.0, 12.0, 5),
+    4.5 + np.linspace(0.0, 12.0, 5),
+    np.array([0.0, 0.5, 1.0, 1.75, 2.5, 4.0]),
+    np.linspace(3.0, 3.1, 4),
+]
+
+
+@pytest.mark.parametrize("edges", PANEL_EDGES, ids=["tail_from_0", "tail_from_4.5", "cells", "narrow_cells"])
+def test_gaussian_panels_integrate_low_moments_against_the_density(edges):
+    # the closed forms over [a, b], 0 <= a: the tail difference Q(a) - Q(b),
+    # phi(a) - phi(b), and Q(a) - Q(b) + a phi(a) - b phi(b) for 1, x and x^2
+    for sign in (1.0, -1.0):
+        x, w = _gaussian_panels(sign * edges)
+        weighted = w * _gaussian_pdf(x)
+        for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            p = _upper_tail(a) - _upper_tail(b)
+            closed = [p, sign * (_phi(a) - _phi(b)), p + a * _phi(a) - b * _phi(b)]
+            # a negative interval runs backwards, so its weights are negative
+            got = [sign * np.sum(weighted[n] * x[n] ** k) for k in range(3)]
+            np.testing.assert_allclose(got, closed, rtol=1e-13, atol=0)
 
 
 def test_design_rejects_bad_arguments():

@@ -8,11 +8,11 @@ import pytest
 
 from quantmimo import cli, sweep
 from quantmimo.cli import main as cli_main
-from quantmimo.config import ConfigError, SweepConfig, config_from_dict, from_text, read_config
+from quantmimo.config import ConfigError, SweepConfig, config_from_dict, config_to_dict, from_text, read_config
 from quantmimo.bussgang import SystemConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import _unit_lloyd_max
-from quantmimo.sweep import point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
+from quantmimo.sweep import SweepRecord, point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
 from quantmimo.syspower import LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
 
 
@@ -267,6 +267,52 @@ def test_csv_round_trip(tmp_path):
     meta = json.loads((tmp_path / "sweep.csv.meta").read_text())
     assert meta["seed"] == config.seed
     assert meta["k_users"] == 8
+    assert config_from_dict(meta) == config
+
+
+# every section overridden, with bandwidths that are not round in Hz
+EVERY_SECTION = {
+    "direction": "dl",
+    "bits": [3, 1, 2],
+    "bandwidth_ghz": [0.3, 0.123456789],
+    "tau": [16, 12],
+    "k_users": 4,
+    "trials": 12_345,
+    "seed": 99,
+    "power": {"v_dd": 2.5, "l_min": 3e-7, "f_cor": 2e6, "i_0": 7e-6, "c_p": 2e-12, "p_rf_ul": 0.03, "p_rf_dl": 0.02},
+    "link": {"p_ue_dbm": 23.0, "p_bs_dbm": 33.0, "alpha": 3.5, "distance_m": 150.0, "noise_figure_db": 9.0},
+    "envelope": {"bits_ref": 8, "bandwidth_ghz_ref": 0.7, "count_ref": 12},
+    "validate": True,
+    "validate_tolerance": 0.1,
+}
+META_CONFIGS = {
+    "defaults": {},
+    # the benchmark's two sweep grids (bench/workloads.py SWEEP_GRIDS)
+    "sweep_lowres": {"direction": "both", "bits": [1, 2, 3, 4], "bandwidth_ghz": [0.1], "tau": [8, 64]},
+    "sweep_highres": {"direction": "both", "bits": [9, 10, 11, 12], "bandwidth_ghz": [0.1, 1.0], "tau": [64]},
+    "every_section": EVERY_SECTION,
+}
+
+
+@pytest.mark.parametrize("raw", META_CONFIGS.values(), ids=META_CONFIGS)
+def test_meta_sidecar_reads_back_as_its_config(raw, tmp_path):
+    config = config_from_dict(raw)
+    out = tmp_path / "sweep.csv"
+    skipped = SweepRecord("dl", 2, 1e8, 8, m=0, trials=config.trials, seed=0, skipped=True)
+    write_csv([skipped], out, config=config)
+    meta = json.loads((tmp_path / "sweep.csv.meta").read_text())
+    assert meta == json.loads(json.dumps(config_to_dict(config)))
+    assert config_from_dict(meta) == config
+    assert meta["seed"] == config.seed and meta["k_users"] == config.k_users
+
+
+def test_cli_rerun_from_the_meta_sidecar_writes_the_same_csv(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    flags = ["--direction", "dl", "--bits", "2", "--tau", "8", "--trials", "1e4"]
+    assert cli_main(["run", *flags, "--out", str(first), "--quiet"]) == 0
+    assert cli_main(["run", "--config", str(first) + ".meta", "--out", str(second), "--quiet"]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "b.csv.meta").read_bytes() == (tmp_path / "a.csv.meta").read_bytes()
 
 
 def test_infeasible_points_become_comment_lines(tmp_path):
@@ -441,6 +487,9 @@ def test_cli_validate_records_the_oracle_verdict(tmp_path, capsys, monkeypatch):
         cfg.write_text(json.dumps({**raw, **tolerance}))
         assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
         assert [r.validation_passed for r in records] == [passed]
+        assert config_from_dict(json.loads((tmp_path / "out.csv.meta").read_text())) == config_from_dict(
+            {**raw, **tolerance}
+        )
         assert ("validation failure" in capsys.readouterr().err) == (not passed)
 
 
@@ -471,7 +520,10 @@ def test_cli_grid_flags_are_checked_like_the_config(tmp_path, capsys):
     assert cli_main([*tiny, *flags]) == 0
     rows = read_csv(out)
     assert [(r["b"], r["tau"], r["bandwidth_hz"], r["trials"]) for r in rows] == [("10", "8", "100000000", "10000")]
-    assert json.loads((tmp_path / "out.csv.meta").read_text())["seed"] == 2
+    meta = json.loads((tmp_path / "out.csv.meta").read_text())
+    assert meta["seed"] == 2
+    flagged = {"direction": "ul", "bits": [10], "tau": [8], "bandwidth_ghz": [0.1], "trials": 10_000, "seed": 2}
+    assert config_from_dict(meta) == config_from_dict(flagged)
     assert config_from_dict({"trials": from_text("--trials", "trials", "1e5")}).trials == 100_000
 
 
