@@ -26,7 +26,7 @@ from quantmimo.rates import (
     sindr_from_moments,
     sum_rate,
 )
-from quantmimo.syspower import PowerModelParams, LinkBudget, p_adc, p_dac, antennas_budget, envelope_from_reference, snr_linear
+from quantmimo.syspower import PowerModelParams, LinkBudget, Envelope, p_adc, p_dac, antennas_budget, envelope_from_reference, snr_linear
 from quantmimo.mcsim import ValidationReport, validate_closed_form
 from quantmimo.config import SweepConfig
 from quantmimo.sweep import SweepRecord, run_sweep, write_csv

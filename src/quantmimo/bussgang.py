@@ -99,7 +99,7 @@ def _fsum_blocks(parts):
 
 
 def _mapped_arrays(shapes):
-    """Complex arrays of shapes (None for a None shape), carved in order from one anonymous memory map.
+    """Complex arrays of shapes, carved in order from one anonymous memory map.
 
     The map is not on the heap: its pages are faulted in when it is made
     (MAP_POPULATE, where the system has it), not one at a time by the first
@@ -110,11 +110,11 @@ def _mapped_arrays(shapes):
     later large arrays (12 MB more peak RSS on the oracle benchmark); on a
     worker thread they would stay in that thread's malloc arena.
     """
-    lengths = [0 if shape is None else math.prod(shape) for shape in shapes]
+    lengths = [math.prod(shape) for shape in shapes]
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     flat = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * sum(lengths), flags=flags), dtype=complex)
     pieces = np.split(flat, np.cumsum(lengths)[:-1])
-    return [None if shape is None else piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
+    return [piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
 
 
 def _block_table(block_sum, sizes, dtype, buffer_shapes):

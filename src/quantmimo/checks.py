@@ -33,6 +33,8 @@ def above(low):
 
 
 POSITIVE = above(0)[0], "positive and finite"
+# a bandwidth in GHz whose value in Hz, ghz * 1e9, is finite; min keeps an int too large for a float from raising
+POSITIVE_HZ = (lambda ghz: POSITIVE[0](ghz) and POSITIVE[0](min(ghz, 1e300) * 1e9)), "positive and finite in Hz"
 FINITE = (lambda value: is_real(value) and -math.inf < value < math.inf), "finite"
 DIRECTIONS = {"ul": ("ul",), "dl": ("dl",), "both": ("ul", "dl")}
 DIRECTION = (lambda value: isinstance(value, str) and value in DIRECTIONS), "ul, dl, or both"

@@ -1,25 +1,28 @@
 """Sweep configuration: the one place where JSON keys and CLI flags are converted.
 
-Each SweepConfig field is the one declaration of its config key: the field's
-default, its JSON key, the converter from the JSON value and its range, a
-check of quantmimo.checks.  config_from_dict, its inverse config_to_dict
-(the sweep's .meta sidecar), the command line's from_text and SweepConfig's
-own check all read these declarations.  That check also builds every grid
-point's scenario (SweepConfig.scenario), so a point that would fail in the
-sweep fails when the config is made.
+SweepConfig is the JSON object of a config: each field is named by its key
+and holds the key's value, in the key's units (bandwidths in GHz), and each
+nested object (power, link, envelope) is a section dataclass of syspower.
+A field declares only its default and its check of quantmimo.checks; the
+default's type sets how the key's JSON value converts.  config_from_dict,
+its inverse config_to_dict (dataclasses.asdict: the sweep's .meta sidecar),
+the command line's from_text and SweepConfig's own check all read these
+declarations.  That check also builds every grid point's scenario
+(SweepConfig.scenario, over SweepConfig.points), so a point that would
+fail in the sweep fails when the config is made.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from quantmimo.bussgang import DEFAULT_TRIALS, MAX_PILOT_LENGTH, MIN_TRIALS, SystemConfig
-from quantmimo.checks import DIRECTION, DIRECTIONS, FINITE, POSITIVE, integer, is_integer, is_real
+from quantmimo.checks import DIRECTION, DIRECTIONS, FINITE, POSITIVE, POSITIVE_HZ, integer, is_integer
 from quantmimo.quant import MAX_BITS
 from quantmimo.syspower import (
+    Envelope,
     InfeasibleConfigError,
     LinkBudget,
     PowerModelParams,
@@ -54,14 +57,6 @@ def real(value):
     raise ValueError(f"expected a finite real number, got {value!r}")
 
 
-def _hz(ghz):
-    """A bandwidth given in GHz, in Hz; a ValueError if that is not finite."""
-    hz = real(ghz) * 1e9
-    if not math.isfinite(hz):
-        raise ValueError(f"expected a bandwidth finite in Hz, got {ghz!r}")
-    return hz
-
-
 def converted(key, convert, value):
     """convert(value); a ConfigError naming key if it does not convert."""
     try:
@@ -70,58 +65,46 @@ def converted(key, convert, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _key(key, default, convert, check=None, grid=False):
-    """A SweepConfig field: its default and the one declaration of its config key.
-
-    key is the JSON key ("envelope bits_ref" is bits_ref in the envelope
-    object); convert takes its value to the field's (None: as given); check
-    is the range, a test and what it asks for.  A grid's entries are each
-    converted and checked.  A dataclass default is built from the key object
-    by converting each of its fields, and checks its own ranges.
-    """
-    meta = {"key": key, "convert": convert, "check": check, "grid": grid}
-    if isinstance(default, type):
-        return field(default_factory=default, metadata={**meta, "build": default})
-    return field(default=default, metadata=meta)
+def _key(default, check=None):
+    """A SweepConfig field: its default, whose type says how its key converts (_value), and its range check."""
+    return field(default=default, metadata={"check": check})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Resolved sweep configuration with paper defaults filled in."""
 
-    direction: str = _key("direction", "both", None, DIRECTION)
-    bits: tuple = _key("bits", tuple(range(1, MAX_BITS + 1)), integral, integer(1, MAX_BITS), grid=True)
-    bandwidth_hz: tuple = _key("bandwidth_ghz", (1e8,), _hz, POSITIVE, grid=True)
-    tau: tuple = _key("tau", (8, 16, 32, 64), integral, integer(1, MAX_PILOT_LENGTH), grid=True)
-    k_users: int = _key("k_users", 8, integral, integer(1))
-    trials: int = _key("trials", DEFAULT_TRIALS, integral, integer(MIN_TRIALS))
-    seed: int = _key("seed", 12345, integral, integer(0))
-    power: PowerModelParams = _key("power", PowerModelParams, real)
+    direction: str = _key("both", DIRECTION)
+    bits: tuple = _key(tuple(range(1, MAX_BITS + 1)), integer(1, MAX_BITS))
+    bandwidth_ghz: tuple = _key((0.1,), POSITIVE_HZ)
+    tau: tuple = _key((8, 16, 32, 64), integer(1, MAX_PILOT_LENGTH))
+    k_users: int = _key(8, integer(1))
+    trials: int = _key(DEFAULT_TRIALS, integer(MIN_TRIALS))
+    seed: int = _key(12345, integer(0))
+    power: PowerModelParams = _key(PowerModelParams())
     # one number per link key: a distance_m list would give each UE its own
     # SNR, but every point uses one SNR for all users (y_var = rho*K + 1)
-    link: LinkBudget = _key("link", LinkBudget, real)
-    envelope_bits_ref: int = _key("envelope bits_ref", 10, integral, integer(1))
-    envelope_bandwidth_hz_ref: float = _key("envelope bandwidth_ghz_ref", 1e8, _hz, POSITIVE)
-    envelope_count_ref: int = _key("envelope count_ref", 10, integral, integer(1))
-    validate: bool = _key("validate", False, None, ((lambda v: isinstance(v, bool)), "true or false"))
+    link: LinkBudget = _key(LinkBudget())
+    envelope: Envelope = _key(Envelope())
+    validate: bool = _key(False, ((lambda v: isinstance(v, bool)), "true or false"))
     # the oracle's own check of its tolerance, so that a bad one fails here, not at the first point
-    validate_tolerance: float = _key("validate_tolerance", 0.05, real, POSITIVE)
+    validate_tolerance: float = _key(0.05, POSITIVE)
 
     def __post_init__(self):
         for f in fields(self):
-            if f.metadata["grid"]:  # a tuple, so that the frozen config hashes
-                object.__setattr__(self, f.name, _listed(f.metadata["key"], getattr(self, f.name)))
-        for f in fields(self):
+            values = getattr(self, f.name)
+            grid = isinstance(f.default, tuple)
+            if grid:  # a tuple, so that the frozen config hashes
+                values = _listed(f.name, values)
+                object.__setattr__(self, f.name, values)
             if f.metadata["check"]:
                 test, must = f.metadata["check"]
-                values = getattr(self, f.name)
-                for value in values if f.metadata["grid"] else (values,):
+                for value in values if grid else (values,):
                     if not test(value):
-                        given = value / 1e9 if f.metadata["convert"] is _hz and is_real(value) else value  # in GHz
-                        raise ConfigError(f"{f.metadata['key']}: must be {must}, got {given!r}")
+                        raise ConfigError(f"{f.name}: must be {must}, got {value!r}")
         for direction in self.directions():
             try:
-                envelope_from_reference(*self._envelope(), direction, self.power)
+                envelope_from_reference(self.envelope, direction, self.power)
             except ValueError as exc:  # the reference converter's power overflows
                 raise ConfigError(f"envelope bits_ref: {exc}") from exc
         if any(t < self.k_users for t in self.tau):
@@ -129,16 +112,17 @@ class SweepConfig:
         _check_grid("bits", self.bits, int)
         _check_grid("tau", self.tau, int)
         # two bandwidths are one point if they share a point seed (int Hz) or a CSV field
-        _check_grid("bandwidth_ghz", self.bandwidth_hz, int, csv_float)
-        for point in itertools.product(self.directions(), self.bits, self.bandwidth_hz, self.tau):
+        _check_grid("bandwidth_ghz", [ghz * 1e9 for ghz in self.bandwidth_ghz], int, csv_float)
+        for point in self.points():
             self.scenario(*point)
-
-    def _envelope(self):
-        """The envelope's reference resolution, bandwidth and chain count."""
-        return self.envelope_bits_ref, self.envelope_bandwidth_hz_ref, self.envelope_count_ref
 
     def directions(self):
         return DIRECTIONS[self.direction]
+
+    def points(self):
+        """Each sweep point (direction, b, bandwidth in Hz, tau), in the order the sweep runs them."""
+        for direction, ghz, tau, b in itertools.product(self.directions(), self.bandwidth_ghz, self.tau, self.bits):
+            yield direction, b, ghz * 1e9, tau
 
     def scenario(self, direction, b, bandwidth_hz, tau):
         """The SystemConfig of a sweep point, or None where the envelope cannot power one chain.
@@ -148,7 +132,7 @@ class SweepConfig:
         """
         at = f"at {direction} b={b} B={bandwidth_hz / 1e9:g} GHz tau={tau}"
         try:
-            m = envelope_antennas(*self._envelope(), direction, b, bandwidth_hz, self.power)
+            m = envelope_antennas(self.envelope, direction, b, bandwidth_hz, self.power)
         except InfeasibleConfigError:
             return None  # the sweep skips the point
         except ValueError as exc:
@@ -158,6 +142,10 @@ class SweepConfig:
             return SystemConfig(m, m, self.k_users, tau, b, *rho)
         except ValueError as exc:
             raise ConfigError(f"link: {at}, {exc}") from exc
+
+
+# each key's default, whose type says how the key's value converts (_value)
+_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
 
 
 def _check_grid(key, values, *identities):
@@ -186,11 +174,24 @@ def _object(value, allowed, name):
     return value
 
 
-def _value(key, value, convert, grid):
-    """value converted, or each entry of the list if grid; a ConfigError naming key otherwise."""
-    if not grid:
-        return converted(key, convert, value) if convert else value
-    return tuple(converted(key, convert, v) for v in _listed(key, value))
+def _value(key, default, value):
+    """value, the JSON value of a key whose default is default, converted by the default's type.
+
+    An int default's key takes integral numbers (integral), a float
+    default's finite real numbers (real), and any other its value as given.
+    A tuple default marks a grid, whose entries convert as its first; a
+    section (a dataclass) takes an object whose fields convert by the same
+    rule, and checks its own ranges.  A ConfigError names key (a section's
+    field as "power v_dd") if the value does not convert.
+    """
+    if isinstance(default, tuple):
+        return tuple(_value(key, default[0], v) for v in _listed(key, value))
+    if is_dataclass(default):
+        given = _object(value, [f.name for f in fields(default)], key)
+        given = {name: _value(f"{key} {name}", getattr(default, name), v) for name, v in given.items()}
+        return converted(key, lambda kwargs: replace(default, **kwargs), given)
+    convert = {int: integral, float: real}.get(type(default))
+    return converted(key, convert, value) if convert else value
 
 
 def _listed(key, value):
@@ -215,42 +216,12 @@ def read_config(path):
 
 def config_from_dict(raw):
     """Validate a configuration dict and fill in the paper defaults."""
-    keys = [f.metadata["key"] for f in fields(SweepConfig)]
-    _object(raw, {key.split()[0] for key in keys}, "configuration")
-    kwargs = {}
-    for f in fields(SweepConfig):
-        key, convert, cls = f.metadata["key"], f.metadata["convert"], f.metadata.get("build")
-        section, _, name = key.rpartition(" ")  # "envelope bits_ref": bits_ref in the envelope object
-        inside = [k.split()[1] for k in keys if k.startswith(section + " ")]
-        given = _object(raw.get(section, {}), inside, section) if section else raw
-        if cls:
-            values = _object(raw.get(key, {}), [g.name for g in fields(cls)], key)
-            values = {k: converted(f"{key} {k}", convert, v) for k, v in values.items()}
-            kwargs[f.name] = converted(key, lambda values: cls(**values), values)
-        elif name in given:
-            kwargs[f.name] = _value(key, given[name], convert, f.metadata["grid"])
-    return SweepConfig(**kwargs)
+    _object(raw, _DEFAULTS, "configuration")
+    return SweepConfig(**{key: _value(key, default, raw[key]) for key, default in _DEFAULTS.items() if key in raw})
 
 
-def config_to_dict(config):
-    """The JSON object of config that config_from_dict reads back as config.
-
-    Every key is written, in the units and sections it is read in:
-    bandwidths in GHz, the envelope keys in the envelope object, and the
-    power and link objects field by field.  A bandwidth comes back bit for
-    bit when a GHz value gave it, as in every config that config_from_dict
-    makes; not every float in Hz is some GHz value times 1e9.
-    """
-    raw = {}
-    for f in fields(SweepConfig):
-        value = getattr(config, f.name)
-        if f.metadata.get("build"):
-            value = asdict(value)
-        elif f.metadata["convert"] is _hz:
-            value = [hz / 1e9 for hz in value] if f.metadata["grid"] else value / 1e9
-        section, _, name = f.metadata["key"].rpartition(" ")
-        (raw.setdefault(section, {}) if section else raw)[name] = value
-    return raw
+# the JSON object of a config, which config_from_dict reads back as the config
+config_to_dict = asdict
 
 
 def _number(text):
@@ -270,10 +241,9 @@ def from_text(flag, key, text):
     JSON form does ("1e5" is 100000 trials); a ConfigError names flag if it
     does not.
     """
-    meta = next(f.metadata for f in fields(SweepConfig) if f.metadata["key"] == key)
-    if meta["grid"]:
+    if isinstance(_DEFAULTS[key], tuple):
         value = [converted(flag, _number, entry) for entry in text.split(",")]
     else:
         value = converted(flag, _number, text)
-    _value(flag, value, meta["convert"], meta["grid"])
+    _value(flag, _DEFAULTS[key], value)
     return value

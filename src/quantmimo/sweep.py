@@ -1,11 +1,11 @@
 """Configuration-driven sweep over (direction, bits, bandwidth, pilot length).
 
-Each sweep point takes its scenario from SweepConfig.scenario (the envelope's
-antenna count and the link's SNRs), designs the converters, estimates the
-distortion moments, and evaluates the closed-form sum rate.  Output is a
-fixed-schema CSV plus a .meta sidecar: the fully resolved configuration as
-the JSON object of config.config_to_dict, which `quantmimo run --config`
-reads back as the same configuration.
+Each point of SweepConfig.points (bandwidth in Hz) takes its scenario from
+SweepConfig.scenario (the envelope's antenna count and the link's SNRs),
+designs the converters, estimates the distortion moments, and evaluates the
+closed-form sum rate.  Output is a fixed-schema CSV plus a .meta sidecar:
+the configuration as the JSON object of config.config_to_dict, which
+`quantmimo run --config` reads back as the same configuration.
 """
 
 from __future__ import annotations
@@ -116,15 +116,12 @@ def run_point(config, direction, b, bandwidth_hz, tau):
 
 
 def run_sweep(config, progress=None):
-    """Run every (direction, bandwidth, tau, bits) point in deterministic order."""
+    """Run every point of config.points in its order; the records come sorted."""
     records = []
-    for direction in config.directions():
-        for bw in config.bandwidth_hz:
-            for tau in config.tau:
-                for b in config.bits:
-                    records.append(run_point(config, direction, b, bw, tau))
-                    if progress is not None:
-                        progress(records[-1])
+    for point in config.points():
+        records.append(run_point(config, *point))
+        if progress is not None:
+            progress(records[-1])
     records.sort(key=lambda r: (r.direction, r.bandwidth_hz, r.tau, r.b))
     return records
 
@@ -171,11 +168,15 @@ def write_csv(records, path, config=None):
 
 
 def read_csv(path):
-    """Round-trip parse of write_csv output into row dicts."""
+    """Round-trip parse of write_csv output into row dicts.
+
+    A row with more or fewer fields than the header (one cut short, say) is
+    a ValueError that names its line.
+    """
     rows = []
     with open(path) as fh:
         header = None
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -183,6 +184,8 @@ def read_csv(path):
                 header = line.split(",")
                 continue
             values = line.split(",")
+            if len(values) != len(header):
+                raise ValueError(f"line {number} has {len(values)} fields, the header {len(header)}")
             rows.append(dict(zip(header, values)))
     return rows
 
@@ -190,20 +193,22 @@ def read_csv(path):
 def write_gnuplot(rows, out_dir):
     """Emit one two-column (bits, sum rate) data file per sweep curve.
 
-    rows are the row dicts of read_csv; each sum rate is copied as the CSV
-    wrote it.
+    rows are the row dicts of read_csv; each sum rate, and the bandwidth in
+    the header, is copied as the CSV wrote it.  A file is named by the
+    bandwidth in GHz to 9 digits, as many as the CSV's bandwidth field has,
+    so two curves never share a file.
     """
     os.makedirs(out_dir, exist_ok=True)
     curves = {}
     for row in rows:
         key = (row["direction"], float(row["bandwidth_hz"]), int(row["tau"]))
-        curves.setdefault(key, []).append((int(row["b"]), row["sum_rate_bps"]))
+        curves.setdefault(key, (row["bandwidth_hz"], []))[1].append((int(row["b"]), row["sum_rate_bps"]))
     paths = []
-    for (direction, bw, tau), points in sorted(curves.items()):
-        name = f"{direction}_B{bw / 1e9:g}GHz_tau{tau}.dat"
+    for (direction, bw, tau), (bw_field, points) in sorted(curves.items()):
+        name = f"{direction}_B{bw / 1e9:.9g}GHz_tau{tau}.dat"
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            fh.write(f"# {direction} sum rate vs bits, B = {bw:g} Hz, tau = {tau}\n")
+            fh.write(f"# {direction} sum rate vs bits, B = {bw_field} Hz, tau = {tau}\n")
             for b, rate in sorted(points):
                 fh.write(f"{b} {rate}\n")
         paths.append(path)

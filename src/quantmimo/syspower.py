@@ -1,7 +1,8 @@
 """Converter power models, the hardware envelope and its antenna budget, and the link budget.
 
-SI units internally (watts, Hz, meters); dBm/dB appear only at the config
-boundary in LinkBudget.
+SI units internally (watts, Hz, meters); the units of the config boundary
+appear only in its sections: dBm/dB in LinkBudget, the reference bandwidth
+in GHz in Envelope.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantmimo.bussgang import MAX_ANTENNAS
-from quantmimo.checks import FINITE, POSITIVE, above, integer, require
+from quantmimo.checks import FINITE, POSITIVE, POSITIVE_HZ, above, integer, require
 
 
 class InfeasibleConfigError(ValueError):
@@ -69,6 +70,20 @@ class LinkBudget:
         require("alpha", self.alpha, above(2))  # the pathloss exponent
 
 
+@dataclass(frozen=True)
+class Envelope:
+    """The hardware power envelope: count_ref RF chains at bits_ref bits and bandwidth_ghz_ref GHz."""
+
+    bits_ref: int = 10
+    bandwidth_ghz_ref: float = 0.1
+    count_ref: int = 10
+
+    def __post_init__(self):
+        require("bits_ref", self.bits_ref, integer(1))
+        require("bandwidth_ghz_ref", self.bandwidth_ghz_ref, POSITIVE_HZ)
+        require("count_ref", self.count_ref, integer(1))
+
+
 def p_adc(b, bandwidth_hz, params=PowerModelParams()):
     """ADC power draw in watts at b bits and bandwidth_hz."""
     require("b", b, integer(1))
@@ -98,10 +113,10 @@ def _chain_power(p_rf, p_conv):
     return p_rf + 2.0 * p_conv
 
 
-def envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params=PowerModelParams()):
-    """Hardware envelope supplying count_ref chains at a reference resolution."""
-    p_conv = params.p_conv(direction, bits_ref, bandwidth_ref_hz)
-    return count_ref * _chain_power(params.p_rf(direction), p_conv)
+def envelope_from_reference(envelope, direction, params=PowerModelParams()):
+    """Power in watts of envelope, an Envelope: its count_ref chains at its reference resolution and bandwidth."""
+    p_conv = params.p_conv(direction, envelope.bits_ref, envelope.bandwidth_ghz_ref * 1e9)
+    return envelope.count_ref * _chain_power(params.p_rf(direction), p_conv)
 
 
 def antennas_budget(p_hw, p_rf, p_conv):
@@ -123,9 +138,9 @@ def antennas_budget(p_hw, p_rf, p_conv):
     return m
 
 
-def envelope_antennas(bits_ref, bandwidth_ref_hz, count_ref, direction, b, bandwidth_hz, params=PowerModelParams()):
-    """Antennas (antennas_budget) that the envelope_from_reference envelope supplies at b bits and bandwidth_hz."""
-    p_hw = envelope_from_reference(bits_ref, bandwidth_ref_hz, count_ref, direction, params)
+def envelope_antennas(envelope, direction, b, bandwidth_hz, params=PowerModelParams()):
+    """Antennas (antennas_budget) that envelope, an Envelope, supplies at b bits and bandwidth_hz."""
+    p_hw = envelope_from_reference(envelope, direction, params)
     return antennas_budget(p_hw, params.p_rf(direction), params.p_conv(direction, b, bandwidth_hz))
 
 

@@ -16,10 +16,10 @@ from quantmimo.bussgang import (
     distortion_trace,
     gain_scalar,
 )
-from quantmimo.checks import FINITE, POSITIVE, above, integer, require
+from quantmimo.checks import FINITE, POSITIVE, POSITIVE_HZ, above, integer, require
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import design_lloyd_max, rescale_labels
-from quantmimo.syspower import LinkBudget, PowerModelParams, p_adc, p_dac, snr_linear
+from quantmimo.syspower import Envelope, LinkBudget, PowerModelParams, p_adc, p_dac, snr_linear
 
 
 def test_checks_take_numbers_and_no_bools():
@@ -35,6 +35,11 @@ def test_checks_take_numbers_and_no_bools():
     for value, check in ((-math.inf, FINITE), (math.nan, FINITE), (False, FINITE), (2, above(2)), (math.inf, above(2))):
         with pytest.raises(ValueError, match="^x must be "):
             require("x", value, check)
+    # a bandwidth in GHz is finite in Hz too, and no int too large for a float raises
+    assert require("ghz", 0.1, POSITIVE_HZ) == 0.1 and require("ghz", 10**6, POSITIVE_HZ) == 10**6
+    for value in (1e300, 10**400, 0, math.inf, True):
+        with pytest.raises(ValueError, match="^ghz must be positive and finite in Hz, got "):
+            require("ghz", value, POSITIVE_HZ)
 
 
 SCENARIO = dict(m_ul=8, m_dl=8, k_users=2, tau=4, bits=2, rho_bs=1.0, rho_ue=1.0)
@@ -67,6 +72,7 @@ ENTRY_POINTS = [
     (dft_pilots, dict(tau=8, k_users=2), ["tau", "k_users"], []),
     (PowerModelParams, {}, [], ["v_dd", "l_min", "f_cor", "i_0", "c_p", "p_rf_ul", "p_rf_dl"]),
     (LinkBudget, {}, [], ["p_ue_dbm", "p_bs_dbm", "alpha", "distance_m", "noise_figure_db"]),
+    (Envelope, {}, ["bits_ref", "count_ref"], ["bandwidth_ghz_ref"]),
     (p_adc, dict(b=2, bandwidth_hz=1e8), ["b"], ["bandwidth_hz"]),
     (p_dac, dict(b=2, bandwidth_hz=1e8), ["b"], ["bandwidth_hz"]),
     (snr_linear, dict(direction="ul", budget=LinkBudget(), bandwidth_hz=1e8), [], ["bandwidth_hz"]),

@@ -1,5 +1,6 @@
 """Tests for the sweep engine, CSV output, and CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from quantmimo.bussgang import SystemConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import _unit_lloyd_max
 from quantmimo.sweep import SweepRecord, point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
-from quantmimo.syspower import LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
+from quantmimo.syspower import Envelope, LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
 
 
 def _tiny_config(**overrides):
@@ -26,10 +27,10 @@ def test_defaults_cover_the_reference_scenario():
     config = SweepConfig()
     assert config.direction == "both"
     assert config.bits == tuple(range(1, 13))
-    assert config.bandwidth_hz == (1e8,)
+    assert config.bandwidth_ghz == (0.1,)
     assert config.tau == (8, 16, 32, 64)
     assert config.k_users == 8
-    assert config.envelope_bits_ref == 10 and config.envelope_count_ref == 10
+    assert config.envelope.bits_ref == 10 and config.envelope.count_ref == 10
 
 
 def test_config_rejects_unknown_keys_at_every_level():
@@ -125,9 +126,10 @@ def test_config_validation_rules():
     for key, raw in bad_values:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
-    # a SweepConfig made directly is checked as a loaded one is
+    # a SweepConfig made directly is checked as a loaded one is, and so is its envelope
+    with pytest.raises(ValueError, match="^bandwidth_ghz_ref must be positive and finite in Hz, got inf"):
+        SweepConfig(envelope=Envelope(bandwidth_ghz_ref=math.inf))
     for key, kwargs in (
-        ("bandwidth_ghz_ref", {"envelope_bandwidth_hz_ref": math.inf}),
         ("k_users", {"k_users": 0}),
         ("trials", {"trials": 10}),
         # a float or a bool where an integer belongs used to fail only when the sweep ran
@@ -140,36 +142,34 @@ def test_config_validation_rules():
     ):
         with pytest.raises(ConfigError, match=key):
             SweepConfig(**kwargs)
-    # and rejects exactly what the loader rejects, for every numeric key; a
-    # bandwidth field is in Hz and its key in GHz, so only unit-free values
-    fields = {
-        "bits": ("bits", True),
-        "tau": ("tau", True),
-        "bandwidth_hz": ("bandwidth_ghz", True),
-        "k_users": ("k_users", False),
-        "trials": ("trials", False),
-        "seed": ("seed", False),
-        "envelope_bits_ref": ("envelope bits_ref", False),
-        "envelope_count_ref": ("envelope count_ref", False),
-        "envelope_bandwidth_hz_ref": ("envelope bandwidth_ghz_ref", False),
-        "validate_tolerance": ("validate_tolerance", False),
-    }
-
-    def rejects(make, key):
+    # and rejects exactly what the loader rejects, for every numeric key,
+    # sections included: a ConfigError names the key or its section (or, for
+    # too many antennas, the envelope), and a section's own ValueError the key
+    def rejects(make, key, *sections):
         try:
             make()
         except ConfigError as exc:
-            assert any(word in str(exc) for word in key.split()), exc  # the key, or its section
+            assert any(word in str(exc) for word in (key, *sections)), exc
+            return True
+        except ValueError as exc:
+            assert sections and str(exc).startswith(f"{key} must be "), exc
             return True
         return False
 
-    for name, (key, grid) in fields.items():
-        section, _, inner = key.rpartition(" ")
-        for value in (True, nan, inf, "3", -1, 0, *(() if "bandwidth" in key else (2.5, 10**6))):
+    values = (True, nan, inf, "3", -1, 0, 2.5, 10**6)
+    for key in ("bits", "tau", "bandwidth_ghz", "k_users", "trials", "seed", "validate_tolerance"):
+        grid = isinstance(getattr(SweepConfig(), key), tuple)
+        for value in values:
             given = [value] if grid else value
-            direct = rejects(lambda: SweepConfig(**{name: tuple(given) if grid else given}), key)
-            loaded = rejects(lambda: config_from_dict({section: {inner: given}} if section else {key: given}), key)
+            direct = rejects(lambda: SweepConfig(**{key: tuple(given) if grid else given}), key)
+            loaded = rejects(lambda: config_from_dict({key: given}), key)
             assert direct == loaded, (key, value)
+    for section, cls in (("power", PowerModelParams), ("link", LinkBudget), ("envelope", Envelope)):
+        for key in [f.name for f in dataclasses.fields(cls)]:
+            for value in values:
+                direct = rejects(lambda: SweepConfig(**{section: cls(**{key: value})}), key, section, "envelope")
+                loaded = rejects(lambda: config_from_dict({section: {key: value}}), key, section, "envelope")
+                assert direct == loaded, (section, key, value)
     # an empty grid would run nothing, and a repeated point would run twice
     for key, raw in BAD_GRIDS:
         with pytest.raises(ConfigError, match=key):
@@ -178,21 +178,22 @@ def test_config_validation_rules():
         SweepConfig(bits=(3, 3))
     # a grid given directly is a list or a tuple, as a loaded one is, and is
     # kept as a tuple, so that the frozen config hashes
-    for key, kwargs in (("bits", {"bits": 3}), ("tau", {"tau": 8}), ("bandwidth_ghz", {"bandwidth_hz": 1e8})):
+    for key, kwargs in (("bits", {"bits": 3}), ("tau", {"tau": 8}), ("bandwidth_ghz", {"bandwidth_ghz": 0.1})):
         with pytest.raises(ConfigError, match=f"^{key} must be a list, got "):
             SweepConfig(**kwargs)
-    listed = SweepConfig(bits=[1, 2], tau=[8, 16], bandwidth_hz=[1e8])
-    assert listed == SweepConfig(bits=(1, 2), tau=(8, 16), bandwidth_hz=(1e8,))
+    listed = SweepConfig(bits=[1, 2], tau=[8, 16], bandwidth_ghz=[0.1])
+    assert listed == SweepConfig(bits=(1, 2), tau=(8, 16), bandwidth_ghz=(0.1,))
     assert listed.bits == (1, 2) and hash(listed) == hash(SweepConfig(bits=(1, 2), tau=(8, 16)))
     distinct = config_from_dict({"bits": [2, 3], "tau": [8, 16], "bandwidth_ghz": [0.1, 0.100000002, 1.0]})
-    assert distinct.bandwidth_hz == (1e8, 100000002.0, 1e9)
+    assert distinct.bandwidth_ghz == (0.1, 0.100000002, 1.0)
+    assert sorted({hz for _, _, hz, _ in distinct.points()}) == [1e8, 100000002.0, 1e9]
     reals = config_from_dict({"validate_tolerance": 1, "power": {"v_dd": 2}, "envelope": {"bandwidth_ghz_ref": 1}})
     assert reals.validate_tolerance == 1.0 and reals.power.v_dd == 2.0
-    assert reals.envelope_bandwidth_hz_ref == 1e9
+    assert reals.envelope.bandwidth_ghz_ref == 1.0 and type(reals.envelope.bandwidth_ghz_ref) is float
     integral = config_from_dict({"bits": [2.0], "trials": 1e5, "envelope": {"count_ref": 10.0}})
     assert integral.bits == (2,) and type(integral.bits[0]) is int
     assert integral.trials == 100_000 and type(integral.trials) is int
-    assert type(integral.envelope_count_ref) is int
+    assert type(integral.envelope.count_ref) is int
 
 
 def test_a_tolerance_the_oracle_rejects_fails_at_config_time():
@@ -212,7 +213,7 @@ def test_config_file_round_trip(tmp_path):
     config = config_from_dict(read_config(path))
     assert config.direction == "dl"
     assert config.bits == (2, 3)
-    assert config.bandwidth_hz == (1e8, 1e9)
+    assert config.bandwidth_ghz == (0.1, 1.0)
     (tmp_path / "empty.json").write_text("")
     assert config_from_dict(read_config(tmp_path / "empty.json")) == SweepConfig()
     # one implementation, also under the name the sweep module exports
@@ -221,7 +222,7 @@ def test_config_file_round_trip(tmp_path):
 
 def test_envelope_matches_reference_chain():
     params = PowerModelParams()
-    envelope = envelope_from_reference(10, 1e8, 10, "ul", params)
+    envelope = envelope_from_reference(Envelope(10, 0.1, 10), "ul", params)
     assert envelope == pytest.approx(10 * (params.p_rf_ul + 2 * p_adc(10, 1e8, params)))
 
 
@@ -306,13 +307,47 @@ def test_meta_sidecar_reads_back_as_its_config(raw, tmp_path):
     assert meta["seed"] == config.seed and meta["k_users"] == config.k_users
 
 
-def test_cli_rerun_from_the_meta_sidecar_writes_the_same_csv(tmp_path):
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+# a dl grid with unsorted entries that overrides every section
+OVERRIDING = {
+    "direction": "dl",
+    "bits": [2, 3],
+    "bandwidth_ghz": [0.25, 0.1],
+    "tau": [16, 8],
+    "trials": 10_000,
+    "seed": 7,
+    "envelope": {"bits_ref": 8, "bandwidth_ghz_ref": 0.3, "count_ref": 12},
+    "power": {"c_p": 2e-12},
+    "link": {"distance_m": 80},
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [None, {**OVERRIDING, "bandwidth_ghz": [4.218987067]}, OVERRIDING],
+    ids=["flags", "4.218987067GHz", "overriding"],
+)
+def test_cli_rerun_from_the_meta_sidecar_writes_the_same_csv(raw, tmp_path):
     flags = ["--direction", "dl", "--bits", "2", "--tau", "8", "--trials", "1e4"]
+    if raw is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(["run", *flags, "--out", str(first), "--quiet"]) == 0
     assert cli_main(["run", "--config", str(first) + ".meta", "--out", str(second), "--quiet"]) == 0
     assert second.read_bytes() == first.read_bytes()
     assert (tmp_path / "b.csv.meta").read_bytes() == (tmp_path / "a.csv.meta").read_bytes()
+
+
+def test_every_config_comes_back_from_its_json_object():
+    # each field holds its key's value in the key's units, so nothing is
+    # converted on the way out; 4.218987067 GHz, held in Hz as 4218987067.0,
+    # used to come back as 4218987066.9999995 Hz, with another point seed
+    rng = np.random.default_rng(30)
+    configs = [SweepConfig(bandwidth_ghz=(4.218987067,)), config_from_dict(OVERRIDING)]
+    for ghz in 10 ** rng.uniform(-3, 2, 300):
+        configs.append(SweepConfig(direction="ul", bits=(2,), tau=(8,), bandwidth_ghz=(float(ghz),)))
+    for config in configs:
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_infeasible_points_become_comment_lines(tmp_path):
@@ -337,8 +372,24 @@ def test_gnuplot_curve_files(tmp_path):
     assert names == ["ul_B0.1GHz_tau8.dat", "ul_B0.1GHz_tau16.dat"]  # numeric tau order
     tau8 = [r for r in records if r.tau == 8]
     assert open(paths[0]).read() == "".join(
-        ["# ul sum rate vs bits, B = 1e+08 Hz, tau = 8\n"] + [f"{r.b} {r.sum_rate_bps:.9g}\n" for r in tau8]
+        ["# ul sum rate vs bits, B = 100000000 Hz, tau = 8\n"] + [f"{r.b} {r.sum_rate_bps:.9g}\n" for r in tau8]
     )
+
+
+def test_curves_of_bandwidths_alike_to_six_digits_get_files_of_their_own(tmp_path, capsys):
+    # both bandwidths used to name their file dl_B0.1GHz_tau8.dat, which then held only the second curve
+    out = tmp_path / "out.csv"
+    flags = ["--direction", "dl", "--bits", "1,2", "--tau", "8", "--bandwidth", "0.1,0.1000001", "--trials", "1e4"]
+    assert cli_main(["run", *flags, "--out", str(out), "--quiet"]) == 0
+    assert cli_main(["curves", "--csv", str(out), "--out-dir", str(tmp_path / "curves")]) == 0
+    paths = capsys.readouterr().out.split()
+    assert [p.split("/")[-1] for p in paths] == ["dl_B0.1GHz_tau8.dat", "dl_B0.1000001GHz_tau8.dat"]
+    for path, bw in zip(paths, ("100000000", "100000100")):
+        rows = [r for r in read_csv(out) if r["bandwidth_hz"] == bw]
+        assert len(rows) == 2
+        assert open(path).read() == "".join(
+            [f"# dl sum rate vs bits, B = {bw} Hz, tau = 8\n"] + [f"{r['b']} {r['sum_rate_bps']}\n" for r in rows]
+        )
 
 
 def test_sweep_solves_each_resolution_once(monkeypatch):
@@ -388,15 +439,26 @@ def test_cli_run_and_curves(tmp_path, capsys):
 
 
 def test_cli_curves_reports_bad_input(tmp_path, capsys):
-    # a missing file, a CSV without a bandwidth_hz column and one with a
-    # non-integer b: exit 2 and one stderr line that names the file and the
-    # problem, not a traceback
+    # a missing file, a CSV without a bandwidth_hz column, one with a
+    # non-integer b and rows cut short (a cut one used to be plotted) or run
+    # long: exit 2 and one stderr line that names the file and the problem,
+    # not a traceback
     missing = tmp_path / "missing.csv"
     partial = tmp_path / "partial.csv"
     partial.write_text("direction,b,tau,sum_rate_bps\nul,3,8,1e9\n")
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("direction,b,bandwidth_hz,tau,sum_rate_bps\nul,x,1e8,8,1e9\n")
-    for path, problem in ((missing, "No such file"), (partial, "no 'bandwidth_hz' column"), (garbled, "'x'")):
+    short = tmp_path / "short.csv"
+    short.write_text("direction,b,bandwidth_hz,tau,sum_rate_bps\nul,3,1e8,8,1e9\n# skipped\nul,4,1e8,8\n")
+    long = tmp_path / "long.csv"
+    long.write_text("direction,b,bandwidth_hz,tau,sum_rate_bps\nul,3,1e8,8,1e9,7\n")
+    for path, problem in (
+        (missing, "No such file"),
+        (partial, "no 'bandwidth_hz' column"),
+        (garbled, "'x'"),
+        (short, ": line 4 has 4 fields, the header 5"),
+        (long, ": line 2 has 6 fields, the header 5"),
+    ):
         assert cli_main(["curves", "--csv", str(path), "--out-dir", str(tmp_path / "curves")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0] and problem in err[0], err
@@ -571,7 +633,7 @@ def test_unknown_direction_is_an_error_not_downlink():
     calls = [
         lambda: params.p_rf("sideways"),
         lambda: snr_linear("sideways", LinkBudget(), 1e8),
-        lambda: envelope_from_reference(10, 1e8, 10, "sideways", params),
+        lambda: envelope_from_reference(Envelope(), "sideways", params),
         lambda: point_seed(1, "sideways", 2, 1e8, 8),
         lambda: run_point(_tiny_config(), "sideways", 10, 1e8, 8),
     ]
