@@ -21,10 +21,10 @@ j of a phase draws from its own generator, block_rng(seed, phase, j), so the
 block size defines the random stream; the per-block sums are totalled
 exactly by math.fsum, in block order.  Each estimate here is a per-block
 function and one call of _block_table, whose calling thread and worker
-thread each take the next unclaimed block when free, in buffers of its own
-carved from one memory map (_mapped_arrays); the worker belongs to the
-call and has ended when it returns or raises.  Which thread takes a block
-changes no sum, so the estimates are those of one block after another.
+thread each take the next unclaimed block when free, in heap buffers of
+its own that live for the call; the worker belongs to the call and has
+ended when it returns or raises.  Which thread takes a block changes no
+sum, so the estimates are those of one block after another.
 The full-chain oracle in mcsim walks its blocks with _block_table too, so
 the library has one thread scheme.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import threading
 from concurrent import futures
 from dataclasses import dataclass, field, fields
@@ -98,25 +97,6 @@ def _fsum_blocks(parts):
     return out.reshape(parts.shape[1:])
 
 
-def _mapped_arrays(shapes):
-    """Complex arrays of shapes, carved in order from one anonymous memory map.
-
-    The map is not on the heap: its pages are faulted in when it is made
-    (MAP_POPULATE, where the system has it), not one at a time by the first
-    block, and go back to the system once the last of the arrays is
-    dropped.  Megabytes of buffers that live through a call would, on the
-    heap, leave a hole under the arrays allocated after them, which the
-    results that outlive the call then split into pieces too small for
-    later large arrays (12 MB more peak RSS on the oracle benchmark); on a
-    worker thread they would stay in that thread's malloc arena.
-    """
-    lengths = [math.prod(shape) for shape in shapes]
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    flat = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * sum(lengths), flags=flags), dtype=complex)
-    pieces = np.split(flat, np.cumsum(lengths)[:-1])
-    return [piece.reshape(shape) for shape, piece in zip(shapes, pieces)]
-
-
 def _block_table(block_sum, sizes, dtype, buffer_shapes):
     """One row of dtype per block of trial counts sizes, row j being block_sum(j, buffers).
 
@@ -128,13 +108,19 @@ def _block_table(block_sum, sizes, dtype, buffer_shapes):
     buffers of its own sized for the largest block, claim the next block
     from one shared iterator until none is left, so a thread that is held
     up leaves its share to the other; a single block runs on the calling
-    thread.  The worker is opened by the call, and leaving its executor
-    waits for it, so it has ended when the call returns or raises; once
-    either thread raises, both stop at their next claim.
+    thread.  The calling thread allocates both threads' buffers before the
+    worker starts, so that none stays in the worker's malloc arena, and
+    carves each thread's from one array of its own: an array a buffer took
+    4 MB (5%) more peak RSS on the oracle benchmark under glibc's malloc.
+    They are freed when the call returns.  The worker is opened by the
+    call, and leaving its executor waits for it, so it has ended when the
+    call returns or raises; once either thread raises, both stop at their
+    next claim.
     """
-    threads = min(len(sizes), 2)
-    n = len(buffer_shapes)
-    arrays = _mapped_arrays([(max(sizes), *row) for _ in range(threads) for row in buffer_shapes])
+    shapes = [(max(sizes), *row) for row in buffer_shapes]
+    lengths = [math.prod(shape) for shape in shapes]
+    flats = [np.empty(sum(lengths), complex) for _ in range(min(len(sizes), 2))]
+    arrays = [[a.reshape(shape) for shape, a in zip(shapes, np.split(flat, np.cumsum(lengths)[:-1]))] for flat in flats]
     table = np.empty(len(sizes), dtype)
     claims = iter(range(len(sizes)))  # next() on it is one step under the GIL: no block is claimed twice
     failed = threading.Event()
@@ -149,21 +135,14 @@ def _block_table(block_sum, sizes, dtype, buffer_shapes):
             failed.set()
             raise
 
-    if threads == 1:
-        fill(arrays)
+    if len(arrays) == 1:
+        fill(arrays[0])
         return table
     with futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="quantmimo-block") as pool:
-        worker = pool.submit(fill, arrays[n:])
-        fill(arrays[:n])
+        worker = pool.submit(fill, arrays[1])
+        fill(arrays[0])
         worker.result()
     return table
-
-
-def _squared_magnitude(z, scratch):
-    """|z|^2 entrywise, formed as np.abs(z) ** 2 forms it, in the first z.size floats of the complex array scratch."""
-    power = scratch.reshape(-1).view(float)[: z.size].reshape(z.shape)
-    np.abs(z, out=power)
-    return np.square(power, out=power)
 
 
 @dataclass(frozen=True)
@@ -391,7 +370,7 @@ def _trace_block(spec, complex_variance, gain, seed, j, buffers):
     complex_gaussian(block_rng(seed, PHASE_UL, j), y.shape, complex_variance, out=y)
     quantize(spec, y, out=d)
     d -= np.multiply(gain, y, out=y)
-    return np.sum(_squared_magnitude(d, scratch=y))
+    return np.sum(np.abs(d) ** 2)
 
 
 def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
@@ -419,8 +398,7 @@ def _projection_block(spec, pilots, rho_bs, gain, seed, j, buffers):
     """Block j's sums of |P_k^T d|^2 over its rows, one per UE k, formed in buffers (h, noise, y).
 
     d = Q(y) - G*y is the distortion of the pilot-phase rows y; once y is
-    formed, the noise holds d, h the projections and y their squared
-    magnitudes.
+    formed, the noise holds d and h the projections.
     """
     h, noise, y = buffers
     rng = block_rng(seed, PHASE_CE, j)
@@ -430,7 +408,7 @@ def _projection_block(spec, pilots, rho_bs, gain, seed, j, buffers):
     d = quantize(spec, y, out=noise)
     d -= np.multiply(gain, y, out=y)
     u = np.matmul(d, pilots.entries, out=h)
-    return np.sum(_squared_magnitude(u, scratch=y), axis=0)
+    return np.sum(np.abs(u) ** 2, axis=0)
 
 
 def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):

@@ -102,6 +102,8 @@ class SweepConfig:
                 for value in values if grid else (values,):
                     if not test(value):
                         raise ConfigError(f"{f.name}: must be {must}, got {value!r}")
+            # each field converts as its JSON value does, so that no float field holds an int like 10**400
+            _value(f.name, f.default, asdict(values) if is_dataclass(values) else values)
         for direction in self.directions():
             try:
                 envelope_from_reference(self.envelope, direction, self.power)

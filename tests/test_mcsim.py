@@ -1,5 +1,6 @@
 """Tests for the full-chain Monte Carlo validator."""
 
+import gc
 import itertools
 import os
 import signal
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +340,28 @@ def test_every_block_is_claimed_once_under_fast_thread_switches():
     assert np.array_equal(table, np.arange(50_000.0))
 
 
+def test_block_buffers_are_disjoint_and_freed_after_the_call():
+    # each block sleeps, so both threads claim some of the 8 blocks; each
+    # thread's buffers are those it saw at its first block
+    buffers = {}
+
+    def block_sum(j, views):
+        time.sleep(0.01)
+        buffers.setdefault(threading.current_thread().name, views)
+        return j
+
+    table = bussgang._block_table(block_sum, [3] * 8, np.dtype(float), [(2,), (5,)])
+    assert np.array_equal(table, np.arange(8.0))
+    assert len(buffers) == 2, buffers.keys()
+    views = [view for thread_views in buffers.values() for view in thread_views]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
+    refs = [weakref.ref(view.base) for view in views]
+    buffers.clear()
+    del views
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 @pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's m*tau
 def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entries):
     # block j draws from generator j of the oracle's own phase, in stream
@@ -394,13 +418,12 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-# Peaks of the oracle (specs and stats given), measured with numpy 2.4 as
-# the tracemalloc peak plus the two threads' block buffers, which live in a
-# memory map that tracemalloc does not see: 0.9 + 4.2 MB at the criterion-4
-# scenario over 16384 trials, and 1.6 + 2.3 MB at the widest --validate
-# point over 2000 trials.  Blocks twice as long would map 8.4 MB at the
-# criterion-4 scenario; drawing whole 16384-trial chunks first took 115 MB
-# and 415 MB traced.
+# Peaks of the oracle (specs and stats given), as tracemalloc sees them, the
+# two threads' block buffers included, measured with numpy 2.4: 5.0 MB at
+# the criterion-4 scenario over 16384 trials, and 3.9 MB at the widest
+# --validate point over 2000 trials.  Blocks twice as long would hold 8.4 MB
+# of buffers at the criterion-4 scenario; drawing whole 16384-trial chunks
+# first took 115 MB and 415 MB.
 @pytest.mark.parametrize(
     "config,direction,trials",
     [
@@ -409,22 +432,12 @@ def _traced_peak(run):
     ],
     ids=["criterion_4", "widest_validate"],
 )
-def test_peak_memory_of_the_oracle_stays_at_block_scale(monkeypatch, config, direction, trials):
+def test_peak_memory_of_the_oracle_stays_at_block_scale(config, direction, trials):
     specs, stats, _ = _oracle_inputs(config)
-    mapped = []
-    real_mapped_arrays = bussgang._mapped_arrays
-
-    def mapped_arrays(shapes):
-        arrays = real_mapped_arrays(shapes)
-        mapped.append(sum(a.nbytes for a in arrays if a is not None))
-        return arrays
-
-    monkeypatch.setattr(bussgang, "_mapped_arrays", mapped_arrays)
     peak = _traced_peak(
         lambda: validate_closed_form(config, trials=trials, seed=1, direction=direction, specs=specs, stats=stats)
     )
-    assert len(mapped) == 1
-    assert peak + mapped[0] < 8e6, f"peak {peak / 1e6:.1f} MB traced and {mapped[0] / 1e6:.1f} MB mapped"
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_oracle_keeps_one_row_of_floats_per_block(monkeypatch):

@@ -142,6 +142,16 @@ def test_config_validation_rules():
     ):
         with pytest.raises(ConfigError, match=key):
             SweepConfig(**kwargs)
+    # an int too large for a float passes a section's POSITIVE check, and
+    # fails as the loader fails it, not with an OverflowError or a TypeError
+    # from the power model or the link budget at the first point
+    for key, kwargs in (
+        ("power v_dd", {"power": PowerModelParams(v_dd=10**400)}),
+        ("link distance_m", {"link": LinkBudget(distance_m=10**400)}),
+        ("validate_tolerance", {"validate_tolerance": 10**400}),
+    ):
+        with pytest.raises(ConfigError, match=f"^{key}: int too large to convert to float"):
+            SweepConfig(**kwargs)
     # and rejects exactly what the loader rejects, for every numeric key,
     # sections included: a ConfigError names the key or its section (or, for
     # too many antennas, the envelope), and a section's own ValueError the key
