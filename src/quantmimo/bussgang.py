@@ -18,8 +18,9 @@ by simulation; the sweep takes those.
 Every Monte Carlo estimate walks its trials one cache-sized block at a time
 (_blocks: at most 2^16 entries, 1 MB, of the widest per-trial array).  Block
 j of a phase draws from its own generator, block_rng(seed, phase, j), so the
-block size defines the random stream; the per-block sums are totalled
-exactly by math.fsum, in block order.  Each estimate here is a per-block
+block size defines the random stream; the table of per-block sums is
+totalled by one numpy sum over its block axis, whose additions follow the
+rows, not the threads that filled them.  Each estimate here is a per-block
 function and one call of _block_table, whose calling thread and worker
 thread each take the next unclaimed block when free, in heap buffers of
 its own that live for the call; the worker belongs to the call and has
@@ -81,20 +82,10 @@ def _blocks(trials, row_entries):
     return [min(step, trials - start) for start in range(0, trials, step)]
 
 
-def _fsum_blocks(parts):
-    """Element-wise total of per-block sums, exactly rounded by math.fsum.
-
-    Blocks are combined in block order, so the total does not depend on how
-    they were scheduled.  parts is a list of equal-shape sums, or an array
-    of them stacked along its first axis, which is summed without a copy.
-    """
-    parts = np.asarray(parts)
-    flat = parts.reshape(len(parts), -1).T
-    if np.iscomplexobj(flat):
-        out = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat])
-    else:
-        out = np.array([math.fsum(col) for col in flat])
-    return out.reshape(parts.shape[1:])
+def _carve(flat, shapes):
+    """Consecutive views of the 1-D array flat, one of each shape in turn."""
+    lengths = [math.prod(shape) for shape in shapes]
+    return [part.reshape(shape) for shape, part in zip(shapes, np.split(flat, np.cumsum(lengths)[:-1]))]
 
 
 def _block_table(block_sum, sizes, dtype, buffer_shapes):
@@ -118,9 +109,8 @@ def _block_table(block_sum, sizes, dtype, buffer_shapes):
     next claim.
     """
     shapes = [(max(sizes), *row) for row in buffer_shapes]
-    lengths = [math.prod(shape) for shape in shapes]
-    flats = [np.empty(sum(lengths), complex) for _ in range(min(len(sizes), 2))]
-    arrays = [[a.reshape(shape) for shape, a in zip(shapes, np.split(flat, np.cumsum(lengths)[:-1]))] for flat in flats]
+    length = sum(math.prod(shape) for shape in shapes)
+    arrays = [_carve(np.empty(length, complex), shapes) for _ in range(min(len(sizes), 2))]
     table = np.empty(len(sizes), dtype)
     claims = iter(range(len(sizes)))  # next() on it is one step under the GIL: no block is claimed twice
     failed = threading.Event()
@@ -361,7 +351,7 @@ def distortion_trace(spec, complex_variance, dim, trials, seed):
     gain = gain_scalar(spec, complex_variance)
     block_sum = functools.partial(_trace_block, spec, complex_variance, gain, seed)
     block_sums = _block_table(block_sum, _blocks(trials, dim), np.dtype(float), [(dim,), (dim,)])
-    return float(_fsum_blocks(block_sums) / trials)
+    return float(np.sum(block_sums, axis=0) / trials)
 
 
 def _trace_block(spec, complex_variance, gain, seed, j, buffers):
@@ -391,7 +381,7 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     gain = gain_scalar(spec, expected_var)
     block_sum = functools.partial(_projection_block, spec, pilots, rho_bs, gain, seed)
     block_sums = _block_table(block_sum, _blocks(trials, tau), np.dtype((float, (k,))), [(k,), (tau,), (tau,)])
-    return _fsum_blocks(block_sums) / trials
+    return np.sum(block_sums, axis=0) / trials
 
 
 def _projection_block(spec, pilots, rho_bs, gain, seed, j, buffers):

@@ -109,6 +109,8 @@ class SweepConfig:
                 envelope_from_reference(self.envelope, direction, self.power)
             except ValueError as exc:  # the reference converter's power overflows
                 raise ConfigError(f"envelope bits_ref: {exc}") from exc
+            except OverflowError as exc:  # the chain count does not convert to a float
+                raise ConfigError(f"envelope count_ref: {exc}") from exc
         if any(t < self.k_users for t in self.tau):
             raise ConfigError(f"every tau must be >= k_users={self.k_users}, got {self.tau}")
         _check_grid("bits", self.bits, int)

@@ -7,10 +7,12 @@ the closed forms.
 
 The chain runs over the trials one cache-sized block at a time
 (_oracle_blocks: half of bussgang's 1 MB of the m*tau pilot noise, 128
-trials at m 32, tau 8).  Block j draws from its own generator,
-block_rng(seed, PHASE_ORACLE, j), in the order channels, pilot noise,
-uplink symbols and noise, downlink symbols; so the block size defines the
-oracle's stream.  Unless the caller passes its own stats, the closed forms
+trials at m 32, tau 8).  Block j takes one draw from its own generator,
+block_rng(seed, PHASE_ORACLE, j): the channels, pilot noise, uplink
+symbols and noise and downlink symbols of all its trials, in that order,
+whichever directions are asked for.  So the block size defines the
+oracle's stream, and a call for one direction reports as the same call
+for both does.  Unless the caller passes its own stats, the closed forms
 it checks take bussgang.exact_stats, which samples nothing, so the oracle
 is the only Monte Carlo in a call.
 
@@ -24,8 +26,8 @@ a block changes no sum.  Both directions take their channel products from
 one per-trial A = H^H Ĥ and |Ĥ|^2 of the block.  Each block's sums fill one
 preallocated row of a structured array, a record per phase ("ce", "ul",
 "dl") of a field per moment name (103 floats, 824 bytes, a block at K 4,
-m 32); math.fsum totals each field at the end, and its per-block entries
-give each moment's batch-means standard error.
+m 32); numpy sums each field over the blocks at the end, and its per-block
+entries give each moment's batch-means standard error.
 
 The downlink distortion term E[h_k^H C_d h_k] is computed as E||d||^2: the
 Bussgang model takes the DAC distortion d independent of the channel, so
@@ -52,7 +54,7 @@ from quantmimo.bussgang import (
     block_rng,
     _block_table,
     _blocks,
-    _fsum_blocks,
+    _carve,
     exact_stats,
 )
 from quantmimo.checks import DIRECTION, DIRECTIONS, POSITIVE, integer, require
@@ -197,21 +199,22 @@ def _row_dtype(config, directions):
 
 
 def _oracle_block(config, specs, stats, delta, pilots, seed, dtype, j, buffers):
-    """Block j's sums, one row of dtype, from its draws of block_rng(seed, PHASE_ORACLE, j).
+    """Block j's sums, one row of dtype, from one draw of block_rng(seed, PHASE_ORACLE, j).
 
-    The draws come in stream order: channels H and pilot noise into
-    buffers, then the uplink symbols and noise and the downlink symbols of
-    each direction that dtype has.  The pilot phase forms its quantized
-    estimates Ĥ in the rest of buffers (d, Ĥ, y); once y is formed, the
-    noise is scratch for the g·y and conj(y)·d products.  Both directions
-    take their channel products from one _channel_sums, and each phase
-    writes its sums straight into its record of the row.
+    The draw fills the block's first buffer, which holds in turn the
+    channels H, the pilot noise, the uplink symbols x and noise z and the
+    downlink symbols of all the block's trials, whichever directions dtype
+    has.  The pilot phase forms its quantized estimates Ĥ in the rest of
+    buffers (d, Ĥ, y); once y is formed, the noise is scratch for the g·y
+    and conj(y)·d products.  Both directions take their channel products
+    from one _channel_sums, and each phase writes its sums straight into
+    its record of the row.
     """
     spec_ce, spec_ul, spec_dl = specs
-    h, noise, d_ce, h_hat, y_ce = buffers
-    rng = block_rng(seed, PHASE_ORACLE, j)
-    complex_gaussian(rng, h.shape, out=h)
-    complex_gaussian(rng, noise.shape, out=noise)
+    drawn, d_ce, h_hat, y_ce = buffers
+    n, m, k = len(drawn), config.m, config.k_users
+    complex_gaussian(block_rng(seed, PHASE_ORACLE, j), drawn.shape, out=drawn)
+    h, noise, x, z, x_dl = _carve(drawn.reshape(-1), [(n, m, k), (n, m, config.tau), (n, k), (n, m), (n, k)])
     row = np.empty((), dtype)
     pilot_phase_signal(h, pilots, config.rho_bs, noise, out=y_ce)
     quantize(spec_ce, y_ce, out=d_ce)
@@ -220,20 +223,18 @@ def _oracle_block(config, specs, stats, delta, pilots, seed, dtype, j, buffers):
     _residual_sums(d_ce, y_ce, row["ce"], out=noise)
     channel = _channel_sums(h, h_hat)
     row["ce"]["delta"] = np.sum(channel.ue_power)
-    size, k = len(h), config.k_users
     if "ul" in dtype.names:
-        x, z = complex_gaussian(rng, (size, k)), complex_gaussian(rng, (size, config.m))
         _uplink_block(config.rho_bs, spec_ul, stats.g_ul, h, h_hat, channel, x, z, row["ul"])
     if "dl" in dtype.names:
-        _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, complex_gaussian(rng, (size, k)), row["dl"])
+        _downlink_block(spec_dl, stats.g_dl, delta, h_hat, channel, x_dl, row["dl"])
     return row
 
 
 def _oracle_blocks(config, trials):
     """Trial counts of the oracle's blocks.
 
-    A block's widest draw, its m*tau pilot noise, takes at most half of the
-    1 MB that _blocks allows, so that the blocks of _block_table's two
+    A block's m*tau pilot noise, its widest array, takes at most half of
+    the 1 MB that _blocks allows, so that the blocks of _block_table's two
     threads together hold about 1 MB of it.
     """
     return _blocks(trials, 2 * config.m * config.tau)
@@ -242,13 +243,14 @@ def _oracle_blocks(config, trials):
 def _oracle_walk(config, specs, stats, delta, pilots, trials, seed, directions):
     """_block_table's arguments for the oracle: its per-block function, block sizes, row dtype and buffer shapes.
 
-    The buffers are a block's channels and pilot noise and its pilot-phase
-    d, Ĥ and y: three m x tau and two m x K arrays per trial.
+    The buffers are a block's draw, m(K + tau + 1) + 2K entries per trial
+    (H, pilot noise, x, z and the downlink symbols), and its pilot-phase
+    d, Ĥ and y: two m x tau and one m x K array per trial.
     """
     m, k, tau = config.m, config.k_users, config.tau
     dtype = _row_dtype(config, directions)
     block_sum = functools.partial(_oracle_block, config, specs, stats, delta, pilots, seed, dtype)
-    return block_sum, _oracle_blocks(config, trials), dtype, [(m, k), (m, tau), (m, tau), (m, k), (m, tau)]
+    return block_sum, _oracle_blocks(config, trials), dtype, [(m * (k + tau + 1) + 2 * k,), (m, tau), (m, k), (m, tau)]
 
 
 def _residual(totals, n_samples):
@@ -342,7 +344,7 @@ def validate_closed_form(
 
     block_sum, sizes, dtype, buffer_shapes = _oracle_walk(config, specs, stats, delta, pilots, trials, seed, directions)
     table = _block_table(block_sum, sizes, dtype, buffer_shapes)
-    totals = {phase: {name: _fsum_blocks(table[phase][name]) for name in dtype[phase].names} for phase in dtype.names}
+    totals = {phase: {name: np.sum(table[phase][name], axis=0) for name in dtype[phase].names} for phase in dtype.names}
     ce_residual = _residual(totals["ce"], trials * m * tau)
     reports = {}
     for d in directions:

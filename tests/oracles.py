@@ -28,7 +28,7 @@ from scipy.special import ndtr, ndtri
 
 from quantmimo import mcsim
 from quantmimo.airlink import complex_gaussian, pilot_phase_signal
-from quantmimo.bussgang import PHASE_CE, PHASE_UL, _blocks, _fsum_blocks, block_rng, gain_scalar
+from quantmimo.bussgang import PHASE_CE, PHASE_UL, _blocks, block_rng, gain_scalar
 from quantmimo.quant import quantize
 
 
@@ -274,7 +274,7 @@ def distortion_trace_blocks(spec, complex_variance, dim, trials, seed):
 def sequential_distortion_trace(spec, complex_variance, dim, trials, seed):
     """bussgang.distortion_trace as one walk over its blocks on the calling thread, in new arrays."""
     sums = [np.sum(block) for block in distortion_trace_blocks(spec, complex_variance, dim, trials, seed)]
-    return float(_fsum_blocks(sums) / trials)
+    return float(np.sum(sums, axis=0) / trials)
 
 
 def ce_projection_blocks(spec, pilots, rho_bs, trials, seed):
@@ -292,7 +292,7 @@ def ce_projection_blocks(spec, pilots, rho_bs, trials, seed):
 def sequential_ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     """bussgang.ce_distortion_projections as one walk over its blocks on the calling thread, in new arrays."""
     sums = [np.sum(block, axis=0) for block in ce_projection_blocks(spec, pilots, rho_bs, trials, seed)]
-    return _fsum_blocks(sums) / trials
+    return np.sum(sums, axis=0) / trials
 
 
 def quadrature_correlation(spec, component_std, r):

@@ -129,9 +129,9 @@ def test_distortion_covariance_off_diagonals_vanish():
         sums = einsum_uplink_block(config.rho_bs, specs[1], stats.g_ul, h, h_hat, rng, track_offdiag=True)
         offdiag.append(sums["offdiag"])
         offdiag_sq.append(sums["offdiag_sq"])
-    mean = bussgang._fsum_blocks(offdiag) / trials
+    mean = np.sum(offdiag, axis=0) / trials
     off_max = np.max(np.abs(mean[~np.eye(m, dtype=bool)]))
-    off_sigma = np.sqrt(bussgang._fsum_blocks(offdiag_sq) / trials / trials)
+    off_sigma = np.sqrt(np.sum(offdiag_sq, axis=0) / trials / trials)
     assert off_max < 3 * off_sigma
 
 
@@ -257,7 +257,7 @@ def test_block_kernel_matches_einsum_reference(monkeypatch, m, k, tau, bits):
 @pytest.mark.parametrize("direction", ["both", "dl"])
 def test_block_tables_total_as_the_per_block_dicts_did(monkeypatch, bits, direction):
     # each name's per-block sums, read as a (blocks, *shape) field of the
-    # oracle's table and totalled by _fsum_blocks, give exactly the totals of
+    # oracle's table and summed over its blocks, give exactly the totals of
     # the per-block sums of a one-thread walk, each block's kept apart, over
     # 2.5 blocks so that the short last block counts too (criterion-4 scenario)
     config = _config(m_ul=32, m_dl=32, bits=bits)
@@ -274,8 +274,8 @@ def test_block_tables_total_as_the_per_block_dicts_did(monkeypatch, bits, direct
     for phase, sums in rows[0].items():
         assert table.dtype[phase].names == tuple(sums), phase
         for name in sums:
-            got = bussgang._fsum_blocks(table[phase][name])
-            want = bussgang._fsum_blocks([row[phase][name] for row in rows])
+            got = np.sum(table[phase][name], axis=0)
+            want = np.sum([row[phase][name] for row in rows], axis=0)
             assert got.dtype == want.dtype and got.shape == want.shape, (phase, name)
             assert np.all(got == want), (phase, name)
 
@@ -362,14 +362,16 @@ def test_block_buffers_are_disjoint_and_freed_after_the_call():
     assert all(ref() is None for ref in refs)
 
 
-@pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's m*tau
+@pytest.mark.parametrize("block_entries", [None, 100])  # 100: fewer than one trial's draw
 def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entries):
-    # block j draws from generator j of the oracle's own phase, in stream
-    # order, and no draw is wider than a block (or one trial, where a trial
-    # is wider); the block size thus defines the oracle's stream.  Two
-    # threads take the blocks, so the draws are grouped by generator
+    # block j takes one draw, m(K + tau + 1) + 2K entries a trial, from
+    # generator j of the oracle's own phase, whichever directions are asked
+    # for, and no draw is wider than a block (or one trial, where a trial is
+    # wider); the block size thus defines the oracle's stream.  Two threads
+    # take the blocks, so the draws are grouped by generator
     config = _config(m_ul=16, m_dl=16, k_users=4, tau=8, bits=2)
     m, k, tau = config.m, config.k_users, config.tau
+    width = m * (k + tau + 1) + 2 * k
     specs, stats, _ = _oracle_inputs(config)
     if block_entries is not None:
         monkeypatch.setattr(bussgang, "_BLOCK_ENTRIES", block_entries)
@@ -389,19 +391,29 @@ def test_oracle_draws_each_block_from_its_own_generator(monkeypatch, block_entri
 
     monkeypatch.setattr(mcsim, "block_rng", rng)
     monkeypatch.setattr(mcsim, "complex_gaussian", draw)
-    order = {
-        "both": lambda n: [(n, m, k), (n, m, tau), (n, k), (n, m), (n, k)],
-        "dl": lambda n: [(n, m, k), (n, m, tau), (n, k)],
-    }
-    for direction, shapes in order.items():
+    for direction in ("both", "dl"):
         drawn.clear()
         validate_closed_form(config, trials=sum(sizes), seed=6, direction=direction, specs=specs, stats=stats)
         by_key = dict(drawn.values())
         keys = [(6, PHASE_ORACLE, j) for j in range(len(sizes))]
         assert sorted(by_key) == keys
-        assert [by_key[key] for key in keys] == [shapes(n) for n in sizes]
+        assert [by_key[key] for key in keys] == [[(n, width)] for n in sizes]
         widest = max(int(np.prod(shape)) for shapes_drawn in by_key.values() for shape in shapes_drawn)
-        assert widest <= max(bussgang._BLOCK_ENTRIES, m * tau)
+        assert widest <= max(bussgang._BLOCK_ENTRIES, width)
+
+
+@pytest.mark.parametrize(
+    "m,k,tau,trials",
+    [(32, 4, 8, 20_000), (10, 3, 5, 2_000)],  # the first is the criterion-4 scenario
+)
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+def test_one_direction_reports_as_both_directions_do(m, k, tau, trials, direction):
+    # every direction draws the same block layout, so a call for one
+    # direction gives, to the byte, that direction's report of a call for both
+    config = _config(m_ul=m, m_dl=m, k_users=k, tau=tau, bits=2)
+    one = validate_closed_form(config, trials=trials, seed=5, direction=direction)[direction]
+    both = validate_closed_form(config, trials=trials, seed=5)[direction]
+    assert one.to_text() == both.to_text()
 
 
 def _widest_validate_point():
@@ -419,7 +431,7 @@ def _traced_peak(run):
 
 
 # Peaks of the oracle (specs and stats given), as tracemalloc sees them, the
-# two threads' block buffers included, measured with numpy 2.4: 5.0 MB at
+# two threads' block buffers included, measured with numpy 2.4: 5.2 MB at
 # the criterion-4 scenario over 16384 trials, and 3.9 MB at the widest
 # --validate point over 2000 trials.  Blocks twice as long would hold 8.4 MB
 # of buffers at the criterion-4 scenario; drawing whole 16384-trial chunks

@@ -638,6 +638,24 @@ def test_a_reference_resolution_whose_power_overflows_fails_at_config_time(tmp_p
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_a_chain_count_too_large_for_a_float_fails_at_config_time(tmp_path, capsys):
+    # count_ref = 10**400 is an integer, but not a float; its envelope power
+    # used to end in a bare OverflowError, and the command line in exit code 1
+    big = 10**400
+    with pytest.raises(ConfigError, match="^envelope count_ref: int too large to convert to float"):
+        config_from_dict({"envelope": {"count_ref": big}})
+    with pytest.raises(ConfigError, match="^envelope count_ref: "):
+        SweepConfig(envelope=Envelope(count_ref=big))
+    with pytest.raises(ConfigError, match="^envelope bits_ref: "):
+        config_from_dict({"envelope": {"bits_ref": 1_000_000, "count_ref": big}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"count_ref": big}}))
+    flags = ["--direction", "ul", "--bits", "2", "--tau", "8", "--trials", "1e4", "--quiet"]
+    assert cli_main(["run", "--config", str(cfg), *flags, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "configuration error: envelope count_ref: " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_unknown_direction_is_an_error_not_downlink():
     params = PowerModelParams()
     calls = [
