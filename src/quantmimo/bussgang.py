@@ -13,7 +13,8 @@ every moment as an expectation: the distortion powers by Gauss-Legendre
 sums over the cells, and the correlation moments by the Hermite series of
 Price (1958) and Van Vleck & Middleton (1966), or by quadrature where the
 series converges too slowly.  assemble_stats estimates the same moments
-by simulation; the sweep takes those.
+by simulation, or takes pilot projections estimated before; the sweep
+takes those, with one pilot-phase estimate for both directions.
 
 Every Monte Carlo estimate walks its trials one cache-sized block at a time
 (_blocks: at most 2^16 entries, 1 MB, of the widest per-trial array).  Block
@@ -70,6 +71,15 @@ _BLOCK_ENTRIES = 1 << 16
 def block_rng(seed, phase, block):
     """Deterministic per-(phase, block) generator, independent of run order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, block)))
+
+
+def _receive_variance(rho_bs, k_users):
+    """Per-entry complex variance of the BS receive signal, K users at SNR rho_bs over unit noise.
+
+    The pilot phase and the uplink data phase share it: SystemConfig.y_var_ul
+    and the pilot-phase estimate both read it here.
+    """
+    return rho_bs * k_users + 1.0
 
 
 def _blocks(trials, row_entries):
@@ -165,8 +175,8 @@ class SystemConfig:
 
     @property
     def y_var_ul(self):
-        """Per-entry complex variance of the BS receive signal."""
-        return self.rho_bs * self.k_users + 1.0
+        """Per-entry complex variance of the BS receive signal, in the pilot and uplink data phases."""
+        return _receive_variance(self.rho_bs, self.k_users)
 
     @property
     def w_var_dl(self):
@@ -372,7 +382,7 @@ def ce_distortion_projections(spec, pilots, rho_bs, trials, seed):
     require("trials", trials, integer(MIN_TRIALS))
     require("rho_bs", rho_bs, POSITIVE)
     k, tau = pilots.k_users, pilots.tau
-    expected_var = rho_bs * k + 1.0
+    expected_var = _receive_variance(rho_bs, k)
     if not abs(2.0 * spec.design_std**2 - expected_var) <= 1e-6 * expected_var:
         raise ValueError(
             f"quantizer designed for complex variance {2 * spec.design_std**2:.6g}, "
@@ -401,8 +411,15 @@ def _projection_block(spec, pilots, rho_bs, gain, seed, j, buffers):
     return np.sum(np.abs(u) ** 2, axis=0)
 
 
-def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0):
-    """Bundle the gains and per-antenna distortion moments needed by the rate formulas."""
+def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, seed=0, a_k=None):
+    """Bundle the gains and per-antenna distortion moments needed by the rate formulas.
+
+    The distortion traces are estimated from seed.  a_k, the pilot
+    projections of one antenna row, may come already estimated: they depend
+    on the pilot phase only (b, K, tau and rho_bs), so a sweep estimates
+    them once for the two directions' points of a (b, bandwidth, tau).
+    Without a_k they are estimated here, from seed too.
+    """
     pilots = dft_pilots(config.tau, config.k_users)
     y_var = config.y_var_ul
     w_var = config.w_var_dl
@@ -413,5 +430,5 @@ def assemble_stats(config, spec_ce, spec_ul, spec_dl, trials=DEFAULT_TRIALS, see
         g_dl=gain_scalar(spec_dl, w_var),
         cd_ul=distortion_trace(spec_ul, y_var, config.m, trials, seed) / config.m,
         cd_dl=distortion_trace(spec_dl, w_var, config.m, trials, dl_seed) / config.m,
-        a_k=ce_distortion_projections(spec_ce, pilots, config.rho_bs, trials, seed),
+        a_k=ce_distortion_projections(spec_ce, pilots, config.rho_bs, trials, seed) if a_k is None else a_k,
     )

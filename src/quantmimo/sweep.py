@@ -3,9 +3,19 @@
 Each point of SweepConfig.points (bandwidth in Hz) takes its scenario from
 SweepConfig.scenario (the envelope's antenna count and the link's SNRs),
 designs the converters, estimates the distortion moments, and evaluates the
-closed-form sum rate.  Output is a fixed-schema CSV plus a .meta sidecar:
-the configuration as the JSON object of config.config_to_dict, which
-`quantmimo run --config` reads back as the same configuration.
+closed-form sum rate.
+
+The uplink pilot phase of a (b, bandwidth, tau) serves both data phases:
+its ADC, K, tau and rho_bs do not depend on the direction.  So its pilot
+projections A_k are drawn from a pilot seed of their own (pilot_seed), and
+run_sweep estimates them once, at whichever of the two directions' points
+comes first.  The distortion traces draw from each point's own seed
+(point_seed), which the CSV records.  A point run on its own draws the
+same A_k, so it gives the record the sweep gives.
+
+Output is a fixed-schema CSV plus a .meta sidecar: the configuration as the
+JSON object of config.config_to_dict, which `quantmimo run --config` reads
+back as the same configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from quantmimo import rates
-from quantmimo.bussgang import assemble_stats
+from quantmimo.airlink import dft_pilots
+from quantmimo.bussgang import assemble_stats, ce_distortion_projections
 # config_from_dict is re-exported: the benchmark scripts call sweep.config_from_dict
 from quantmimo.config import config_from_dict, config_to_dict, csv_float  # noqa: F401
 from quantmimo.mcsim import default_specs, validate_closed_form
@@ -63,21 +74,50 @@ class SweepRecord:
     validation_passed: bool | None = None
 
 
-def point_seed(master_seed, direction, b, bandwidth_hz, tau):
-    """Stable per-point seed, independent of sweep order."""
-    dir_code = by_direction(direction, 0, 1)
-    ss = np.random.SeedSequence(master_seed, spawn_key=(dir_code, b, int(bandwidth_hz), tau))
+# the first spawn-key entry of a seed: the direction of a point's seed, or the pilot phase
+_PILOT_CODE = 2
+
+
+def _seed(master_seed, code, b, bandwidth_hz, tau):
+    ss = np.random.SeedSequence(master_seed, spawn_key=(code, b, int(bandwidth_hz), tau))
     return int(ss.generate_state(1)[0])
 
 
-def run_point(config, direction, b, bandwidth_hz, tau):
-    """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0)."""
+def point_seed(master_seed, direction, b, bandwidth_hz, tau):
+    """Stable per-point seed, independent of sweep order; the distortion traces draw from it."""
+    return _seed(master_seed, by_direction(direction, 0, 1), b, bandwidth_hz, tau)
+
+
+def pilot_seed(master_seed, b, bandwidth_hz, tau):
+    """Stable seed of the pilot-phase estimate (A_k) of (b, bandwidth, tau), which both directions' points take.
+
+    Its spawn key starts with _PILOT_CODE, a point seed's with its direction's 0 or 1, so the
+    two are independent streams.
+    """
+    return _seed(master_seed, _PILOT_CODE, b, bandwidth_hz, tau)
+
+
+def run_point(config, direction, b, bandwidth_hz, tau, pilot_phases=None):
+    """Evaluate one sweep point; returns a SweepRecord (skipped if M = 0).
+
+    pilot_phases maps (b, bandwidth_hz, tau) to the pilot projections A_k
+    estimated for it.  The point takes its A_k from there, or estimates it
+    from pilot_seed and adds it; run_sweep hands one dict to all its
+    points.  Either way the record is the same.
+    """
     seed = point_seed(config.seed, direction, b, bandwidth_hz, tau)
     sys_config = config.scenario(direction, b, bandwidth_hz, tau)
     if sys_config is None:
         return SweepRecord(direction, b, bandwidth_hz, tau, m=0, trials=config.trials, seed=seed, skipped=True)
     specs = default_specs(sys_config)
-    stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed)
+    pilot_phases = {} if pilot_phases is None else pilot_phases
+    key = (b, bandwidth_hz, tau)
+    if key not in pilot_phases:
+        pilots = dft_pilots(tau, sys_config.k_users)
+        pilot_phases[key] = ce_distortion_projections(
+            specs[0], pilots, sys_config.rho_bs, config.trials, pilot_seed(config.seed, b, bandwidth_hz, tau)
+        )
+    stats = assemble_stats(sys_config, *specs, trials=config.trials, seed=seed, a_k=pilot_phases[key])
     if direction == "ul":
         moments = rates.moments_ul_mrc(sys_config, stats)
         g_phase, cd = stats.g_ul, stats.cd_ul
@@ -116,10 +156,15 @@ def run_point(config, direction, b, bandwidth_hz, tau):
 
 
 def run_sweep(config, progress=None):
-    """Run every point of config.points in its order; the records come sorted."""
+    """Run every point of config.points in its order; the records come sorted.
+
+    The points share one pilot-phase estimate per (b, bandwidth, tau), for
+    this call only.
+    """
     records = []
+    pilot_phases = {}
     for point in config.points():
-        records.append(run_point(config, *point))
+        records.append(run_point(config, *point, pilot_phases=pilot_phases))
         if progress is not None:
             progress(records[-1])
     records.sort(key=lambda r: (r.direction, r.bandwidth_hz, r.tau, r.b))

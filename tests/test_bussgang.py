@@ -1,5 +1,6 @@
 """Tests for the linearization gains, the exact distortion moments and their Monte Carlo estimators."""
 
+import dataclasses
 import inspect
 import math
 import threading
@@ -325,6 +326,17 @@ def test_assemble_stats_bundles_consistent_moments():
     pilots = dft_pilots(config.tau, config.k_users)
     assert np.array_equal(stats.a_k, ce_distortion_projections(spec, pilots, config.rho_bs, 50_000, 0))
     assert stats.a_k.shape == (config.k_users,)
+
+
+def test_assemble_stats_takes_pilot_projections_already_estimated():
+    config, spec = _scenario()
+    specs = (spec, spec, default_specs(config)[2])
+    own = assemble_stats(config, *specs, trials=20_000, seed=3)
+    given = np.arange(1.0, config.k_users + 1.0)
+    taken = assemble_stats(config, *specs, trials=20_000, seed=3, a_k=given)
+    assert taken.a_k is given
+    # the distortion traces do not depend on where A_k came from
+    assert dataclasses.replace(own, a_k=given) == taken
 
 
 def test_system_config_validation():

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from quantmimo import cli, sweep
+from quantmimo import bussgang, cli, sweep
 from quantmimo.cli import main as cli_main
 from quantmimo.config import ConfigError, SweepConfig, config_from_dict, config_to_dict, from_text, read_config
 from quantmimo.bussgang import SystemConfig
 from quantmimo.mcsim import default_specs, validate_closed_form
 from quantmimo.quant import _unit_lloyd_max
-from quantmimo.sweep import SweepRecord, point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
+from quantmimo.sweep import SweepRecord, pilot_seed, point_seed, read_csv, run_point, run_sweep, write_csv, write_gnuplot
 from quantmimo.syspower import Envelope, LinkBudget, PowerModelParams, envelope_from_reference, p_adc, snr_linear
 
 
@@ -246,6 +246,12 @@ def test_point_seed_is_stable_and_distinct():
         point_seed(12345, "ul", 2, 1e8, 16),
     }
     assert s not in others and len(others) == 4
+    # the pilot-phase estimate of (b, B, tau) has a seed of its own, which no direction shares
+    p = pilot_seed(12345, 2, 1e8, 8)
+    assert p == pilot_seed(12345, 2, 1e8, 8)
+    pilots = {pilot_seed(12345, 3, 1e8, 8), pilot_seed(12345, 2, 1e9, 8), pilot_seed(12345, 2, 1e8, 16)}
+    assert p not in pilots and len(pilots) == 3
+    assert not ({p} | pilots) & ({s} | others)  # others holds the dl point seed of (2, 1e8, 8)
 
 
 def test_run_point_produces_reference_antenna_count():
@@ -426,6 +432,64 @@ def test_sweep_solves_each_resolution_once(monkeypatch):
             assert np.array_equal(a.labels.view(np.uint64), b.labels.view(np.uint64))
             assert np.array_equal(a.thresholds.view(np.uint64), b.thresholds.view(np.uint64))
     assert runs[0] == runs[1]
+
+
+def _counted_pilot_phases(monkeypatch):
+    """The seeds of the pilot-phase estimates made from here on, at every binding a sweep could call."""
+    seeds = []
+    estimate = bussgang.ce_distortion_projections
+
+    def counted(spec, pilots, rho_bs, trials, seed):
+        seeds.append(seed)
+        return estimate(spec, pilots, rho_bs, trials, seed)
+
+    monkeypatch.setattr(sweep, "ce_distortion_projections", counted)
+    monkeypatch.setattr(bussgang, "ce_distortion_projections", counted)
+    return seeds
+
+
+def test_a_sweep_estimates_each_pilot_phase_once(monkeypatch):
+    config = _tiny_config(direction="both", bits=[2, 3], bandwidth_ghz=[0.1, 1.0], tau=[8])
+    pilot_keys = [(b, ghz * 1e9, 8) for ghz in (0.1, 1.0) for b in (2, 3)]
+    seeds = _counted_pilot_phases(monkeypatch)
+    stats = []
+    assemble = sweep.assemble_stats
+
+    def recording_stats(*args, **kwargs):
+        stats.append(assemble(*args, **kwargs))
+        return stats[-1]
+
+    monkeypatch.setattr(sweep, "assemble_stats", recording_stats)
+    both = run_sweep(config)
+    # 8 points, 4 pilot phases: one estimate each, from its pilot seed, in the order the sweep meets them
+    assert len(both) == 8 and not any(r.skipped for r in both)
+    assert seeds == [pilot_seed(config.seed, *key) for key in pilot_keys]
+    # the ul and dl points of one (b, B, tau) take the same A_k, bit for bit
+    assert len(stats) == 8
+    for ul, dl in zip(stats[:4], stats[4:]):
+        assert np.array_equal(ul.a_k.view(np.uint64), dl.a_k.view(np.uint64))
+    # a second sweep estimates again and gives the same records
+    assert run_sweep(config) == both and len(seeds) == 8
+    # one direction alone: one estimate per point, and that direction's records of the both-way sweep
+    for direction in ("ul", "dl"):
+        del seeds[:]
+        alone = run_sweep(dataclasses.replace(config, direction=direction))
+        assert alone == [r for r in both if r.direction == direction] and len(seeds) == 4
+
+
+def test_a_point_run_alone_writes_the_row_of_the_sweep(tmp_path):
+    # the sweep_highres grid: at 1 GHz, b = 11 and 12 power no uplink chain, so
+    # their downlink points estimate the pilot phase alone; the others share it
+    config = _tiny_config(direction="both", bits=[9, 10, 11, 12], bandwidth_ghz=[0.1, 1.0], tau=[64])
+    swept = run_sweep(config)
+    assert [r.skipped for r in swept if r.bandwidth_hz == 1e9 and r.b in (11, 12)] == [False, False, True, True]
+    assert {r.direction for r in swept if not r.skipped} == {"ul", "dl"}
+    for record in swept:
+        alone = run_point(config, record.direction, record.b, record.bandwidth_hz, record.tau)
+        assert alone == record
+        write_csv([record], tmp_path / "swept.csv")
+        write_csv([alone], tmp_path / "alone.csv")
+        assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "swept.csv").read_bytes()
 
 
 def test_sorted_output_order():
